@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simplex
 from .errors import CapExceeded
-from .rounding import MarginalMatrix, RoundingOutcome
+from .rounding import MarginalMatrix, RoundingOutcome, pinned_cdf
 from .streams import RandomStream
 
 DEFAULT_CAP = 12
@@ -126,7 +126,28 @@ class OptimalSchemeSolution:
 
     @cached_property
     def z_cdf(self) -> np.ndarray:
-        return np.cumsum([self.z[mk] for mk in self.sorted_masks])
+        return pinned_cdf([self.z[mk] for mk in self.sorted_masks])
+
+    @cached_property
+    def item_cdfs(self) -> dict:
+        """mask -> (FCs of the subset, each item's pinned CDF over them).
+
+        Covers the sampling support; the CDFs form a q x |S| array. Raises
+        DegenerateSubset if some item has no conditional mass on a subset.
+        """
+        out = {}
+        for mask in self.sorted_masks:
+            members = [k for k in range(self.K) if mask >> k & 1]
+            w = np.array([[self.u_cond.get((k, i, mask), 0.0) for k in members]
+                          for i in range(self.q)])
+            total = w.sum(axis=1)
+            empty = np.flatnonzero(total <= 0.0)
+            if empty.size:
+                raise DegenerateSubset(
+                    f"subset {mask:b} has z = {self.z[mask]} but no mass for item {empty[0]}"
+                )
+            out[mask] = (np.array(members), pinned_cdf(w / total[:, None]))
+        return out
 
     @cached_property
     def usage(self) -> np.ndarray:
@@ -193,19 +214,12 @@ def sample_optimal(s: OptimalSchemeSolution, rng: RandomStream) -> RoundingOutco
     pos = int(np.searchsorted(s.z_cdf, u, side="left"))
     pos = min(pos, len(s.sorted_masks) - 1)
     mask = s.sorted_masks[pos]
-    members = [k for k in range(s.K) if mask >> k & 1]
     draws = rng.uniform(s.q)
-    z = np.empty(s.q, dtype=np.int64)
-    for i in range(s.q):
-        w = np.array([s.u_cond.get((k, i, mask), 0.0) for k in members])
-        total = w.sum()
-        if total <= 0.0:
-            raise DegenerateSubset(
-                f"subset {mask:b} has z = {s.z[mask]} but no mass for item {i}"
-            )
-        cdf = np.cumsum(w / total)
-        z[i] = members[min(int(np.searchsorted(cdf, draws[i], side="left")), len(members) - 1)]
-    return RoundingOutcome(z=z)
+    members, cdf = s.item_cdfs[mask]
+    # inverse CDF per item: the count of entries below the draw is the
+    # leftmost position whose cumulative mass reaches it
+    pick = np.minimum((cdf < draws[:, None]).sum(axis=1), members.size - 1)
+    return RoundingOutcome(z=members[pick])
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class MarginalMatrix:
     @cached_property
     def row_cdf(self) -> np.ndarray:
         """Per-item cumulative marginals, for inverse-CDF draws."""
-        c = np.cumsum(self.u, axis=1)
+        c = pinned_cdf(self.u)
         c.flags.writeable = False
         return c
 
@@ -161,6 +161,22 @@ class RoundingTrace:
     x: np.ndarray
     h: Optional[np.ndarray] = None
     m: Optional[np.ndarray] = None
+
+
+def pinned_cdf(w: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, exactly 1 from the last positive entry on.
+
+    The stream's uniforms lie in (0, 1], and a row of probabilities can sum
+    to a few ulps under 1; unpinned, a draw U = 1.0 would land past the last
+    positive entry on an FC the row gives probability 0. A draw U < 1 picks
+    the same entry from the pinned and the plain cumulative sums wherever
+    the plain one picks a positive entry.
+    """
+    w = np.asarray(w, dtype=float)
+    c = np.minimum(np.cumsum(w, axis=-1), 1.0)
+    last = w.shape[-1] - 1 - np.argmax(w[..., ::-1] > 0.0, axis=-1)
+    c[np.arange(w.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return c
 
 
 def validate(matrix) -> MarginalMatrix:

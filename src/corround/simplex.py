@@ -1,17 +1,16 @@
-"""Self-contained linear programming solver (no external LP dependency).
-
-Two-phase primal simplex on sparse constraint data. The basis is carried as
-a sparse LU factorization (scipy's SuperLU) plus a product-form eta file
-that is rebuilt every ~100 pivots, so a single iteration costs two
-triangular solves and a handful of O(m) vector sweeps instead of a full
-dense-tableau update. Pricing is Devex, switching permanently to Bland's
-rule after a long degenerate stall so cycling cannot occur. Every optimal
-result is re-verified against the original constraints before it is
-returned.
+"""Linear programs of the package, solved by HiGHS and certified here.
 
 Problems are stated as `min c.x` over rows `(coefficients, relation, rhs)`
 with per-variable bounds; coefficients may be dense vectors or {index: value}
-dicts (the builders in this package pass dicts).
+dicts (the builders in this package pass dicts). `solve` assembles the rows
+into one sparse matrix in a single pass and hands it to the dual revised
+simplex of HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex
+method", Math. Prog. Comp. 10, 2018) through `scipy.optimize.linprog`.
+
+No optimum is returned on the solver's word alone. Every optimal result is
+re-checked against the original rows and bounds (primal residual) and
+against a dual certificate built from HiGHS's marginals (stationarity
+residual and duality gap); a failed check raises SolverNumericalError.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.optimize import linprog
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -30,12 +29,13 @@ ITERATION_LIMIT = "iteration_limit"
 
 RELATIONS = ("<=", "=", ">=")
 
-PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
-REFACTOR_EVERY = 100
-STALL_LIMIT = 1000
 
 INF = float("inf")
+
+# scipy's linprog status codes; 4 (numerical trouble, or HiGHS could not
+# tell infeasible from unbounded) raises instead
+_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 class DimensionMismatch(ValueError):
@@ -43,7 +43,7 @@ class DimensionMismatch(ValueError):
 
 
 class SolverNumericalError(RuntimeError):
-    """The factored basis or the final residual check broke down."""
+    """The solver broke down, or an optimum failed its certificate."""
 
 
 Coef = Union[np.ndarray, Sequence[float], dict]
@@ -100,410 +100,138 @@ class LPProblem:
 
 @dataclass
 class LPSolution:
+    """Status of a solve, and on an optimum its point and certificate.
+
+    ``max_violation`` is the largest absolute residual of ``x`` over the
+    rows and bounds. ``dual_residual`` is the largest stationarity error of
+    HiGHS's multipliers after projecting them onto their feasible signs,
+    relative to max(1, |c|_inf); ``duality_gap`` is the gap between the
+    primal objective and the objective of those multipliers, relative to
+    max(1, |c.x|). All three are at most FEAS_TOL on a returned optimum.
+    """
+
     status: str
     objective: Optional[float]
     x: Optional[np.ndarray]
     iterations: int = 0
     max_violation: float = 0.0
+    dual_residual: float = 0.0
+    duality_gap: float = 0.0
 
 
 def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
-    """Two-phase simplex; returns a certified status.
+    """Solve with HiGHS's dual simplex; returns a certified status.
 
-    Optimal solutions satisfy every constraint within 1e-7 absolute and all
-    bounds within 1e-9 (verified; violations raise SolverNumericalError).
+    ``max_pivots`` caps the simplex iterations; a run that reaches it
+    returns ITERATION_LIMIT. Optimal solutions satisfy every row and bound
+    within FEAS_TOL and carry a dual certificate within FEAS_TOL (checked;
+    a failure raises SolverNumericalError).
     """
-    std = _Standardized(problem)
-    if std.infeasible_bounds:
+    lo, hi = _bounds(problem)
+    if np.any(lo > hi):
         return LPSolution(INFEASIBLE, None, None)
-    if std.m == 0:
-        return _solve_unconstrained(problem, std)
-
-    core = _Core(std.A, std.b, max_pivots)
-    core.attach_basis(std.basis0)
-    if std.artificials.size:
-        phase1_c = np.zeros(std.n_total)
-        phase1_c[std.artificials] = 1.0
-        status = core.run(phase1_c)
-        if status == ITERATION_LIMIT:
-            return LPSolution(ITERATION_LIMIT, None, None, core.iterations)
-        if status != OPTIMAL:
-            # phase 1 is bounded below by 0; unbounded here means breakdown
-            raise SolverNumericalError(f"phase 1 ended {status}")
-        if core.objective(phase1_c) > FEAS_TOL:
-            return LPSolution(INFEASIBLE, None, None, core.iterations)
-        core.drive_out_artificials(std.artificial_mask)
-        core.refactor()
-
-    forbidden = std.artificial_mask if std.artificials.size else None
-    status = core.run(std.c_int, forbidden=forbidden, art_mask=std.artificial_mask)
+    A, b, eq = _signed_rows(problem)
+    ub = ~eq
+    res = linprog(
+        problem.c,
+        A_ub=A[ub],
+        b_ub=b[ub],
+        A_eq=A[eq],
+        b_eq=b[eq],
+        bounds=np.column_stack((lo, hi)),
+        method="highs-ds",
+        # no presolve: it can finish an LP (the one-region DLPs, for one)
+        # without a single simplex iteration, and then neither the pivot
+        # cap nor the pivot count would mean anything
+        options={"maxiter": max_pivots, "presolve": False},
+    )
+    if res.status not in _STATUS:
+        raise SolverNumericalError(f"HiGHS failed: {res.message}")
+    status = _STATUS[res.status]
     if status != OPTIMAL:
-        return LPSolution(status, None, None, core.iterations)
+        return LPSolution(status, None, None, int(res.nit))
 
-    x = std.recover(core.basic_values())
-    viol = _max_violation(problem, x)
+    x = res.x
+    obj = float(problem.c @ x)
+    r = A @ x - b
+    viol = max(
+        float(r[ub].max(initial=0.0)),
+        float(np.abs(r[eq]).max(initial=0.0)),
+        float((lo - x).max(initial=0.0)),
+        float((x - hi).max(initial=0.0)),
+    )
     if viol > FEAS_TOL:
         raise SolverNumericalError(f"residual check failed: violation {viol:.3e}")
-    obj = float(problem.c @ x)
-    return LPSolution(OPTIMAL, obj, x, core.iterations, viol)
+    dual_res, gap = _dual_certificate(problem.c, obj, A, b, eq, lo, hi, res)
+    if dual_res > FEAS_TOL or gap > FEAS_TOL:
+        raise SolverNumericalError(
+            f"dual certificate failed: residual {dual_res:.3e}, gap {gap:.3e}"
+        )
+    return LPSolution(OPTIMAL, obj, x, int(res.nit), viol, dual_res, gap)
 
 
-def _solve_unconstrained(problem: LPProblem, std: "_Standardized") -> LPSolution:
-    # no rows at all: each internal variable sits at 0 unless its cost pulls
-    # it to +inf
-    if np.any(std.c_int < -PIVOT_TOL):
-        return LPSolution(UNBOUNDED, None, None)
-    x = std.recover(np.empty(0))
-    return LPSolution(OPTIMAL, float(problem.c @ x), x, 0, _max_violation(problem, x))
+def _bounds(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
+    if problem.bounds is None:
+        return np.zeros(problem.n), np.full(problem.n, INF)
+    lo, hi = np.asarray(problem.bounds, dtype=float).reshape(problem.n, 2).T
+    return lo, hi
 
 
-def _max_violation(problem: LPProblem, x: np.ndarray) -> float:
-    worst = 0.0
-    for pos, (_, rel, rhs) in enumerate(problem.constraints):
-        idx, val = problem.row_arrays(pos)
-        ax = float(val @ x[idx]) if idx.size else 0.0
-        if rel == "<=":
-            worst = max(worst, ax - rhs)
-        elif rel == ">=":
-            worst = max(worst, rhs - ax)
-        else:
-            worst = max(worst, abs(ax - rhs))
-    if problem.bounds is not None:
-        for j, (lo, hi) in enumerate(problem.bounds):
-            if lo != -INF:
-                worst = max(worst, lo - x[j])
-            if hi != INF:
-                worst = max(worst, x[j] - hi)
-    else:
-        worst = max(worst, float(max(0.0, -x.min())) if x.size else 0.0)
-    return worst
+def _signed_rows(problem: LPProblem) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Every row in one CSR matrix, built in a single pass.
 
-
-class _Standardized:
-    """Rewrite an LPProblem over nonnegative internal variables.
-
-    Finite lower bounds shift variables, finite upper bounds add rows, free
-    variables split into a difference of two nonnegatives. Slack/surplus
-    columns are appended, rows are sign-normalized to rhs >= 0, and
-    artificial columns cover rows with no natural starting basis column.
+    ``>=`` rows are negated into ``<=`` rows, so the rows are ``A x <= b``
+    where ``eq`` is False and ``A x = b`` where it is True.
     """
-
-    def __init__(self, p: LPProblem):
-        n = p.n
-        bounds = p.bounds if p.bounds is not None else [(0.0, INF)] * n
-        self.infeasible_bounds = False
-        self.offset = np.zeros(n)
-        self.terms: list[list[tuple[int, float]]] = []  # x_j = offset + sum sign*s
-        n_int = 0
-        extra_rows = []  # (internal_col, cap) for finite upper bounds
-        for j, (lo, hi) in enumerate(bounds):
-            lo, hi = float(lo), float(hi)
-            if lo > hi:
-                self.infeasible_bounds = True
-                lo = hi
-            if lo == -INF and hi == INF:
-                self.terms.append([(n_int, 1.0), (n_int + 1, -1.0)])
-                n_int += 2
-            elif lo != -INF:
-                self.offset[j] = lo
-                self.terms.append([(n_int, 1.0)])
-                if hi != INF:
-                    extra_rows.append((n_int, hi - lo))
-                n_int += 1
-            else:  # lo = -inf, hi finite: x = hi - s
-                self.offset[j] = hi
-                self.terms.append([(n_int, -1.0)])
-                n_int += 1
-        self.n_struct = n_int
-
-        rows_i, rows_v, rhs, rels = [], [], [], []
-        for pos in range(len(p.constraints)):
-            idx, val = p.row_arrays(pos)
-            _, rel, b = p.constraints[pos]
-            b = float(b)
-            if idx.size:
-                b -= float(val @ self.offset[idx])
-            cols, vals = [], []
-            for j, v in zip(idx, val):
-                for col, sign in self.terms[j]:
-                    cols.append(col)
-                    vals.append(v * sign)
-            rows_i.append(np.asarray(cols, dtype=np.int64))
-            rows_v.append(np.asarray(vals))
-            rhs.append(b)
-            rels.append(rel)
-        for col, cap in extra_rows:
-            rows_i.append(np.asarray([col], dtype=np.int64))
-            rows_v.append(np.asarray([1.0]))
-            rhs.append(float(cap))
-            rels.append("<=")
-
-        m = len(rhs)
-        self.m = m
-        b_arr = np.asarray(rhs)
-        flip = b_arr < 0.0
-        for r in np.flatnonzero(flip):
-            rows_v[r] = -rows_v[r]
-            b_arr[r] = -b_arr[r]
-            if rels[r] == "<=":
-                rels[r] = ">="
-            elif rels[r] == ">=":
-                rels[r] = "<="
-        self.b = b_arr
-
-        # slack/surplus columns and the starting basis
-        coo_r, coo_c, coo_v = [], [], []
-        for r in range(m):
-            coo_r.append(np.full(rows_i[r].size, r, dtype=np.int64))
-            coo_c.append(rows_i[r])
-            coo_v.append(rows_v[r])
-        basis = np.empty(m, dtype=np.int64)
-        col = n_int
-        artificial = []
-        for r in range(m):
-            if rels[r] == "<=":
-                coo_r.append(np.asarray([r]))
-                coo_c.append(np.asarray([col]))
-                coo_v.append(np.asarray([1.0]))
-                basis[r] = col
-                col += 1
-            elif rels[r] == ">=":
-                coo_r.append(np.asarray([r]))
-                coo_c.append(np.asarray([col]))
-                coo_v.append(np.asarray([-1.0]))
-                if b_arr[r] <= PIVOT_TOL:
-                    basis[r] = col
-                    col += 1
-                else:
-                    col += 1
-                    coo_r.append(np.asarray([r]))
-                    coo_c.append(np.asarray([col]))
-                    coo_v.append(np.asarray([1.0]))
-                    basis[r] = col
-                    artificial.append(col)
-                    col += 1
-            else:
-                coo_r.append(np.asarray([r]))
-                coo_c.append(np.asarray([col]))
-                coo_v.append(np.asarray([1.0]))
-                basis[r] = col
-                artificial.append(col)
-                col += 1
-        self.n_total = col
-        if m:
-            self.A = sparse.coo_matrix(
-                (np.concatenate(coo_v), (np.concatenate(coo_r), np.concatenate(coo_c))),
-                shape=(m, self.n_total),
-            ).tocsc()
+    m = len(problem.constraints)
+    cols, vals = [], []
+    counts = np.empty(m, dtype=np.int64)
+    b = np.empty(m)
+    sign = np.ones(m)
+    eq = np.zeros(m, dtype=bool)
+    for pos, (coef, rel, rhs) in enumerate(problem.constraints):
+        if isinstance(coef, dict):
+            cols.extend(coef.keys())
+            vals.extend(coef.values())
+            counts[pos] = len(coef)
         else:
-            self.A = sparse.csc_matrix((0, self.n_total))
-        self.basis0 = basis
-        self.artificials = np.asarray(artificial, dtype=np.int64)
-        self.artificial_mask = np.zeros(self.n_total, dtype=bool)
-        self.artificial_mask[self.artificials] = True
-
-        self.c_int = np.zeros(self.n_total)
-        for j in range(n):
-            for cidx, sign in self.terms[j]:
-                self.c_int[cidx] += p.c[j] * sign
-
-    def recover(self, x_int_struct: np.ndarray) -> np.ndarray:
-        """Map internal nonnegative variables back to original ones."""
-        x = self.offset.copy()
-        for j, terms in enumerate(self.terms):
-            for col, sign in terms:
-                if col < x_int_struct.size:
-                    x[j] += sign * x_int_struct[col]
-        return x
+            arr = np.asarray(coef, dtype=float)
+            idx = np.flatnonzero(arr)
+            cols.extend(idx.tolist())
+            vals.extend(arr[idx].tolist())
+            counts[pos] = idx.size
+        b[pos] = rhs
+        if rel == ">=":
+            sign[pos] = -1.0
+        elif rel == "=":
+            eq[pos] = True
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.asarray(vals, dtype=float) * np.repeat(sign, counts)
+    A = sparse.csr_matrix(
+        (data, np.asarray(cols, dtype=np.int64), indptr), shape=(m, problem.n)
+    )
+    return A, b * sign, eq
 
 
-class _Core:
-    """Revised simplex state: basis, LU factors, eta file, basic values."""
+def _dual_certificate(c, obj, A, b, eq, lo, hi, res) -> tuple[float, float]:
+    """Relative stationarity residual and duality gap of HiGHS's marginals.
 
-    def __init__(self, A: sparse.csc_matrix, b: np.ndarray, max_pivots: int):
-        self.A = A
-        self.AT = A.T.tocsr()
-        self.b = b
-        self.m, self.n = A.shape
-        self.max_pivots = max_pivots
-        self.iterations = 0
-        self.basis = None  # set by attach_basis
-        self.in_basis = np.zeros(self.n, dtype=bool)
-        self.etas: list[tuple[int, np.ndarray]] = []
-        self.lu = None
-        self.xB = None
-        self.bland = False
-
-    def attach_basis(self, basis: np.ndarray):
-        self.basis = basis.copy()
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.refactor()
-
-    def refactor(self):
-        B = self.A[:, self.basis]
-        try:
-            self.lu = splu(B.tocsc())
-        except RuntimeError as exc:
-            raise SolverNumericalError(f"singular basis: {exc}") from exc
-        self.etas = []
-        self.xB = self.lu.solve(self.b)
-        np.clip(self.xB, 0.0, None, out=self.xB)
-
-    def ftran(self, col: np.ndarray) -> np.ndarray:
-        v = self.lu.solve(col)
-        for r, w in self.etas:
-            vr = v[r] / w[r]
-            if vr != 0.0:
-                v -= w * vr
-            v[r] = vr
-        return v
-
-    def btran(self, g: np.ndarray) -> np.ndarray:
-        g = g.copy()
-        for r, w in reversed(self.etas):
-            s = w @ g
-            g[r] = (g[r] - (s - w[r] * g[r])) / w[r]
-        return self.lu.solve(g, trans="T")
-
-    def objective(self, c: np.ndarray) -> float:
-        return float(c[self.basis] @ self.xB)
-
-    def basic_values(self) -> np.ndarray:
-        x = np.zeros(self.n)
-        x[self.basis] = self.xB
-        return x
-
-    def run(self, c: np.ndarray, forbidden=None, art_mask=None):
-        """Minimize c over the current basis; returns a status string.
-
-        Pricing is Devex (reference weights reset on refactor), which keeps
-        degenerate plateaus short; a long stall still flips the rule to
-        Bland's permanently, which guarantees no cycling. Claimed unbounded
-        rays are re-verified against a fresh factorization first.
-        """
-        if self.basis is None:
-            raise SolverNumericalError("no basis attached")
-        # dual feasibility is judged relative to the cost magnitude so that
-        # round-off in large-coefficient problems cannot masquerade as an
-        # improving (or unbounded) direction
-        dual_tol = PIVOT_TOL * max(1.0, float(np.abs(c).max()) if c.size else 1.0)
-        self.devex = np.ones(self.n)
-        stall = 0
-        fresh = False
-        while True:
-            if self.iterations >= self.max_pivots:
-                return ITERATION_LIMIT
-            y = self.btran(c[self.basis])
-            d = c - self.AT.dot(y)
-            d[self.in_basis] = 0.0
-            if forbidden is not None:
-                d[forbidden] = 0.0
-            j = self._entering(d, dual_tol)
-            if j < 0:
-                return OPTIMAL
-            w = self.ftran(self.A[:, j].toarray().ravel())
-            r, theta = self._leaving(w, art_mask)
-            if r < 0:
-                # re-verify a ray claim against a fresh factorization before
-                # believing it
-                if fresh and not self.etas:
-                    return UNBOUNDED
-                self.refactor()
-                self.devex = np.ones(self.n)
-                fresh = True
-                continue
-            fresh = False
-            if not self.bland:
-                self._devex_update(j, r, w)
-            had_etas = len(self.etas)
-            self._pivot(j, r, theta, w)
-            if len(self.etas) <= had_etas:  # refactor happened inside
-                self.devex = np.ones(self.n)
-            stall = stall + 1 if theta <= 1e-12 else 0
-            if stall >= STALL_LIMIT:
-                self.bland = True
-
-    def _entering(self, d: np.ndarray, dual_tol: float) -> int:
-        if self.bland:
-            neg = np.flatnonzero(d < -dual_tol)
-            return int(neg[0]) if neg.size else -1
-        neg = d < -dual_tol
-        if not np.any(neg):
-            return -1
-        score = np.where(neg, d * d / self.devex, -1.0)
-        return int(np.argmax(score))
-
-    def _devex_update(self, j: int, r: int, w: np.ndarray):
-        """Forrest-Goldfarb reference weight update after pivoting on row r."""
-        alpha_q = w[r]
-        if abs(alpha_q) <= PIVOT_TOL:
-            return
-        er = np.zeros(self.m)
-        er[r] = 1.0
-        row = self.AT.dot(self.btran(er))
-        gamma_q = self.devex[j]
-        np.maximum(self.devex, (row / alpha_q) ** 2 * gamma_q, out=self.devex)
-        self.devex[self.basis[r]] = max(gamma_q / alpha_q ** 2, 1.0)
-        self.devex[j] = max(gamma_q / alpha_q ** 2, 1.0)
-
-    def _leaving(self, w: np.ndarray, art_mask) -> tuple[int, float]:
-        if art_mask is not None:
-            # never let a basic artificial turn positive: kick it out at
-            # zero step as soon as its row carries weight
-            art_rows = np.flatnonzero(art_mask[self.basis] & (np.abs(w) > PIVOT_TOL))
-            if art_rows.size:
-                r = int(art_rows[np.argmin(self.basis[art_rows])])
-                return r, 0.0
-        cand = np.flatnonzero(w > PIVOT_TOL)
-        if cand.size == 0:
-            return -1, 0.0
-        ratios = self.xB[cand] / w[cand]
-        theta = ratios.min()
-        near = cand[ratios <= theta + 1e-12]
-        if self.bland:
-            r = int(near[np.argmin(self.basis[near])])
-        else:
-            # among tied rows take the largest pivot element: fewer
-            # degenerate revisits and a better-conditioned basis
-            r = int(near[np.argmax(w[near])])
-        return r, max(theta, 0.0)
-
-    def _pivot(self, j: int, r: int, theta: float, w: np.ndarray):
-        if theta != 0.0:
-            self.xB -= theta * w
-        self.xB[r] = theta
-        np.clip(self.xB, 0.0, None, out=self.xB)
-        self.in_basis[self.basis[r]] = False
-        self.in_basis[j] = True
-        self.basis[r] = j
-        self.etas.append((r, w))
-        self.iterations += 1
-        if len(self.etas) >= REFACTOR_EVERY:
-            self.refactor()
-
-    def drive_out_artificials(self, art_mask: np.ndarray):
-        """Replace basic artificials by structural columns at zero step.
-
-        Rows whose artificial cannot be replaced (all-zero row in the
-        current tableau) are linearly dependent; their artificial stays
-        basic at value 0 and is handled by the ratio test's kick rule.
-        """
-        for r in range(self.m):
-            if not art_mask[self.basis[r]]:
-                continue
-            er = np.zeros(self.m)
-            er[r] = 1.0
-            rho = self.btran(er)
-            row = self.AT.dot(rho)
-            row[self.in_basis] = 0.0
-            row[art_mask] = 0.0
-            cands = np.flatnonzero(np.abs(row) > 1e-7)
-            if cands.size:
-                j = int(cands[0])
-                w = self.ftran(self.A[:, j].toarray().ravel())
-                if abs(w[r]) > PIVOT_TOL:
-                    self._pivot(j, r, 0.0, w)
+    The marginals are d(objective)/d(rhs): at most 0 on ``<=`` rows and
+    upper bounds, at least 0 on lower bounds, free on equalities, and 0 on
+    infinite bounds. They are projected onto those signs first, so a sign
+    error shows up as a stationarity error rather than passing unseen.
+    """
+    y = np.empty(b.size)
+    y[~eq] = np.minimum(res.ineqlin.marginals, 0.0)
+    y[eq] = res.eqlin.marginals
+    fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+    w_lo = np.where(fin_lo, np.maximum(res.lower.marginals, 0.0), 0.0)
+    w_hi = np.where(fin_hi, np.minimum(res.upper.marginals, 0.0), 0.0)
+    stat = c - A.T @ y - w_lo - w_hi
+    dual_res = float(np.abs(stat).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0)))
+    dual_obj = float(b @ y + lo[fin_lo] @ w_lo[fin_lo] + hi[fin_hi] @ w_hi[fin_hi])
+    return dual_res, abs(obj - dual_obj) / max(1.0, abs(obj))
 
 
 def write_lp(problem: LPProblem, f: TextIO, name: str = "CORROUND") -> None:

@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from corround.rounding import MarginalMatrix, validate
+from corround.streams import RandomStream
 
 
 def random_instance(gen: np.random.Generator, q: int, K: int, sparse: bool = False) -> MarginalMatrix:
@@ -77,6 +80,44 @@ def vertex_enumeration_optimum(c, rows, bounds):
             if best is None or val < best:
                 best = val
     return best
+
+
+def linprog_optimum(problem, method):
+    """Optimum of an LPProblem from scipy's linprog, built from dense rows.
+
+    Independent of the adapter in ``corround.simplex``: rows are densified
+    one by one and ``>=`` rows enter as negated ``<=`` rows.
+    """
+    ub_a, ub_b, eq_a, eq_b = [], [], [], []
+    for pos, (_, rel, rhs) in enumerate(problem.constraints):
+        row = np.zeros(problem.n)
+        idx, val = problem.row_arrays(pos)
+        row[idx] = val
+        if rel == "=":
+            eq_a.append(row)
+            eq_b.append(rhs)
+        else:
+            sign = -1.0 if rel == ">=" else 1.0
+            ub_a.append(sign * row)
+            ub_b.append(sign * rhs)
+    bounds = problem.bounds if problem.bounds is not None else [(0.0, math.inf)] * problem.n
+    res = linprog(problem.c, A_ub=np.array(ub_a) if ub_a else None, b_ub=ub_b or None,
+                  A_eq=np.array(eq_a) if eq_a else None, b_eq=eq_b or None,
+                  bounds=bounds, method=method)
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class UnitUniforms(RandomStream):
+    """A stream whose every uniform is exactly 1.0, the top of its support."""
+
+    def uniform(self, size=None):
+        if size is None:
+            self.position += 1
+            return 1.0
+        u = np.ones(size)
+        self.position += int(u.size)
+        return u
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corround import cli
+from corround import cli, simplex
 
 DET_INSTANCE = "2 2\n1.0 0.0\n0.0 1.0\n"
 MIXED_INSTANCE = "2 3\n0.2 0.5 0.3\n0.6 0.1 0.3\n"
@@ -63,6 +63,16 @@ def test_lp_optimal_cap_exceeded(tmp_path):
     inst.write_text(f"1 13\n{row}\n")
     code = run(["lp-optimal", str(inst)])
     assert code == cli.EXIT_CAP
+
+
+def test_lp_optimal_solver_failure_exit_code(tmp_path, monkeypatch):
+    def broken(problem, max_pivots=10 ** 6):
+        raise simplex.SolverNumericalError("dual certificate failed")
+
+    monkeypatch.setattr(simplex, "solve", broken)
+    inst = tmp_path / "i.txt"
+    inst.write_text(MIXED_INSTANCE)
+    assert run(["lp-optimal", str(inst)]) == cli.EXIT_SOLVER
 
 
 def test_cover_command(tmp_path, capsys):

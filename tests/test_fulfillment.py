@@ -6,6 +6,7 @@ import pytest
 
 from corround.fulfillment import (
     DLPlan,
+    DLPSolveError,
     FulfillmentError,
     FulfillmentInstance,
     build_dlp,
@@ -18,6 +19,7 @@ from corround.fulfillment import (
     solve_dlp,
     theoretical_beta,
 )
+from corround.instances import GeneratorConfig, build_instance
 from corround.streams import RandomStream
 
 INF = float("inf")
@@ -92,6 +94,12 @@ def test_dlp_zero_inventory_goes_null():
     plan = solve_dlp(inst)
     assert plan.objective == pytest.approx(100 * 0.5 * 100.0, abs=1e-7)
     assert plan.u[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_dlp_pivot_cap_raises():
+    inst = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
+    with pytest.raises(DLPSolveError, match="iteration_limit"):
+        solve_dlp(inst, max_pivots=1)
 
 
 def test_dlp_dominance():

@@ -18,7 +18,7 @@ from corround.optimal import (
 from corround.rounding import guarantee_dilate, guarantee_force_open, validate
 from corround.streams import RandomStream
 
-from conftest import random_instance
+from conftest import UnitUniforms, random_instance
 
 
 def test_build_counts_q1_k2():
@@ -126,6 +126,41 @@ def test_sampling_consistency_with_marginals():
     assert np.all(np.abs(counts / n - m.u) <= tol)
     assert abs(used[0] / n - 0.6) <= tol
     assert abs(used[1] / n - 0.7) <= tol
+
+
+def test_sampling_at_u_one_stays_on_support():
+    # the item's cumulative masses end one ulp under 1 before FC 3, which
+    # carries none of its mass
+    sol = OptimalSchemeSolution(
+        alpha=1.0, K=4, q=1,
+        z={0b1111: 1.0},
+        u_cond={(0, 0, 0b1111): 0.34, (1, 0, 0b1111): 0.56, (2, 0, 0b1111): 0.10},
+    )
+    assert sample_optimal(sol, UnitUniforms(0)).z.tolist() == [2]
+
+
+def loop_sample(s, rng):
+    """One draw by the per-item searchsorted loop, the reference sampler."""
+    pos = min(int(np.searchsorted(s.z_cdf, rng.uniform(), side="left")), len(s.sorted_masks) - 1)
+    mask = s.sorted_masks[pos]
+    members = [k for k in range(s.K) if mask >> k & 1]
+    draws = rng.uniform(s.q)
+    z = np.empty(s.q, dtype=np.int64)
+    for i in range(s.q):
+        w = np.array([s.u_cond.get((k, i, mask), 0.0) for k in members])
+        cdf = np.cumsum(w / w.sum())
+        z[i] = members[min(int(np.searchsorted(cdf, draws[i], side="left")), len(members) - 1)]
+    return z
+
+
+def test_sampling_matches_loop_reference():
+    gen = np.random.default_rng(11)
+    for _ in range(8):
+        sol = solve_optimal_alpha(random_instance(gen, 4, 4, sparse=True))
+        r1, r2 = RandomStream(3), RandomStream(3)
+        for _ in range(200):
+            assert np.array_equal(sample_optimal(sol, r1).z, loop_sample(sol, r2))
+        assert r1.position == r2.position
 
 
 def test_sampling_degenerate_subset():

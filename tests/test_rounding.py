@@ -28,7 +28,7 @@ from corround.rounding import (
 )
 from corround.streams import RandomStream
 
-from conftest import instance_battery
+from conftest import UnitUniforms, instance_battery
 
 N_MC = 200_000
 
@@ -291,6 +291,25 @@ def test_mc_batch_matches_single_calls():
             [z for z, _ in rounding._batch_rounds(m, scheme, 700, r2, chunk_elems=999)]
         )
         assert np.array_equal(singles, batched)
+
+
+def test_draw_at_u_one_stays_on_support():
+    # this row's cumulative sum ends one ulp under 1 before its zero column
+    m = validate([[0.34, 0.56, 0.10, 0.0]])
+    assert np.cumsum(m.u[0])[2] < 1.0
+    assert independent_round(m, UnitUniforms(0)).z.tolist() == [2]
+    rep = mc_estimate(m, "independent", 10, UnitUniforms(0))
+    assert rep.marginals[0].tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_pinned_cdf_keeps_draws_below_one():
+    # pinning each row's CDF to 1 moves no draw U < 1 that the plain
+    # cumulative sum already sent to a positive entry
+    for m in instance_battery(3, 60):
+        u = RandomStream(9).uniform((500, m.q))
+        plain = rounding._searchsorted_rows(np.cumsum(m.u, axis=1), u)
+        assert np.all(m.u[np.arange(m.q), plain] > 0.0)
+        assert np.array_equal(rounding._searchsorted_rows(m.row_cdf, u), plain)
 
 
 def test_mc_dilate_tail_bound():
