@@ -15,6 +15,7 @@ from .rounding import (
     hiding_probability,
     independent_round,
     mc_estimate,
+    sample,
     select_scheme,
     sparsity_stats,
     usage_lower_bounds,
@@ -41,6 +42,7 @@ __all__ = [
     "hiding_probability",
     "independent_round",
     "mc_estimate",
+    "sample",
     "select_scheme",
     "sparsity_stats",
     "usage_lower_bounds",

@@ -59,6 +59,13 @@ def _seed_from(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="Monte Carlo scheme check on an instance file")
     p.add_argument("instance")
     p.add_argument("--scheme", choices=rounding.SCHEMES, default="dilate")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output stem for the two CSVs")
     p.set_defaults(func=cmd_round)
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="set cover instance file")
     p.add_argument("weights", help="file of K fractional weights")
     p.add_argument("--scheme", choices=rounding.SCHEMES, default="dilate")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cover)

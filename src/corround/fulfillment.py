@@ -261,27 +261,6 @@ class SimulationReport:
     seed: int
 
 
-class _Dispatcher:
-    """Per-(type, region) rounding state for the randomized policies."""
-
-    def __init__(self, plan, t, j, policy):
-        raw = plan.u[(t, j)]
-        mat = np.clip(raw, 0.0, None)
-        mat = mat / mat.sum(axis=1, keepdims=True)
-        self.m = rounding.validate(mat)
-        if policy == "auto":
-            self.scheme = rounding.select_scheme(self.m)[0]
-        else:
-            self.scheme = policy
-
-    def draw(self, rng: RandomStream) -> np.ndarray:
-        if self.scheme == "independent":
-            return rounding.independent_round(self.m, rng).z
-        if self.scheme == "dilate":
-            return rounding.dilate_round(self.m, rng)[0].z
-        return rounding.force_open_round(self.m, rng)[0].z
-
-
 def simulate(
     inst: FulfillmentInstance,
     plan: Optional[DLPlan],
@@ -313,7 +292,8 @@ def simulate(
     arriving = idx[idx < len(flat_pairs)]
 
     inv = inst.inventory.copy()
-    dispatchers: dict[int, _Dispatcher] = {}
+    # per (type, region): the validated plan row and the scheme that rounds it
+    draws: dict[int, tuple] = {}
     myopic_cands: dict[tuple, list] = {}
 
     fixed = unit = shortage = 0.0
@@ -342,16 +322,17 @@ def simulate(
                         break
                 ks.append(pick)
         else:
-            disp = dispatchers.get(flat)
-            if disp is None:
-                disp = _Dispatcher(plan, t, j, policy)
-                dispatchers[flat] = disp
-            ks = disp.draw(dec_rng)
+            row = draws.get(flat)
+            if row is None:
+                mat = np.clip(plan.u[(t, j)], 0.0, None)
+                m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
+                row = draws[flat] = (m, rounding.select_scheme(m)[0] if policy == "auto" else policy)
+            ks = rounding.sample(row[0], row[1], dec_rng, 1)[0].tolist()
 
         used = set()
         any_short = False
         for pos, i in enumerate(a):
-            k = int(ks[pos])
+            k = ks[pos]
             if k != 0:
                 if inv[k, i] >= 1.0:
                     inv[k, i] -= 1.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simplex
 from .errors import CapExceeded
-from .rounding import MarginalMatrix, RoundingOutcome, pinned_cdf
+from .rounding import MarginalMatrix, RoundingOutcome, inverse_cdf, pinned_cdf
 from .streams import RandomStream
 
 DEFAULT_CAP = 12
@@ -216,10 +216,7 @@ def sample_optimal(s: OptimalSchemeSolution, rng: RandomStream) -> RoundingOutco
     mask = s.sorted_masks[pos]
     draws = rng.uniform(s.q)
     members, cdf = s.item_cdfs[mask]
-    # inverse CDF per item: the count of entries below the draw is the
-    # leftmost position whose cumulative mass reaches it
-    pick = np.minimum((cdf < draws[:, None]).sum(axis=1), members.size - 1)
-    return RoundingOutcome(z=members[pick])
+    return RoundingOutcome(z=members[inverse_cdf(cdf, draws)])
 
 
 # ---------------------------------------------------------------------------

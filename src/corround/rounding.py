@@ -18,9 +18,12 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-`mc_estimate` verifies marginals, usage bounds, and the waiting-time tail
-empirically; it consumes uniforms in the exact per-call order so that batched
-and one-call-at-a-time sampling produce identical assignments.
+`sample` draws n assignments of a named scheme in one block; Monte Carlo,
+set cover and dispatch all draw through it or through its kernels, and it is
+the one place a scheme name turns into draw code. `mc_estimate` verifies
+marginals, usage bounds, support and the waiting-time tail empirically. Both
+consume uniforms in the exact per-call order, so batched and
+one-call-at-a-time sampling produce identical assignments.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ ROW_SUM_TOL = 1e-9
 SCHEMES = ("independent", "dilate", "force_open")
 
 TAIL_GRID = np.arange(0.0, 10.5, 0.5)
+
+# elements (draws x q x K) per block of uniforms in mc_estimate
+CHUNK_ELEMS = 2_000_000
 
 
 class RoundingError(ValueError):
@@ -176,7 +182,8 @@ def pinned_cdf(w: np.ndarray) -> np.ndarray:
     c = np.minimum(np.cumsum(w, axis=-1), 1.0)
     last = w.shape[-1] - 1 - np.argmax(w[..., ::-1] > 0.0, axis=-1)
     c[np.arange(w.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
-    return c
+    # column-major, so that inverse_cdf compares contiguous columns
+    return np.asfortranarray(c)
 
 
 def validate(matrix) -> MarginalMatrix:
@@ -291,17 +298,16 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# The schemes. Each consumes a fixed number of uniforms per call:
-# independent q, dilate K, force_open K + q. The batched sampler below
-# replays the same consumption order, so outcomes match draw-for-draw.
+# The schemes. Each draw spends a fixed number of uniforms: independent q,
+# dilate K, force_open K + q. The kernels below take a block of uniforms,
+# one row per draw, and `sample` and `mc_estimate` feed them blocks in
+# stream order, so outcomes match the single-call functions draw for draw.
 # ---------------------------------------------------------------------------
 
 
 def independent_round(m: MarginalMatrix, rng: RandomStream) -> RoundingOutcome:
     """Draw each item's FC independently from its marginal row."""
-    u = rng.uniform(m.q)
-    z = _searchsorted_rows(m.row_cdf, u)
-    return RoundingOutcome(z=z)
+    return RoundingOutcome(z=inverse_cdf(m.row_cdf, rng.uniform(m.q)))
 
 
 def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -312,9 +318,8 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     on ties.
     """
     e = _openings(m, rng.uniform(m.K))
-    x = _dilated_view(m, e[None, :])[0]
-    z = np.argmin(x, axis=1)
-    return RoundingOutcome(z=z), RoundingTrace(e=e, x=x)
+    x = _dilated_view(m, e)
+    return RoundingOutcome(z=np.argmin(x, axis=-1)), RoundingTrace(e=e, x=x)
 
 
 def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -327,8 +332,60 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     """
     e = _openings(m, rng.uniform(m.K))
     h = rng.uniform(m.q) <= m.hide_prob
-    x, z = _force_open_view(m, e[None, :], h[None, :])
-    return RoundingOutcome(z=z[0]), RoundingTrace(e=e, x=x[0], h=h, m=m.favorite.copy())
+    z, x = _force_open_view(m, e, h)
+    return RoundingOutcome(z=z), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
+
+
+def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndarray:
+    """n draws of a scheme as an (n, q) array of FC indices.
+
+    Spends the stream exactly like n successive ``<scheme>_round`` calls and
+    returns the same assignments. The draws are made in one block, so memory
+    grows as n * q * K; `mc_estimate` is the chunked, counting form.
+    """
+    per, kernel = _kernel(m, scheme)
+    if n < 0:
+        raise DomainError(f"draw count must be >= 0, got {n}")
+    return kernel(m, rng.uniform((n, per)))[0]
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-row inverse CDF: z[..., i] = min{k : cdf[i, k] >= u[..., i]}.
+
+    ``cdf`` is (q, K) with nondecreasing rows and ``u`` is (q,) or (n, q).
+    The count of a row's entries below its draw is that leftmost position;
+    a draw above the whole row picks its last entry. The count runs over
+    FC columns, which is fastest on a column-major ``cdf`` (as
+    `pinned_cdf` returns).
+    """
+    cols = cdf.T if u.ndim == 1 else cdf.T[:, None, :]
+    return np.minimum((cols < u).sum(axis=0), cdf.shape[1] - 1)
+
+
+def _kernel(m: MarginalMatrix, scheme: str):
+    """(uniforms per draw, block kernel) of a scheme; the kernel maps an
+    (n, per) block of uniforms to (z, x): the (n, q) assignments and the
+    (n, q, K) observed opening times, None for independent draws."""
+    if scheme == "independent":
+        return m.q, _independent_block
+    if scheme == "dilate":
+        return m.K, _dilate_block
+    if scheme == "force_open":
+        return m.K + m.q, _force_open_block
+    raise DomainError(f"unknown scheme {scheme!r}")
+
+
+def _independent_block(m, u):
+    return inverse_cdf(m.row_cdf, u), None
+
+
+def _dilate_block(m, u):
+    x = _dilated_view(m, _openings(m, u))
+    return np.argmin(x, axis=-1), x
+
+
+def _force_open_block(m, u):
+    return _force_open_view(m, _openings(m, u[:, :m.K]), u[:, m.K:] <= m.hide_prob)
 
 
 def _openings(m: MarginalMatrix, u) -> np.ndarray:
@@ -338,34 +395,23 @@ def _openings(m: MarginalMatrix, u) -> np.ndarray:
 
 
 def _dilated_view(m: MarginalMatrix, e: np.ndarray) -> np.ndarray:
-    """Observed opening times (..., q, K) for a batch of opening vectors."""
+    """Observed opening times (..., q, K) for opening vectors e (..., K)."""
     with np.errstate(invalid="ignore"):
-        x = m.ratios[None, :, :] * e[:, None, :]
+        x = m.ratios * e[..., None, :]
     # 0 * inf from an instantly-open unusable FC must stay unusable
-    return np.where(m.u[None, :, :] > 0.0, x, np.inf)
+    return np.where(m.u > 0.0, x, np.inf)
 
 
 def _force_open_view(m, e, h):
-    """Apply hide flags and forced openings; returns (x, z) batches."""
+    """Apply hide flags h (..., q) and forced openings; returns (z, x)."""
     x = _dilated_view(m, e)
     fav = m.favorite
     idx = np.arange(m.q)
     um = m.u[idx, fav]
-    nat = np.where(h, np.inf, e[:, fav])
+    nat = np.where(h, np.inf, e[..., fav])
     capped = np.minimum(nat, 1.0 / m.y[fav])
-    x[:, idx, fav] = (m.y[fav] / um)[None, :] * capped
-    return x, np.argmin(x, axis=2)
-
-
-def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF per row; u may be (q,) or (batch, q)."""
-    q, K = cdf.shape
-    flat_u = np.atleast_2d(u)
-    z = np.empty(flat_u.shape, dtype=np.int64)
-    for i in range(q):
-        z[:, i] = np.searchsorted(cdf[i], flat_u[:, i], side="left")
-    np.clip(z, 0, K - 1, out=z)
-    return z[0] if u.ndim == 1 else z
+    x[..., idx, fav] = (m.y[fav] / um) * capped
+    return np.argmin(x, axis=-1), x
 
 
 # ---------------------------------------------------------------------------
@@ -383,77 +429,49 @@ class MCReport:
     usage: np.ndarray              # (K,)  empirical P[FC k used]
     tail_grid: Optional[np.ndarray] = None  # dilate only
     tail: Optional[np.ndarray] = None       # P[some item unassigned at t]
+    in_support: Optional[int] = None        # runs with u[i, z_i] > 0 for every item
 
 
-def mc_estimate(
-    m: MarginalMatrix,
-    scheme: str,
-    n_samples: int,
-    rng: RandomStream,
-    chunk_elems: int = 2_000_000,
-) -> MCReport:
+def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStream) -> MCReport:
     """Estimate marginals and FC usage over n_samples independent runs.
 
-    For the dilate scheme the report also carries the empirical tail
+    Draws in blocks of about CHUNK_ELEMS elements through `sample`'s kernels.
+    The report counts the runs that gave every item an FC it has mass on.
+    For the dilate scheme it also carries the empirical tail
     P[some item still unassigned at time t] on the grid t = 0, 0.5, ..., 10,
     computed from the observed opening times.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}")
+    per, kernel = _kernel(m, scheme)
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     q, K = m.q, m.K
-    marg = np.zeros((q, K), dtype=np.int64)
+    item_base = K * np.arange(q)
+    marg = np.zeros(q * K, dtype=np.int64)
     used = np.zeros(K, dtype=np.int64)
+    in_support = 0
     tail = np.zeros(TAIL_GRID.size, dtype=np.int64) if scheme == "dilate" else None
-    for z, wait in _batch_rounds(m, scheme, n_samples, rng, chunk_elems):
-        c = z.shape[0]
+    chunk = max(1, CHUNK_ELEMS // (q * K))
+    for done in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - done)
+        z, x = kernel(m, rng.uniform((c, per)))
+        flat = z + item_base
+        marg += np.bincount(flat.ravel(), minlength=q * K)
         hit = np.zeros((c, K), dtype=bool)
-        for i in range(q):
-            marg[i] += np.bincount(z[:, i], minlength=K)
-            hit[np.arange(c), z[:, i]] = True
+        hit[np.arange(c)[:, None], z] = True
         used += hit.sum(axis=0)
+        in_support += int(np.count_nonzero((m.u.ravel()[flat] > 0.0).all(axis=1)))
         if tail is not None:
+            wait = x.min(axis=2).max(axis=1)
             tail += (wait[:, None] >= TAIL_GRID[None, :]).sum(axis=0)
     return MCReport(
         scheme=scheme,
         n_samples=n_samples,
-        marginals=marg / n_samples,
+        marginals=marg.reshape(q, K) / n_samples,
         usage=used / n_samples,
         tail_grid=TAIL_GRID.copy() if tail is not None else None,
         tail=tail / n_samples if tail is not None else None,
+        in_support=in_support,
     )
-
-
-def _batch_rounds(m, scheme, n_samples, rng, chunk_elems=2_000_000):
-    """Yield (z, wait) chunks; z is (c, q), wait is (c,) or None.
-
-    Uniform consumption matches the single-call functions exactly: each
-    sample spends q (independent), K (dilate), or K + q (force_open)
-    uniforms, in call order, so a chunk of c samples consumes the same
-    stream prefix as c successive single calls.
-    """
-    q, K = m.q, m.K
-    per = {"independent": q, "dilate": K, "force_open": K + q}[scheme]
-    chunk = max(1, min(n_samples, chunk_elems // max(q * K, 1)))
-    done = 0
-    while done < n_samples:
-        c = min(chunk, n_samples - done)
-        u = rng.uniform((c, per))
-        if scheme == "independent":
-            z, wait = _searchsorted_rows(m.row_cdf, u), None
-        elif scheme == "dilate":
-            e = _openings(m, u)
-            x = _dilated_view(m, e)
-            z = np.argmin(x, axis=2)
-            wait = x.min(axis=2).max(axis=1)
-        else:
-            e = _openings(m, u[:, :K])
-            h = u[:, K:] <= m.hide_prob[None, :]
-            x, z = _force_open_view(m, e, h)
-            wait = None
-        done += c
-        yield z, wait
 
 
 # ---------------------------------------------------------------------------

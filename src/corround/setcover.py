@@ -126,17 +126,8 @@ def round_cover(
     rng: RandomStream,
 ) -> CoverOutcome:
     """Round the fractional cover once; the result covers every element."""
-    m = marginals_from_fractional_cover(sc, fc)
-    if scheme == "independent":
-        z = rounding.independent_round(m, rng).z
-    elif scheme == "dilate":
-        z = rounding.dilate_round(m, rng)[0].z
-    elif scheme == "force_open":
-        z = rounding.force_open_round(m, rng)[0].z
-    else:
-        raise rounding.DomainError(f"unknown scheme {scheme!r}")
     Y = np.zeros(sc.K, dtype=np.int8)
-    Y[np.unique(z)] = 1
+    Y[rounding.sample(marginals_from_fractional_cover(sc, fc), scheme, rng, 1)[0]] = 1
     return CoverOutcome(Y=Y)
 
 
@@ -149,22 +140,11 @@ def batch_cover_usage(
 ) -> tuple[np.ndarray, int]:
     """(empirical E[Y_k], count of feasible realizations) over n_samples.
 
-    Consumes the stream exactly like n_samples round_cover calls.
+    A realization is feasible when every element went to a set that covers
+    it. Consumes the stream exactly like n_samples round_cover calls.
     """
-    m = marginals_from_fractional_cover(sc, fc)
-    used = np.zeros(sc.K, dtype=np.int64)
-    feasible = 0
-    elem_sets = [np.flatnonzero(m.u[e] > 0.0) for e in range(sc.q)]
-    for z, _ in rounding._batch_rounds(m, scheme, n_samples, rng):
-        c = z.shape[0]
-        hit = np.zeros((c, sc.K), dtype=bool)
-        okrow = np.ones(c, dtype=bool)
-        for e in range(sc.q):
-            hit[np.arange(c), z[:, e]] = True
-            okrow &= np.isin(z[:, e], elem_sets[e])
-        used += hit.sum(axis=0)
-        feasible += int(okrow.sum())
-    return used / n_samples, feasible
+    rep = rounding.mc_estimate(marginals_from_fractional_cover(sc, fc), scheme, n_samples, rng)
+    return rep.usage, rep.in_support
 
 
 def hard_instance(d: int, K: int, cap: int = HARD_INSTANCE_CAP) -> tuple[SetCoverInstance, FractionalCover]:
@@ -207,7 +187,10 @@ def read_cover_instance(f: TextIO) -> SetCoverInstance:
     head = lines[0].split()
     if len(head) != 2:
         raise rounding.ParseError(1, f"expected 'q K', got {lines[0]!r}")
-    q, K = int(head[0]), int(head[1])
+    try:
+        q, K = int(head[0]), int(head[1])
+    except ValueError:
+        raise rounding.ParseError(1, f"non-integer header {lines[0]!r}") from None
     members, costs = [], []
     for k in range(K):
         ln = k + 2

@@ -89,6 +89,19 @@ def test_cover_command(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "fc,y,usage_empirical,bound,scheme"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_a_usage_error(tmp_path, capsys, samples):
+    inst = tmp_path / "i.txt"
+    inst.write_text(DET_INSTANCE)
+    sc = tmp_path / "sc.txt"
+    sc.write_text("3 3\n1.0 2 1 2\n1.0 2 1 3\n1.0 2 2 3\n")
+    y = tmp_path / "y.txt"
+    y.write_text("0.5 0.5 0.5\n")
+    assert run(["round", str(inst), "--samples", samples, "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+    assert run(["cover", str(sc), str(y), "--samples", samples]) == cli.EXIT_USAGE
+    assert "--samples: must be >= 1" in capsys.readouterr().err
+
+
 def test_gen_instance_deterministic(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from corround import rounding
 from corround.fulfillment import (
+    ARRIVAL_SUBSTREAM,
+    DECISION_SUBSTREAM,
     DLPlan,
     DLPSolveError,
     FulfillmentError,
@@ -243,6 +246,90 @@ def test_simulate_argument_errors():
     # myopic runs without a plan; loss is then undefined
     r = simulate(inst, None, "myopic", RandomStream(0))
     assert math.isnan(r.loss_pct)
+
+
+def reference_simulate(inst, plan, policy, rng):
+    """Per-order dispatch oracle: one ``rounding.*_round`` call per order.
+
+    Validates each (type, region) plan row once, picks its scheme (under
+    ``auto`` by ``select_scheme``) and draws on the decision substream, then
+    books costs order by order. Returns the report fields except wall time.
+    """
+    rounds = {
+        "independent": lambda m, r: rounding.independent_round(m, r).z,
+        "dilate": lambda m, r: rounding.dilate_round(m, r)[0].z,
+        "force_open": lambda m, r: rounding.force_open_round(m, r)[0].z,
+    }
+    dec = rng.derive(DECISION_SUBSTREAM)
+    cdf = np.cumsum(inst.rates.ravel())
+    idx = np.searchsorted(cdf, rng.derive(ARRIVAL_SUBSTREAM).uniform(inst.T), side="left")
+    pairs = [(t, j) for t in range(len(inst.types)) for j in range(inst.J)]
+    inv = inst.inventory.copy()
+    rows = {}
+    fixed = unit = shortage = 0.0
+    orders = split = short = fcs = 0
+    for flat in idx[idx < len(pairs)]:
+        t, j = pairs[flat]
+        if flat not in rows:
+            mat = np.clip(plan.u[(t, j)], 0.0, None)
+            m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
+            rows[flat] = (m, rounding.select_scheme(m)[0] if policy == "auto" else policy)
+        m, scheme = rows[flat]
+        ks = rounds[scheme](m, dec)
+        orders += 1
+        used = set()
+        for pos, i in enumerate(inst.types[t]):
+            k = int(ks[pos])
+            if k and inv[k, i] >= 1.0:
+                inv[k, i] -= 1.0
+                unit += inst.unit_cost[k, i, j]
+            else:
+                k = 0
+                shortage += inst.unit_cost[0, i, j]
+            used.add(k)
+        fixed += sum(inst.fixed_cost[k, j] for k in used)
+        real = len(used - {0})
+        fcs += real
+        split += real >= 2
+        short += 0 in used
+    total = fixed + unit + shortage
+    return {
+        "policy": policy, "scheme": policy, "total_cost": total, "fixed_cost": fixed,
+        "unit_cost": unit, "shortage_cost": shortage, "dlp_value": plan.objective,
+        "loss_pct": 100.0 * (total - plan.objective) / plan.objective, "orders": orders,
+        "fcs_per_order": fcs / orders if orders else 0.0, "split_orders": split,
+        "short_orders": short, "seed": rng.seed,
+    }
+
+
+def test_simulate_matches_per_order_reference():
+    import warnings
+
+    from corround.instances import GeneratorConfig, OrphanItemWarning, build_instance
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrphanItemWarning)
+        inst = build_instance(GeneratorConfig(n=10, n_max=4, n_per=3, J=3, K=4, T=1200, seed=23))
+    plan = solve_dlp(inst)
+    hand = FulfillmentInstance(
+        n=2, K=3, J=1, T=1500, types=((0, 1), (1,)), rates=np.array([[0.5], [0.3]]),
+        unit_cost=np.arange(8, dtype=float).reshape(4, 2, 1) + 1.0,
+        fixed_cost=np.array([[0.0], [1.0], [2.0], [3.0]]),
+        inventory=np.array([[INF, INF], [200.0, 100.0], [300.0, 0.0], [0.0, 400.0]]),
+    )
+    # mass on the null FC, an all-zero column and a trailing zero entry
+    hand_plan = DLPlan(
+        objective=5.0,
+        u={(0, 0): np.array([[0.2, 0.5, 0.3, 0.0], [0.0, 0.4, 0.0, 0.6]]),
+           (1, 0): np.array([[0.1, 0.9, 0.0, 0.0]])},
+        y={(0, 0): np.array([0.2, 0.5, 0.3, 0.6]), (1, 0): np.array([0.1, 0.9, 0.0, 0.0])},
+    )
+    for case, pl in ((inst, plan), (scale(inst, 0.5), plan), (hand, hand_plan)):
+        for policy in ("independent", "dilate", "force_open", "auto"):
+            for seed in (3, 4):
+                got = simulate(case, pl, policy, RandomStream(seed))
+                want = reference_simulate(case, pl, policy, RandomStream(seed))
+                assert {f: getattr(got, f) for f in want} == want, (policy, seed)
 
 
 # ---------------------------------------------------------------------------

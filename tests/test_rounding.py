@@ -20,6 +20,7 @@ from corround.rounding import (
     independent_round,
     mc_estimate,
     read_instance,
+    sample,
     select_scheme,
     sparsity_stats,
     usage_lower_bounds,
@@ -278,19 +279,69 @@ def test_mc_exact_on_deterministic_instance():
         assert np.array_equal(rep.marginals, m.u)
 
 
-def test_mc_batch_matches_single_calls():
+SINGLE_CALLS = {
+    "independent": lambda m, rng: independent_round(m, rng).z,
+    "dilate": lambda m, rng: dilate_round(m, rng)[0].z,
+    "force_open": lambda m, rng: force_open_round(m, rng)[0].z,
+}
+
+
+def _singles(m, scheme, n, rng):
+    return np.array([SINGLE_CALLS[scheme](m, rng) for _ in range(n)])
+
+
+def test_mc_batch_matches_single_calls(monkeypatch):
+    # small blocks so that 700 draws cross many chunk boundaries
+    monkeypatch.setattr(rounding, "CHUNK_ELEMS", 999)
     m = validate([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
-    for scheme, fn in (
-        ("independent", lambda mm, rr: independent_round(mm, rr).z),
-        ("dilate", lambda mm, rr: dilate_round(mm, rr)[0].z),
-        ("force_open", lambda mm, rr: force_open_round(mm, rr)[0].z),
-    ):
-        r1, r2 = RandomStream(6), RandomStream(6)
-        singles = np.array([fn(m, r1) for _ in range(700)])
-        batched = np.concatenate(
-            [z for z, _ in rounding._batch_rounds(m, scheme, 700, r2, chunk_elems=999)]
-        )
-        assert np.array_equal(singles, batched)
+    for scheme in rounding.SCHEMES:
+        r1, r2, r3 = RandomStream(6), RandomStream(6), RandomStream(6)
+        singles = _singles(m, scheme, 700, r1)
+        assert np.array_equal(sample(m, scheme, r2, 700), singles)
+        rep = mc_estimate(m, scheme, 700, r3)
+        assert r1.position == r2.position == r3.position
+        counts = np.stack([np.bincount(singles[:, i], minlength=m.K) for i in range(m.q)])
+        assert np.array_equal(rep.marginals, counts / 700)
+        used = np.array([[k in row for k in range(m.K)] for row in singles.tolist()])
+        assert np.array_equal(rep.usage, used.mean(axis=0))
+
+
+# q=1, K=1, a y_k = 0 column, and a trailing zero column hit at U = 1.0
+EDGE_INSTANCES = [
+    [[0.3, 0.7]],
+    [[1.0], [1.0], [1.0]],
+    [[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]],
+    [[0.34, 0.56, 0.10, 0.0], [0.0, 0.5, 0.5, 0.0]],
+]
+
+
+@pytest.mark.parametrize("rows", EDGE_INSTANCES)
+@pytest.mark.parametrize("scheme", rounding.SCHEMES)
+def test_sample_edge_instances_match_single_calls(rows, scheme):
+    m = validate(rows)
+    for stream in (RandomStream(12), UnitUniforms(0)):
+        singles = _singles(m, scheme, 300, stream)
+        z = sample(m, scheme, type(stream)(stream.seed), 300)
+        assert np.array_equal(z, singles)
+        assert np.all(m.u[np.arange(m.q), z] > 0.0)
+
+
+@pytest.mark.parametrize("scheme", rounding.SCHEMES)
+def test_mc_every_run_in_support(scheme):
+    for rows in EDGE_INSTANCES:
+        rep = mc_estimate(validate(rows), scheme, 5000, RandomStream(3))
+        assert rep.in_support == 5000
+    for t, m in enumerate(instance_battery(seed=5, count=8)):
+        assert mc_estimate(m, scheme, 2000, RandomStream(t)).in_support == 2000
+
+
+def test_sample_argument_errors():
+    m = validate([[0.5, 0.5]])
+    with pytest.raises(DomainError):
+        sample(m, "nope", RandomStream(0), 3)
+    with pytest.raises(DomainError):
+        sample(m, "dilate", RandomStream(0), -1)
+    assert sample(m, "dilate", RandomStream(0), 0).shape == (0, 1)
 
 
 def test_draw_at_u_one_stays_on_support():
@@ -302,14 +353,21 @@ def test_draw_at_u_one_stays_on_support():
     assert rep.marginals[0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
+def _searchsorted_per_row(cdf, u):
+    """Reference inverse CDF: one searchsorted per row, clipped to K - 1."""
+    z = np.stack([np.searchsorted(cdf[i], u[:, i], side="left") for i in range(cdf.shape[0])], axis=1)
+    return np.minimum(z, cdf.shape[1] - 1)
+
+
 def test_pinned_cdf_keeps_draws_below_one():
     # pinning each row's CDF to 1 moves no draw U < 1 that the plain
     # cumulative sum already sent to a positive entry
     for m in instance_battery(3, 60):
         u = RandomStream(9).uniform((500, m.q))
-        plain = rounding._searchsorted_rows(np.cumsum(m.u, axis=1), u)
+        plain = _searchsorted_per_row(np.cumsum(m.u, axis=1), u)
         assert np.all(m.u[np.arange(m.q), plain] > 0.0)
-        assert np.array_equal(rounding._searchsorted_rows(m.row_cdf, u), plain)
+        assert np.array_equal(rounding.inverse_cdf(m.row_cdf, u), plain)
+        assert np.array_equal(rounding.inverse_cdf(np.cumsum(m.u, axis=1), u), plain)
 
 
 def test_mc_dilate_tail_bound():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from corround.errors import CapExceeded
-from corround.rounding import guarantee_dilate
+from corround import rounding
+from corround.rounding import ParseError, guarantee_dilate
 from corround.setcover import (
     CoverOutcome,
     FractionalCover,
@@ -98,12 +99,22 @@ def test_round_cover_dilate_usage_bound():
 
 def test_batch_matches_single_round_cover():
     sc, fc = hard_instance(2, 4)
-    r1, r2 = RandomStream(77), RandomStream(77)
     n = 200
-    Ys = np.array([round_cover(sc, fc, "force_open", r1).Y for _ in range(n)])
-    usage, feasible = batch_cover_usage(sc, fc, "force_open", n, r2)
-    assert feasible == n
-    assert np.allclose(Ys.mean(axis=0), usage)
+    for scheme in rounding.SCHEMES:
+        r1, r2 = RandomStream(77), RandomStream(77)
+        Ys = np.array([round_cover(sc, fc, scheme, r1).Y for _ in range(n)])
+        usage, feasible = batch_cover_usage(sc, fc, scheme, n, r2)
+        assert feasible == n
+        assert np.array_equal(Ys.mean(axis=0), usage)
+        assert r1.position == r2.position
+
+
+def test_unknown_scheme_rejected():
+    sc, fc = hard_instance(2, 4)
+    with pytest.raises(rounding.DomainError):
+        round_cover(sc, fc, "nope", RandomStream(0))
+    with pytest.raises(rounding.DomainError):
+        batch_cover_usage(sc, fc, "nope", 10, RandomStream(0))
 
 
 def test_hard_instance_shapes():
@@ -138,3 +149,22 @@ def test_cover_file_round_trip():
     sc2 = read_cover_instance(buf)
     assert sc2.q == sc.q and sc2.members == sc.members
     assert np.allclose(sc2.costs, 1.0)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("", 1),
+        ("2\n", 1),
+        ("a 2\n1.0 1 1\n1.0 1 2\n", 1),
+        ("2 2\n1.0 2 1 2\n", 3),
+        ("2 1\n1.0\n", 2),
+        ("2 1\n1.0 x 1\n", 2),
+        ("2 1\n1.0 2 1\n", 2),
+        ("3 1\n1.0 2 1 2\n", 2),
+    ],
+)
+def test_cover_parse_errors_carry_line_numbers(text, line):
+    with pytest.raises(ParseError) as err:
+        read_cover_instance(io.StringIO(text))
+    assert err.value.line == line
