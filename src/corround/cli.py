@@ -233,18 +233,25 @@ def cmd_simulate(args) -> int:
     base_seed = args.seed if args.seed is not None else doc.get(
         "base_seed", _seed_from(args)
     )
-    n_instances = int(doc.get("instances", 1))
-    n_reps = int(doc.get("replications", 1))
+    try:
+        n_instances = int(doc.get("instances", 1))
+        n_reps = int(doc.get("replications", 1))
+        theta = args.scale if args.scale is not None else float(doc.get("scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        print(f"simulate: bad campaign value: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     policies = args.policies.split(",") if args.policies else doc.get(
         "policies", list(fulfillment.POLICIES)
     )
-    theta = args.scale if args.scale is not None else float(doc.get("scale", 1.0))
     for p in policies:
         if p not in fulfillment.POLICIES:
             print(f"simulate: unknown policy {p!r}", file=sys.stderr)
             return EXIT_USAGE
     if n_instances < 1 or n_reps < 1:
         print("simulate: instance and replication counts must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not (theta > 0.0 and math.isfinite(theta)):
+        print(f"simulate: scale must be positive and finite, got {theta}", file=sys.stderr)
         return EXIT_USAGE
     try:
         gen_doc = dict(doc.get("generator", {}))

@@ -24,6 +24,7 @@ Policies:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -106,11 +107,20 @@ class FulfillmentInstance:
 
 @dataclass(frozen=True)
 class DLPIndex:
-    """Column layout of the DLP; pairs orders (type, region) with rate > 0."""
+    """Column layout of the DLP; pairs orders (type, region) with rate > 0.
+
+    Pair p owns two contiguous column blocks: its u block starts at
+    ``u_off[p]`` and holds u^a_kij for item slot pos and FC k (null FC 0
+    included) at ``u_off[p] + pos*(K+1) + k``; its y block starts at
+    ``y_off[p]`` with y^a_kj at ``y_off[p] + k``. Every u block comes
+    before every y block. Rows are the K*n inventory rows (k = 1..K
+    outer, item inner), then one assignment row per item slot, then one
+    linking row per u column, all in pair order.
+    """
 
     pairs: tuple            # ((t, j), ...) in build order
-    u_col: dict             # (t, j, pos, k) -> column
-    y_col: dict             # (t, j, k) -> column
+    u_off: tuple            # pair position -> first u column
+    y_off: tuple            # pair position -> first y column
     n_vars: int
     n_inventory_rows: int
     n_assignment_rows: int
@@ -126,74 +136,44 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     budgets per non-null (k, i), one assignment equality per item slot,
     and the linking rows y >= u. The null FC has no inventory rows.
     """
-    K, n = inst.K, inst.n
-    pairs = [
+    K1, T = inst.K + 1, inst.T
+    pairs = tuple(
         (t, j)
         for t in range(len(inst.types))
         for j in range(inst.J)
         if inst.rates[t, j] > 0.0
+    )
+    u_off = tuple(itertools.accumulate((len(inst.types[t]) * K1 for t, _ in pairs), initial=0))
+    n_u = u_off[-1]
+    y_off = tuple(range(n_u, n_u + K1 * len(pairs), K1))
+    c = np.empty(n_u + K1 * len(pairs))
+    slots = []      # (first u column, first y column) per item slot
+    by_item = {}    # item -> [(first u column of a slot, its weight)]
+    for p, (t, j) in enumerate(pairs):
+        w = T * inst.rates[t, j]
+        a = list(inst.types[t])
+        c[u_off[p]:u_off[p + 1]] = (w * inst.unit_cost[:, a, j].T).ravel()
+        c[y_off[p]:y_off[p] + K1] = w * inst.fixed_cost[:, j]
+        for pos, i in enumerate(a):
+            slots.append((u_off[p] + pos * K1, y_off[p]))
+            by_item.setdefault(i, []).append((u_off[p] + pos * K1, w))
+
+    rows = [
+        ({u + k: w for u, w in by_item.get(i, ())}, "<=", float(inst.inventory[k, i]))
+        for k in range(1, K1)
+        for i in range(inst.n)
     ]
-    u_col, y_col = {}, {}
-    col = 0
-    for (t, j) in pairs:
-        for pos in range(len(inst.types[t])):
-            for k in range(K + 1):
-                u_col[(t, j, pos, k)] = col
-                col += 1
-    for (t, j) in pairs:
-        for k in range(K + 1):
-            y_col[(t, j, k)] = col
-            col += 1
-    n_vars = col
-
-    c = np.zeros(n_vars)
-    for (t, j) in pairs:
-        w = inst.T * inst.rates[t, j]
-        for pos, i in enumerate(inst.types[t]):
-            for k in range(K + 1):
-                c[u_col[(t, j, pos, k)]] = w * inst.unit_cost[k, i, j]
-        for k in range(K + 1):
-            c[y_col[(t, j, k)]] = w * inst.fixed_cost[k, j]
-
-    rows = []
-    by_item = {}
-    for (t, j) in pairs:
-        for pos, i in enumerate(inst.types[t]):
-            by_item.setdefault(i, []).append((t, j, pos))
-    n_invent = 0
-    for k in range(1, K + 1):
-        for i in range(n):
-            coef = {
-                u_col[(t, j, pos, k)]: inst.T * inst.rates[t, j]
-                for (t, j, pos) in by_item.get(i, ())
-            }
-            rows.append((coef, "<=", float(inst.inventory[k, i])))
-            n_invent += 1
-    n_assign = 0
-    for (t, j) in pairs:
-        for pos in range(len(inst.types[t])):
-            coef = {u_col[(t, j, pos, k)]: 1.0 for k in range(K + 1)}
-            rows.append((coef, "=", 1.0))
-            n_assign += 1
-    n_link = 0
-    for (t, j) in pairs:
-        for pos in range(len(inst.types[t])):
-            for k in range(K + 1):
-                rows.append((
-                    {u_col[(t, j, pos, k)]: 1.0, y_col[(t, j, k)]: -1.0},
-                    "<=",
-                    0.0,
-                ))
-                n_link += 1
+    rows += [(dict.fromkeys(range(u, u + K1), 1.0), "=", 1.0) for u, _ in slots]
+    rows += [({u + k: 1.0, y + k: -1.0}, "<=", 0.0) for u, y in slots for k in range(K1)]
 
     index = DLPIndex(
-        pairs=tuple(pairs),
-        u_col=u_col,
-        y_col=y_col,
-        n_vars=n_vars,
-        n_inventory_rows=n_invent,
-        n_assignment_rows=n_assign,
-        n_linking_rows=n_link,
+        pairs=pairs,
+        u_off=u_off[:-1],
+        y_off=y_off,
+        n_vars=c.size,
+        n_inventory_rows=inst.K * inst.n,
+        n_assignment_rows=len(slots),
+        n_linking_rows=n_u,
     )
     return simplex.LPProblem(c=c, constraints=rows), index
 
@@ -229,13 +209,9 @@ def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
     if sol.status != simplex.OPTIMAL:
         raise DLPSolveError(f"DLP ended with status {sol.status}")
     u, y = {}, {}
-    for (t, j) in index.pairs:
+    for (t, j), start in zip(index.pairs, index.u_off):
         q = len(inst.types[t])
-        mat = np.empty((q, inst.K + 1))
-        for pos in range(q):
-            for k in range(inst.K + 1):
-                mat[pos, k] = sol.x[index.u_col[(t, j, pos, k)]]
-        np.clip(mat, 0.0, None, out=mat)
+        mat = np.clip(sol.x[start:start + q * (inst.K + 1)].reshape(q, inst.K + 1), 0.0, None)
         u[(t, j)] = mat
         y[(t, j)] = mat.max(axis=0)
     plan = DLPlan(objective=float(sol.objective), u=u, y=y)

@@ -38,18 +38,16 @@ class DegenerateSubset(RuntimeError):
 
 @dataclass(frozen=True)
 class SubsetVarIndex:
-    """Column layout of the subset LP: alpha, then z, then u_ki(S)."""
+    """Column layout of the subset LP: alpha in column 0, z(S) in column S
+    for every nonempty subset bitmask S, then the u_ki(S) in ``u_col``."""
 
     K: int
     q: int
-    masks: tuple[int, ...]
-    alpha_col: int
-    z_col: dict
     u_col: dict  # (k, i, mask) -> column, only where u_ki > 0 and k in mask
 
     @property
     def n_vars(self) -> int:
-        return 1 + len(self.z_col) + len(self.u_col)
+        return 2 ** self.K + len(self.u_col)
 
 
 def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProblem, SubsetVarIndex]:
@@ -62,51 +60,37 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
     q, K = m.q, m.K
-    masks = tuple(range(1, 2 ** K))
-    z_col = {}
-    col = 1
-    for mask in masks:
-        z_col[mask] = col
-        col += 1
+    masks = range(1, 2 ** K)
+    support = [np.flatnonzero(m.u[i] > 0.0).tolist() for i in range(q)]
     u_col = {}
-    for mask in masks:
-        for i in range(q):
-            for k in range(K):
-                if mask >> k & 1 and m.u[i, k] > 0.0:
-                    u_col[(k, i, mask)] = col
-                    col += 1
-    n = col
-
-    c = np.zeros(n)
-    c[0] = 1.0
     rows = []
-    # each item is served from exactly one FC of the realized subset
+    # each item is served from exactly one FC of the realized subset; the
+    # u columns are numbered in the order these rows meet them
     for mask in masks:
         for i in range(q):
-            coef = {z_col[mask]: -1.0}
-            for k in range(K):
-                key = (k, i, mask)
-                if key in u_col:
-                    coef[u_col[key]] = 1.0
+            coef = {mask: -1.0}
+            for k in support[i]:
+                if mask >> k & 1:
+                    col = u_col[(k, i, mask)] = 2 ** K + len(u_col)
+                    coef[col] = 1.0
             rows.append((coef, "=", 0.0))
     # conditional masses add up to the marginals
     for k in range(K):
         for i in range(q):
-            if m.u[i, k] <= 0.0:
-                continue
-            coef = {u_col[(k, i, mask)]: 1.0 for mask in masks if mask >> k & 1}
-            rows.append((coef, "=", float(m.u[i, k])))
+            if m.u[i, k] > 0.0:
+                coef = {u_col[(k, i, mask)]: 1.0 for mask in masks if mask >> k & 1}
+                rows.append((coef, "=", float(m.u[i, k])))
     # usage of each FC stays below alpha * y_k
     for k in range(K):
-        coef = {z_col[mask]: 1.0 for mask in masks if mask >> k & 1}
+        coef = {mask: 1.0 for mask in masks if mask >> k & 1}
         coef[0] = -float(m.y[k])
         rows.append((coef, "<=", 0.0))
     # exactly one subset happens
-    rows.append(({z_col[mask]: 1.0 for mask in masks}, "=", 1.0))
+    rows.append((dict.fromkeys(masks, 1.0), "=", 1.0))
 
-    return simplex.LPProblem(c=c, constraints=rows), SubsetVarIndex(
-        K=K, q=q, masks=masks, alpha_col=0, z_col=z_col, u_col=u_col
-    )
+    c = np.zeros(2 ** K + len(u_col))
+    c[0] = 1.0
+    return simplex.LPProblem(c=c, constraints=rows), SubsetVarIndex(K=K, q=q, u_col=u_col)
 
 
 @dataclass(frozen=True)
@@ -193,8 +177,8 @@ def solve_optimal_alpha(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> OptimalSch
         raise SolverFailure(f"subset LP ended with status {sol.status}")
     x = sol.x
     z = {}
-    for mask in index.masks:
-        v = float(x[index.z_col[mask]])
+    for mask in range(1, 2 ** index.K):
+        v = float(x[mask])
         if v < CLAMP_TOL:
             raise SolverFailure(f"z({mask:b}) = {v} below clamp tolerance")
         z[mask] = max(v, 0.0)

@@ -102,6 +102,20 @@ class MarginalMatrix:
         return r
 
     @cached_property
+    def clock(self) -> tuple[np.ndarray, np.ndarray]:
+        """(divisor, floor) with E_k = max(ln(U_k) / divisor_k, floor_k).
+
+        divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
+        = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
+        makes no 0/0, and its floor of +inf keeps it closed.
+        """
+        closed = self.y == 0.0
+        out = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @cached_property
     def row_cdf(self) -> np.ndarray:
         """Per-item cumulative marginals, for inverse-CDF draws."""
         c = pinned_cdf(self.u)
@@ -390,8 +404,8 @@ def _force_open_block(m, u):
 
 def _openings(m: MarginalMatrix, u) -> np.ndarray:
     """Opening times from uniforms: E_k = -ln(U_k)/y_k (inf for y_k = 0)."""
-    with np.errstate(divide="ignore"):
-        return -np.log(u) / m.y
+    divisor, floor = m.clock
+    return np.maximum(np.log(u) / divisor, floor)
 
 
 def _dilated_view(m: MarginalMatrix, e: np.ndarray) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Problems are stated as `min c.x` over rows `(coefficients, relation, rhs)`
 with per-variable bounds; coefficients may be dense vectors or {index: value}
-dicts (the builders in this package pass dicts). `solve` assembles the rows
-into one sparse matrix in a single pass and hands it to the dual revised
-simplex of HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex
-method", Math. Prog. Comp. 10, 2018) through `scipy.optimize.linprog`.
+dicts (the builders in this package pass dicts). `LPProblem` validates the
+rows and converts them into one sparse matrix in a single pass when it is
+constructed; `solve` hands that matrix to the dual revised simplex of HiGHS
+(Huangfu & Hall, "Parallelizing the dual revised simplex method", Math.
+Prog. Comp. 10, 2018) through `scipy.optimize.linprog`, and `write_lp`
+dumps it as MPS text.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -16,7 +18,7 @@ residual and duality gap); a failed check raises SolverNumericalError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -46,56 +48,96 @@ class SolverNumericalError(RuntimeError):
     """The solver broke down, or an optimum failed its certificate."""
 
 
-Coef = Union[np.ndarray, Sequence[float], dict]
+_REL_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
+LE, EQ, GE = range(3)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LPProblem:
     """min c.x subject to rows (coef, rel, rhs) and per-variable bounds.
 
     ``bounds[j]`` is (lower, upper) with +-inf allowed; the default for every
-    variable is (0, +inf). rhs values must be finite.
+    variable is (0, +inf). rhs values must be finite. Construction validates
+    everything and converts it once: ``c`` and ``bounds`` (an (n, 2) array)
+    become float arrays, and the rows one CSR matrix ``A`` with ascending
+    column indices per row (explicit zeros of dict rows kept), a relation
+    code per row in ``relations`` (an index into RELATIONS) and ``rhs``.
+    ``constraints`` keeps the rows as given.
     """
 
     c: np.ndarray
     constraints: list = field(default_factory=list)
-    bounds: Optional[list] = None
+    bounds: Optional[np.ndarray] = None
+    A: sparse.csr_matrix = field(init=False, repr=False)
+    relations: np.ndarray = field(init=False, repr=False)
+    rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.size
-        for pos, (coef, rel, rhs) in enumerate(self.constraints):
-            if rel not in RELATIONS:
-                raise DimensionMismatch(f"row {pos}: unknown relation {rel!r}")
-            if not np.isfinite(rhs):
-                raise DimensionMismatch(f"row {pos}: rhs must be finite, got {rhs}")
+        c = np.asarray(self.c, dtype=float)
+        n = c.size
+        if not np.all(np.isfinite(c)):
+            raise DimensionMismatch("objective has a non-finite coefficient")
+        if self.bounds is None:
+            bounds = np.column_stack((np.zeros(n), np.full(n, INF)))
+        else:
+            bounds = np.asarray(self.bounds, dtype=float)
+            if bounds.shape != (n, 2):
+                raise DimensionMismatch("bounds length != objective width")
+            if np.isnan(bounds).any():
+                raise DimensionMismatch("bounds contain NaN")
+        cols, vals, counts, codes, rhs = [], [], [], [], []
+        for pos, (coef, rel, b) in enumerate(self.constraints):
             if isinstance(coef, dict):
-                if coef and (min(coef) < 0 or max(coef) >= n):
-                    raise DimensionMismatch(f"row {pos}: column index out of range")
-            elif len(coef) != n:
-                raise DimensionMismatch(
-                    f"row {pos}: width {len(coef)} != objective width {n}"
-                )
-        if self.bounds is not None and len(self.bounds) != n:
-            raise DimensionMismatch("bounds length != objective width")
+                cols += coef
+                vals += coef.values()
+                counts.append(len(coef))
+            else:
+                arr = np.asarray(coef, dtype=float)
+                if arr.shape != (n,):
+                    raise DimensionMismatch(
+                        f"row {pos}: width {len(coef)} != objective width {n}"
+                    )
+                idx = np.flatnonzero(arr)
+                cols += idx.tolist()
+                vals += arr[idx].tolist()
+                counts.append(idx.size)
+            codes.append(_REL_CODE.get(rel, -1))
+            rhs.append(b)
+        relations = np.array(codes, dtype=np.int8)
+        rhs = np.array(rhs, dtype=float)
+        bad = (relations < 0) | ~np.isfinite(rhs)
+        if bad.any():
+            pos = int(np.argmax(bad))
+            _, rel, b = self.constraints[pos]
+            raise DimensionMismatch(
+                f"row {pos}: unknown relation {rel!r}" if relations[pos] < 0
+                else f"row {pos}: rhs must be finite, got {b}"
+            )
+        m = len(counts)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        keys = np.asarray(cols)
+        data = np.asarray(vals, dtype=float)
+        ok = (keys >= 0) & (keys < n) & (np.trunc(keys) == keys) & np.isfinite(data)
+        if not ok.all():
+            pos = int(np.searchsorted(indptr, np.argmin(ok), side="right")) - 1
+            raise DimensionMismatch(
+                f"row {pos}: column index out of range or not whole, or coefficient not finite"
+            )
+        A = sparse.csr_matrix((data, keys.astype(np.int64), indptr), shape=(m, n))
+        A.sort_indices()
+        for name, value in (("c", c), ("bounds", bounds), ("A", A),
+                            ("relations", relations), ("rhs", rhs)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.c.size
 
     def row_arrays(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero (indices, values) of a constraint row."""
-        coef = self.constraints[pos][0]
-        if isinstance(coef, dict):
-            if not coef:
-                return np.empty(0, dtype=np.int64), np.empty(0)
-            idx = np.fromiter(coef.keys(), dtype=np.int64)
-            val = np.fromiter(coef.values(), dtype=float)
-            order = np.argsort(idx)
-            return idx[order], val[order]
-        arr = np.asarray(coef, dtype=float)
-        idx = np.flatnonzero(arr)
-        return idx, arr[idx]
+        """Stored (indices, values) of a constraint row, indices ascending."""
+        s, e = self.A.indptr[pos], self.A.indptr[pos + 1]
+        return self.A.indices[s:e], self.A.data[s:e]
 
 
 @dataclass
@@ -127,18 +169,23 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     within FEAS_TOL and carry a dual certificate within FEAS_TOL (checked;
     a failure raises SolverNumericalError).
     """
-    lo, hi = _bounds(problem)
+    lo, hi = problem.bounds.T
     if np.any(lo > hi):
         return LPSolution(INFEASIBLE, None, None)
-    A, b, eq = _signed_rows(problem)
+    # ">=" rows enter negated, so the rows are A x <= b off eq, A x = b on it
+    eq = problem.relations == EQ
     ub = ~eq
+    sign = np.where(problem.relations == GE, -1.0, 1.0)
+    data = problem.A.data * np.repeat(sign, np.diff(problem.A.indptr))
+    A = sparse.csr_matrix((data, problem.A.indices, problem.A.indptr), shape=problem.A.shape)
+    b = problem.rhs * sign
     res = linprog(
         problem.c,
         A_ub=A[ub],
         b_ub=b[ub],
         A_eq=A[eq],
         b_eq=b[eq],
-        bounds=np.column_stack((lo, hi)),
+        bounds=problem.bounds,
         method="highs-ds",
         # no presolve: it can finish an LP (the one-region DLPs, for one)
         # without a single simplex iteration, and then neither the pivot
@@ -170,50 +217,6 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     return LPSolution(OPTIMAL, obj, x, int(res.nit), viol, dual_res, gap)
 
 
-def _bounds(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
-    if problem.bounds is None:
-        return np.zeros(problem.n), np.full(problem.n, INF)
-    lo, hi = np.asarray(problem.bounds, dtype=float).reshape(problem.n, 2).T
-    return lo, hi
-
-
-def _signed_rows(problem: LPProblem) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Every row in one CSR matrix, built in a single pass.
-
-    ``>=`` rows are negated into ``<=`` rows, so the rows are ``A x <= b``
-    where ``eq`` is False and ``A x = b`` where it is True.
-    """
-    m = len(problem.constraints)
-    cols, vals = [], []
-    counts = np.empty(m, dtype=np.int64)
-    b = np.empty(m)
-    sign = np.ones(m)
-    eq = np.zeros(m, dtype=bool)
-    for pos, (coef, rel, rhs) in enumerate(problem.constraints):
-        if isinstance(coef, dict):
-            cols.extend(coef.keys())
-            vals.extend(coef.values())
-            counts[pos] = len(coef)
-        else:
-            arr = np.asarray(coef, dtype=float)
-            idx = np.flatnonzero(arr)
-            cols.extend(idx.tolist())
-            vals.extend(arr[idx].tolist())
-            counts[pos] = idx.size
-        b[pos] = rhs
-        if rel == ">=":
-            sign[pos] = -1.0
-        elif rel == "=":
-            eq[pos] = True
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.asarray(vals, dtype=float) * np.repeat(sign, counts)
-    A = sparse.csr_matrix(
-        (data, np.asarray(cols, dtype=np.int64), indptr), shape=(m, problem.n)
-    )
-    return A, b * sign, eq
-
-
 def _dual_certificate(c, obj, A, b, eq, lo, hi, res) -> tuple[float, float]:
     """Relative stationarity residual and duality gap of HiGHS's marginals.
 
@@ -239,35 +242,29 @@ def write_lp(problem: LPProblem, f: TextIO, name: str = "CORROUND") -> None:
     f.write(f"NAME          {name}\n")
     f.write("ROWS\n")
     f.write(" N  COST\n")
-    tag = {"<=": "L", ">=": "G", "=": "E"}
-    for pos, (_, rel, _) in enumerate(problem.constraints):
-        f.write(f" {tag[rel]}  R{pos}\n")
+    for pos, code in enumerate(problem.relations.tolist()):
+        f.write(f" {'LEG'[code]}  R{pos}\n")
     f.write("COLUMNS\n")
-    cols: dict[int, list[tuple[str, float]]] = {j: [] for j in range(problem.n)}
-    for j in range(problem.n):
-        if problem.c[j] != 0.0:
-            cols[j].append(("COST", float(problem.c[j])))
-    for pos in range(len(problem.constraints)):
-        idx, val = problem.row_arrays(pos)
-        for j, v in zip(idx, val):
-            cols[int(j)].append((f"R{pos}", float(v)))
-    for j in range(problem.n):
-        for rowname, v in cols[j]:
-            f.write(f"    X{j}  {rowname}  {v!r}\n")
+    A = problem.A.tocsc()
+    rows, vals = A.indices.tolist(), A.data.tolist()
+    for j, cj in enumerate(problem.c.tolist()):
+        if cj != 0.0:
+            f.write(f"    X{j}  COST  {cj!r}\n")
+        for p in range(A.indptr[j], A.indptr[j + 1]):
+            f.write(f"    X{j}  R{rows[p]}  {vals[p]!r}\n")
     f.write("RHS\n")
-    for pos, (_, _, rhs) in enumerate(problem.constraints):
+    for pos, rhs in enumerate(problem.rhs.tolist()):
         if rhs != 0.0:
-            f.write(f"    RHS  R{pos}  {float(rhs)!r}\n")
+            f.write(f"    RHS  R{pos}  {rhs!r}\n")
     f.write("BOUNDS\n")
-    bounds = problem.bounds if problem.bounds is not None else [(0.0, INF)] * problem.n
-    for j, (lo, hi) in enumerate(bounds):
+    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
         if lo == -INF and hi == INF:
             f.write(f" FR BND X{j}\n")
             continue
         if lo not in (0.0, -INF):
-            f.write(f" LO BND X{j}  {float(lo)!r}\n")
+            f.write(f" LO BND X{j}  {lo!r}\n")
         if lo == -INF:
             f.write(f" MI BND X{j}\n")
         if hi != INF:
-            f.write(f" UP BND X{j}  {float(hi)!r}\n")
+            f.write(f" UP BND X{j}  {hi!r}\n")
     f.write("ENDATA\n")

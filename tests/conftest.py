@@ -1,11 +1,13 @@
+import hashlib
+import io
 import itertools
-import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from corround.rounding import MarginalMatrix, validate
+from corround.simplex import write_lp
 from corround.streams import RandomStream
 
 
@@ -100,12 +102,18 @@ def linprog_optimum(problem, method):
             sign = -1.0 if rel == ">=" else 1.0
             ub_a.append(sign * row)
             ub_b.append(sign * rhs)
-    bounds = problem.bounds if problem.bounds is not None else [(0.0, math.inf)] * problem.n
     res = linprog(problem.c, A_ub=np.array(ub_a) if ub_a else None, b_ub=ub_b or None,
                   A_eq=np.array(eq_a) if eq_a else None, b_eq=eq_b or None,
-                  bounds=bounds, method=method)
+                  bounds=problem.bounds, method=method)
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def mps_sha256(problem) -> str:
+    """SHA-256 of a problem's MPS text from ``write_lp``."""
+    buf = io.StringIO()
+    write_lp(problem, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 class UnitUniforms(RandomStream):

@@ -198,3 +198,25 @@ def test_simulate_unknown_policy(tmp_path):
         "base_seed": 1,
     }))
     assert run(["simulate", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("override,flags", [
+    ({}, ["--scale", "0"]),
+    ({}, ["--scale", "-2"]),
+    ({}, ["--scale", "nan"]),
+    ({"scale": 0}, []),
+    ({"scale": "x"}, []),
+    ({"instances": "x"}, []),
+    ({"replications": "x"}, []),
+    ({"replications": None}, []),
+])
+def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({
+        "instances": 1, "replications": 1, "policies": ["myopic"],
+        "generator": {"n": 4, "n_max": 1, "n_per": 1, "T": 50, "J": 2, "K": 2},
+        "base_seed": 1, **override,
+    }))
+    assert run(["simulate", "--config", str(cfg), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and err.count("\n") == 1

@@ -25,6 +25,8 @@ from corround.fulfillment import (
 from corround.instances import GeneratorConfig, build_instance
 from corround.streams import RandomStream
 
+from conftest import mps_sha256
+
 INF = float("inf")
 
 
@@ -143,6 +145,38 @@ def test_dlp_zero_rate_pairs_carry_no_variables():
     )
     _, idx = build_dlp(inst)
     assert idx.pairs == ((0, 0),)
+
+
+def digest_dlps():
+    """Seeded DLPs whose MPS text is pinned below: generated J=2 and J=3
+    networks, one with a zero-rate pair, one scaled, and a stock-out."""
+    base = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
+    rates = base.rates.copy()
+    rates[0, 1] = 0.0
+    yield "zero_rate_pair", FulfillmentInstance(
+        n=base.n, K=base.K, J=base.J, T=base.T, types=base.types, rates=rates,
+        unit_cost=base.unit_cost, fixed_cost=base.fixed_cost, inventory=base.inventory,
+    )
+    yield "j2_k4", build_instance(GeneratorConfig(n=8, n_max=3, n_per=4, T=2000, J=2, K=4, seed=2))
+    yield "j3_k3", build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=3, K=3, seed=3))
+    yield "j2_scaled", scale(build_instance(GeneratorConfig(n=5, n_max=2, n_per=3, T=800, J=2, K=3, seed=4)), 0.5)
+    yield "stock_out", tiny_instance(b=0.0)
+
+
+# SHA-256 of write_lp's text for each DLP above, recorded before the DLP
+# builder and LPProblem's conversion were rewritten
+DLP_MPS_SHA256 = {
+    "zero_rate_pair": "43ccfda00a7c916a168a7ed727b431c23e4029b5cdc21241b021ef565b995eb1",
+    "j2_k4": "163d1ac2c1a97be72e2a6272db24371d9c4ede00c9edbfe2721b18ddf641ee02",
+    "j3_k3": "9e413ade24c1c679a1b148c1ac85e87ae98e3736dcc4be2c59cb12871f4abd39",
+    "j2_scaled": "41d1a9070213e3a5b5c1c508602ecfb74d7fa52badb9fae2e8dfb39c058414d8",
+    "stock_out": "7f1f3a0ca090eff7a169d317c10801889b442d389e4ab2ed05e694b8354f4850",
+}
+
+
+def test_dlp_mps_text_is_pinned():
+    got = {name: mps_sha256(build_dlp(inst)[0]) for name, inst in digest_dlps()}
+    assert got == DLP_MPS_SHA256
 
 
 def test_plan_check_catches_bad_plans():

@@ -18,7 +18,7 @@ from corround.optimal import (
 from corround.rounding import guarantee_dilate, guarantee_force_open, validate
 from corround.streams import RandomStream
 
-from conftest import UnitUniforms, random_instance
+from conftest import UnitUniforms, mps_sha256, random_instance
 
 
 def test_build_counts_q1_k2():
@@ -40,6 +40,33 @@ def test_build_counts_q2_k2_dense():
     assert len(problem.constraints) == coverage + marginal + usage + total
     u_vars = m.q * (1 + 1 + 2)    # per item: one per subset membership
     assert idx.n_vars == 1 + masks + u_vars
+
+
+def digest_subset_instances():
+    """Marginal matrices whose subset LP's MPS text is pinned below; each
+    sparse one has zero marginals, and one has a whole zero column."""
+    gen = np.random.default_rng(20240817)
+    yield "sparse_q3_k3", random_instance(gen, 3, 3, sparse=True)
+    yield "sparse_q5_k4", random_instance(gen, 5, 4, sparse=True)
+    yield "sparse_q4_k5", random_instance(gen, 4, 5, sparse=True)
+    yield "dense_q2_k3", random_instance(gen, 2, 3)
+    yield "zero_column", validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]])
+
+
+# SHA-256 of write_lp's text for each subset LP above, recorded before the
+# subset LP builder and LPProblem's conversion were rewritten
+SUBSET_MPS_SHA256 = {
+    "sparse_q3_k3": "724dac1be3f6fcd0387f36e8e61a8eefc5a45497ff6ef19d0f4db8759b3193db",
+    "sparse_q5_k4": "0c82c53d1da60ea151df513e0673f6a5cf0c70ba4f5fd773d2a0235a04c9af14",
+    "sparse_q4_k5": "2522ec2835d44b30a5dfd5ff8ef294d216cc9ec5ed757a4682b6c84e8cddf62f",
+    "dense_q2_k3": "c10a4bc513e18620233a15f003d6c81a14a02e4bb84c7a61f1589ec23676528c",
+    "zero_column": "6e873eb1d6670a615e75674bf7713739fb59106460d289fafbf340694157e651",
+}
+
+
+def test_subset_lp_mps_text_is_pinned():
+    got = {name: mps_sha256(build_lp(m)[0]) for name, m in digest_subset_instances()}
+    assert got == SUBSET_MPS_SHA256
 
 
 def test_cap_exceeded():

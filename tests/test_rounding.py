@@ -324,6 +324,12 @@ def test_sample_edge_instances_match_single_calls(rows, scheme):
         z = sample(m, scheme, type(stream)(stream.seed), 300)
         assert np.array_equal(z, singles)
         assert np.all(m.u[np.arange(m.q), z] > 0.0)
+    if scheme != "independent":
+        # a y_k = 0 column never opens, even at U = 1.0
+        draw = dilate_round if scheme == "dilate" else force_open_round
+        trace = draw(m, UnitUniforms(0))[1]
+        assert np.all(trace.e[m.y == 0.0] == np.inf)
+        assert not np.isnan(trace.e).any()
 
 
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_dimension_mismatch():
         LPProblem(c=np.array([1.0]), constraints=[(np.array([1.0]), "!!", 1.0)])
     with pytest.raises(DimensionMismatch):
         LPProblem(c=np.array([1.0]), constraints=[(np.array([1.0]), "<=", INF)])
+    # fractional column keys are not truncated to a column
+    with pytest.raises(DimensionMismatch, match="row 1"):
+        LPProblem(c=np.zeros(3), constraints=[({0: 1.0}, "<=", 1.0), ({1.9: 1.0}, "<=", 1.0)])
+    # NaN or inf in the objective or in a coefficient, dense or dict
+    for bad in (math.nan, INF, -INF):
+        with pytest.raises(DimensionMismatch):
+            LPProblem(c=np.array([1.0, bad]), constraints=[])
+        with pytest.raises(DimensionMismatch):
+            LPProblem(c=np.ones(2), constraints=[({1: bad}, "<=", 1.0)])
+        with pytest.raises(DimensionMismatch):
+            LPProblem(c=np.ones(2), constraints=[(np.array([0.0, bad]), ">=", 1.0)])
+    # NaN bounds, either side
+    for bounds in ([(0.0, math.nan)], [(math.nan, 1.0)]):
+        with pytest.raises(DimensionMismatch):
+            LPProblem(c=np.array([-1.0]), constraints=[], bounds=bounds)
+    # whole float keys still name their column
+    p = LPProblem(c=np.ones(3), constraints=[({2.0: 1.0, 0: 1.0}, ">=", 1.0)])
+    idx, val = p.row_arrays(0)
+    assert idx.tolist() == [0, 2] and val.tolist() == [1.0, 1.0]
 
 
 def test_iteration_limit_status():
