@@ -230,6 +230,9 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(doc, dict):
+        print(f"simulate: config must be a JSON object, got {type(doc).__name__}", file=sys.stderr)
+        return EXIT_USAGE
     base_seed = args.seed if args.seed is not None else doc.get(
         "base_seed", _seed_from(args)
     )
@@ -243,6 +246,9 @@ def cmd_simulate(args) -> int:
     policies = args.policies.split(",") if args.policies else doc.get(
         "policies", list(fulfillment.POLICIES)
     )
+    if not isinstance(policies, list):
+        print("simulate: policies must be a list", file=sys.stderr)
+        return EXIT_USAGE
     for p in policies:
         if p not in fulfillment.POLICIES:
             print(f"simulate: unknown policy {p!r}", file=sys.stderr)
@@ -275,7 +281,11 @@ def cmd_simulate(args) -> int:
             print(f"simulate: generator config: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if theta != 1.0:
-            inst = fulfillment.scale(inst, theta)
+            try:
+                inst = fulfillment.scale(inst, theta)
+            except fulfillment.FulfillmentError as exc:
+                print(f"simulate: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         try:
             plan = fulfillment.solve_dlp(inst)
         except (fulfillment.DLPSolveError, simplex.SolverNumericalError) as exc:

@@ -20,6 +20,13 @@ Policies:
   remaining inventory; stocked-out items fall through to null.
 * ``auto`` — per order type, whichever of dilate/force_open has the better
   theoretical ratio.
+
+Since the randomized policies never read stock, `simulate` dispatches a
+whole arrival stream at once: one draw of the decision substream, one
+batched rounding call per (type, region), and stock-outs by rank, the r-th
+request for an (FC, item), counted from 0 in arrival order, being served
+iff r < floor(inventory). ``myopic`` reads stock, so it still picks order
+by order; both then share the array bookkeeping of costs and counts.
 """
 
 from __future__ import annotations
@@ -235,6 +242,8 @@ class SimulationReport:
     short_orders: int
     wall_ms: float
     seed: int
+    uniforms: int       # decision uniforms consumed; 0 under myopic
+    short_items: int    # items sent to the null FC
 
 
 def simulate(
@@ -252,6 +261,16 @@ def simulate(
     to the null FC. Fixed cost is charged once per distinct FC an order
     uses, the null FC included at whatever fixed cost the instance assigns
     it; the FCs-per-order metric never counts the null FC.
+
+    The randomized policies dispatch the whole stream at once: one draw of
+    the decision substream, cut per order into the draw's q, K or K + q
+    uniforms, and one kernel call per (type, region). Since they never read
+    stock, stock-outs follow from ranks: the r-th request for (k, i),
+    counted from 0 in arrival order, is served iff r < floor(b_ki), which is
+    what serving while one unit is left does. ``myopic`` reads stock, so it
+    picks order by order. Costs are totalled in arrival order, item by item
+    and, for fixed costs, FC by FC, as a per-order loop would add them.
+    Memory grows with the stream: the kernels hold q * K doubles per order.
     """
     if policy not in POLICIES:
         raise FulfillmentError(f"unknown policy {policy!r}")
@@ -261,73 +280,43 @@ def simulate(
     arr_rng = rng.derive(ARRIVAL_SUBSTREAM)
     dec_rng = rng.derive(DECISION_SUBSTREAM)
 
-    flat_pairs = [(t, j) for t in range(len(inst.types)) for j in range(inst.J)]
     cdf = np.cumsum(inst.rates.ravel())
-    draws = arr_rng.uniform(inst.T)
-    idx = np.searchsorted(cdf, draws, side="left")
-    arriving = idx[idx < len(flat_pairs)]
+    idx = np.searchsorted(cdf, arr_rng.uniform(inst.T), side="left")
+    arriving = idx[idx < inst.rates.size]
+    orders = arriving.size
 
-    inv = inst.inventory.copy()
-    # per (type, region): the validated plan row and the scheme that rounds it
-    draws: dict[int, tuple] = {}
-    myopic_cands: dict[tuple, list] = {}
+    # one request per (order, item slot), in arrival x item order
+    sizes = np.array([len(a) for a in inst.types], dtype=np.intp)
+    items = np.fromiter(itertools.chain.from_iterable(inst.types), dtype=np.intp)
+    order_type, region = np.divmod(arriving, inst.J)
+    n_items = sizes[order_type]
+    req_off = np.cumsum(n_items) - n_items
+    req_order = np.repeat(np.arange(orders), n_items)
+    first_item = (np.cumsum(sizes) - sizes)[order_type]
+    req_item = items[first_item[req_order] + np.arange(req_order.size) - req_off[req_order]]
 
-    fixed = unit = shortage = 0.0
-    orders = split = short = 0
-    fc_count = 0
+    if policy == "myopic":
+        fc = _myopic_fcs(inst, arriving)
+    else:
+        fc = _drawn_fcs(inst, plan, policy, arriving, req_off, req_item.size, dec_rng)
 
-    for flat in arriving:
-        t, j = flat_pairs[flat]
-        a = inst.types[t]
-        orders += 1
-        if policy == "myopic":
-            ks = []
-            for i in a:
-                key = (i, j)
-                cands = myopic_cands.get(key)
-                if cands is None:
-                    cands = sorted(
-                        (k for k in range(1, inst.K + 1) if inst.inventory[k, i] > 0),
-                        key=lambda k: (inst.unit_cost[k, i, j], k),
-                    )
-                    myopic_cands[key] = cands
-                pick = 0
-                for k in cands:
-                    if inv[k, i] >= 1.0:
-                        pick = k
-                        break
-                ks.append(pick)
-        else:
-            row = draws.get(flat)
-            if row is None:
-                mat = np.clip(plan.u[(t, j)], 0.0, None)
-                m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
-                row = draws[flat] = (m, rounding.select_scheme(m)[0] if policy == "auto" else policy)
-            ks = rounding.sample(row[0], row[1], dec_rng, 1)[0].tolist()
+    # the r-th request for (k, i) finds stock iff r < floor(b_ki)
+    key = fc * inst.n + req_item
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    rank = np.arange(key.size) - np.searchsorted(sorted_key, sorted_key, side="left")
+    served = np.empty(key.size, dtype=bool)
+    served[by_key] = rank < np.floor(inst.inventory.ravel()[sorted_key])
+    served &= fc != 0
+    fc = np.where(served, fc, 0)
 
-        used = set()
-        any_short = False
-        for pos, i in enumerate(a):
-            k = ks[pos]
-            if k != 0:
-                if inv[k, i] >= 1.0:
-                    inv[k, i] -= 1.0
-                else:
-                    k = 0
-            if k == 0:
-                shortage += inst.unit_cost[0, i, j]
-                any_short = True
-            else:
-                unit += inst.unit_cost[k, i, j]
-            used.add(k)
-        for k in used:
-            fixed += inst.fixed_cost[k, j]
-        real = len(used - {0})
-        fc_count += real
-        if real >= 2:
-            split += 1
-        if any_short:
-            short += 1
+    used = np.zeros((orders, inst.K + 1), dtype=bool)
+    used[req_order, fc] = True
+    item_cost = inst.unit_cost[fc, req_item, region[req_order]]
+    fixed = _running_sum(inst.fixed_cost.T[region][used])
+    unit = _running_sum(item_cost[served])
+    shortage = _running_sum(item_cost[~served])
+    real = used[:, 1:].sum(axis=1)
 
     total = fixed + unit + shortage
     dlp = plan.objective if plan is not None else math.nan
@@ -343,12 +332,72 @@ def simulate(
         dlp_value=dlp,
         loss_pct=loss,
         orders=orders,
-        fcs_per_order=fc_count / orders if orders else 0.0,
-        split_orders=split,
-        short_orders=short,
+        fcs_per_order=int(real.sum()) / orders if orders else 0.0,
+        split_orders=int(np.count_nonzero(real >= 2)),
+        short_orders=int(np.count_nonzero(used[:, 0])),
         wall_ms=wall_ms,
         seed=rng.seed,
+        uniforms=dec_rng.position,
+        short_items=int(served.size - np.count_nonzero(served)),
     )
+
+
+def _myopic_fcs(inst: FulfillmentInstance, arriving: np.ndarray) -> np.ndarray:
+    """Per request, the cheapest FC that carries the item and still has a unit."""
+    inv = inst.inventory.tolist()
+    cands: dict[tuple, list] = {}
+    fc = []
+    for flat in arriving.tolist():
+        t, j = divmod(flat, inst.J)
+        for i in inst.types[t]:
+            ks = cands.get((i, j))
+            if ks is None:
+                ks = cands[(i, j)] = sorted(
+                    (k for k in range(1, inst.K + 1) if inst.inventory[k, i] > 0),
+                    key=lambda k: (inst.unit_cost[k, i, j], k),
+                )
+            pick = 0
+            for k in ks:
+                if inv[k][i] >= 1.0:
+                    inv[k][i] -= 1.0
+                    pick = k
+                    break
+            fc.append(pick)
+    return np.array(fc, dtype=np.intp)
+
+
+def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> np.ndarray:
+    """Per request, the FC drawn by the policy's scheme, stock unseen.
+
+    Each arriving (type, region) plan row is validated once, in order of
+    first arrival, and gets its scheme (``select_scheme`` under ``auto``).
+    Order o spends the per-draw uniforms of its row from offset ``off[o]``
+    of one decision draw, the same uniforms one ``sample`` call per order
+    would take, and each row's orders are rounded in one kernel call.
+    """
+    pairs, first, pair_of = np.unique(arriving, return_index=True, return_inverse=True)
+    rows = [None] * pairs.size
+    for g in np.argsort(first).tolist():
+        t, j = divmod(int(pairs[g]), inst.J)
+        mat = np.clip(plan.u[(t, j)], 0.0, None)
+        m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
+        scheme = rounding.select_scheme(m)[0] if policy == "auto" else policy
+        rows[g] = (m, *rounding._kernel(m, scheme))
+
+    per = np.array([n_u for _, n_u, _ in rows], dtype=np.intp)[pair_of]
+    off = np.cumsum(per) - per
+    u = dec_rng.uniform(int(per.sum()))
+    fc = np.empty(n_req, dtype=np.intp)
+    by_pair = np.split(np.argsort(pair_of, kind="stable"), np.cumsum(np.bincount(pair_of))[:-1])
+    for (m, n_u, kernel), members in zip(rows, by_pair):
+        z = kernel(m, u[off[members, None] + np.arange(n_u)])[0]
+        fc[req_off[members, None] + np.arange(m.q)] = z
+    return fc
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """Left-to-right float sum, as a loop adding one term at a time gets it."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
 def theoretical_beta(inst: FulfillmentInstance, plan: DLPlan) -> tuple[float, float]:
@@ -379,6 +428,8 @@ def scale(inst: FulfillmentInstance, theta: float) -> FulfillmentInstance:
     """Scaled instance: horizon theta*T, inventories theta*b (nearest int)."""
     if not theta > 0.0:
         raise FulfillmentError(f"scale factor must be positive, got {theta}")
+    if not inst.T * theta < 2.0 ** 63:
+        raise FulfillmentError(f"scaled horizon {inst.T} * {theta} does not fit a 64-bit int")
     inv = inst.inventory.copy()
     inv[1:] = np.rint(inv[1:] * theta)
     meta = dict(inst.meta)

@@ -204,11 +204,13 @@ def test_simulate_unknown_policy(tmp_path):
     ({}, ["--scale", "0"]),
     ({}, ["--scale", "-2"]),
     ({}, ["--scale", "nan"]),
+    ({}, ["--scale", "1e308"]),
     ({"scale": 0}, []),
     ({"scale": "x"}, []),
     ({"instances": "x"}, []),
     ({"replications": "x"}, []),
     ({"replications": None}, []),
+    ({"policies": "myopic"}, []),
 ])
 def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
     cfg = tmp_path / "camp.json"
@@ -218,5 +220,16 @@ def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
         "base_seed": 1, **override,
     }))
     assert run(["simulate", "--config", str(cfg), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and err.count("\n") == 1
+    if "policies" in override:
+        assert "policies must be a list" in err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "camp", 3, None])
+def test_simulate_config_must_be_an_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(cfg)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("simulate: ") and err.count("\n") == 1

@@ -287,7 +287,8 @@ def reference_simulate(inst, plan, policy, rng):
 
     Validates each (type, region) plan row once, picks its scheme (under
     ``auto`` by ``select_scheme``) and draws on the decision substream, then
-    books costs order by order. Returns the report fields except wall time.
+    books costs order by order, serving an item while its FC has a unit
+    left. Returns the report fields except wall time.
     """
     rounds = {
         "independent": lambda m, r: rounding.independent_round(m, r).z,
@@ -301,7 +302,7 @@ def reference_simulate(inst, plan, policy, rng):
     inv = inst.inventory.copy()
     rows = {}
     fixed = unit = shortage = 0.0
-    orders = split = short = fcs = 0
+    orders = split = short = fcs = short_items = 0
     for flat in idx[idx < len(pairs)]:
         t, j = pairs[flat]
         if flat not in rows:
@@ -320,8 +321,10 @@ def reference_simulate(inst, plan, policy, rng):
             else:
                 k = 0
                 shortage += inst.unit_cost[0, i, j]
+                short_items += 1
             used.add(k)
-        fixed += sum(inst.fixed_cost[k, j] for k in used)
+        for k in sorted(used):
+            fixed += inst.fixed_cost[k, j]
         real = len(used - {0})
         fcs += real
         split += real >= 2
@@ -332,19 +335,13 @@ def reference_simulate(inst, plan, policy, rng):
         "unit_cost": unit, "shortage_cost": shortage, "dlp_value": plan.objective,
         "loss_pct": 100.0 * (total - plan.objective) / plan.objective, "orders": orders,
         "fcs_per_order": fcs / orders if orders else 0.0, "split_orders": split,
-        "short_orders": short, "seed": rng.seed,
+        "short_orders": short, "seed": rng.seed, "uniforms": dec.position,
+        "short_items": short_items,
     }
 
 
-def test_simulate_matches_per_order_reference():
-    import warnings
-
-    from corround.instances import GeneratorConfig, OrphanItemWarning, build_instance
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OrphanItemWarning)
-        inst = build_instance(GeneratorConfig(n=10, n_max=4, n_per=3, J=3, K=4, T=1200, seed=23))
-    plan = solve_dlp(inst)
+def hand_case():
+    """Two items, three FCs; every cost is a small integer."""
     hand = FulfillmentInstance(
         n=2, K=3, J=1, T=1500, types=((0, 1), (1,)), rates=np.array([[0.5], [0.3]]),
         unit_cost=np.arange(8, dtype=float).reshape(4, 2, 1) + 1.0,
@@ -358,12 +355,86 @@ def test_simulate_matches_per_order_reference():
            (1, 0): np.array([[0.1, 0.9, 0.0, 0.0]])},
         y={(0, 0): np.array([0.2, 0.5, 0.3, 0.6]), (1, 0): np.array([0.1, 0.9, 0.0, 0.0])},
     )
-    for case, pl in ((inst, plan), (scale(inst, 0.5), plan), (hand, hand_plan)):
+    return hand, hand_plan
+
+
+def edge_cases():
+    """(name, instance, plan) battery for the dispatch reference check."""
+    import dataclasses
+    import warnings
+
+    from corround.instances import OrphanItemWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrphanItemWarning)
+        inst = build_instance(GeneratorConfig(n=10, n_max=4, n_per=3, J=3, K=4, T=1200, seed=23))
+    plan = solve_dlp(inst)
+    hand, hand_plan = hand_case()
+    zero = inst.inventory.copy()
+    zero[1:] = 0.0
+    frac = inst.inventory.copy()
+    frac[1:] = np.where(frac[1:] > 0.0, 2.5, 0.999)
+    hand_frac = hand.inventory.copy()
+    hand_frac[1:] = [[2.5, 0.999], [0.999, 2.5], [1.0, 3.5]]
+    k1 = FulfillmentInstance(
+        n=2, K=1, J=2, T=400, types=((0, 1), (0,), (1,)),
+        rates=np.array([[0.3, 0.2], [0.0, 0.0], [0.1, 0.25]]),
+        unit_cost=np.array([[[9.0, 8.0], [7.0, 6.0]], [[1.0, 2.0], [3.0, 4.0]]]),
+        fixed_cost=np.array([[0.5, 0.25], [2.0, 3.0]]),
+        inventory=np.array([[INF, INF], [60.0, 45.5]]),
+    )
+    # type 1 never arrives; type 2 sends all of its mass to the null FC
+    k1_plan = DLPlan(
+        objective=100.0,
+        u={(0, 0): np.array([[0.25, 0.75], [0.5, 0.5]]), (0, 1): np.array([[0.0, 1.0], [0.1, 0.9]]),
+           (2, 0): np.array([[1.0, 0.0]]), (2, 1): np.array([[1.0, 0.0]])},
+        y={(0, 0): np.array([0.5, 0.75]), (0, 1): np.array([0.1, 1.0]),
+           (2, 0): np.array([1.0, 0.0]), (2, 1): np.array([1.0, 0.0])},
+    )
+    return [
+        ("generated", inst, plan),
+        ("half", scale(inst, 0.5), plan),
+        ("no orders", dataclasses.replace(inst, T=0), plan),
+        ("no stock", dataclasses.replace(inst, inventory=zero), plan),
+        ("fractional stock", dataclasses.replace(inst, inventory=frac), plan),
+        # three times the orders against the original stock
+        ("stocked out", dataclasses.replace(scale(inst, 3.0), inventory=inst.inventory), plan),
+        ("hand", hand, hand_plan),
+        ("hand fractional", dataclasses.replace(hand, inventory=hand_frac), hand_plan),
+        ("K=1", k1, k1_plan),
+    ]
+
+
+def test_simulate_matches_per_order_reference():
+    for name, case, pl in edge_cases():
         for policy in ("independent", "dilate", "force_open", "auto"):
             for seed in (3, 4):
                 got = simulate(case, pl, policy, RandomStream(seed))
                 want = reference_simulate(case, pl, policy, RandomStream(seed))
-                assert {f: getattr(got, f) for f in want} == want, (policy, seed)
+                assert {f: getattr(got, f) for f in want} == want, (name, policy, seed)
+
+
+def test_simulate_report_is_pinned():
+    # fixed outcomes of the hand case, so that simulate and its reference
+    # cannot drift together
+    hand, hand_plan = hand_case()
+    pinned = {
+        "independent": (9055.0, 1956.0, 5400.0, 1699.0, 1194, 252, 863, 1005, 1945),
+        "dilate": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776),
+        "force_open": (9112.0, 1973.0, 5450.0, 1689.0, 1194, 263, 851, 995, 6721),
+        "auto": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776),
+    }
+    for policy, want in pinned.items():
+        r = simulate(hand, hand_plan, policy, RandomStream(3))
+        got = (r.total_cost, r.fixed_cost, r.unit_cost, r.shortage_cost, r.orders,
+               r.split_orders, r.short_orders, r.short_items, r.uniforms)
+        assert got == want, policy
+
+
+def test_simulate_myopic_counts_short_items():
+    inst = tiny_instance(T=50, lam=1.0, b=3.0)
+    r = simulate(inst, None, "myopic", RandomStream(7))
+    assert (r.orders, r.short_orders, r.short_items, r.uniforms) == (50, 47, 47, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +508,12 @@ def test_scale_identity_and_doubling():
     assert frac.inventory[1, 0] == 3.0
     with pytest.raises(FulfillmentError):
         scale(inst, 0.0)
+
+
+@pytest.mark.parametrize("theta", [1e308, INF, math.nan, 1e17])
+def test_scale_rejects_horizons_past_int64(theta):
+    with pytest.raises(FulfillmentError):
+        scale(tiny_instance(T=120), theta)
 
 
 # ---------------------------------------------------------------------------
