@@ -244,6 +244,8 @@ class SimulationReport:
     seed: int
     uniforms: int       # decision uniforms consumed; 0 under myopic
     short_items: int    # items sent to the null FC
+    dilate_orders: int      # orders drawn under dilate
+    force_open_orders: int  # orders drawn under force_open
 
 
 def simulate(
@@ -296,9 +298,9 @@ def simulate(
     req_item = items[first_item[req_order] + np.arange(req_order.size) - req_off[req_order]]
 
     if policy == "myopic":
-        fc = _myopic_fcs(inst, arriving)
+        fc, drawn = _myopic_fcs(inst, arriving), {}
     else:
-        fc = _drawn_fcs(inst, plan, policy, arriving, req_off, req_item.size, dec_rng)
+        fc, drawn = _drawn_fcs(inst, plan, policy, arriving, req_off, req_item.size, dec_rng)
 
     # the r-th request for (k, i) finds stock iff r < floor(b_ki)
     key = fc * inst.n + req_item
@@ -339,6 +341,8 @@ def simulate(
         seed=rng.seed,
         uniforms=dec_rng.position,
         short_items=int(served.size - np.count_nonzero(served)),
+        dilate_orders=drawn.get("dilate", 0),
+        force_open_orders=drawn.get("force_open", 0),
     )
 
 
@@ -366,8 +370,9 @@ def _myopic_fcs(inst: FulfillmentInstance, arriving: np.ndarray) -> np.ndarray:
     return np.array(fc, dtype=np.intp)
 
 
-def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> np.ndarray:
-    """Per request, the FC drawn by the policy's scheme, stock unseen.
+def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> tuple[np.ndarray, dict]:
+    """Per request, the FC drawn by the policy's scheme, stock unseen, and
+    per scheme the number of orders drawn under it.
 
     Each arriving (type, region) plan row is validated once, in order of
     first arrival, and gets its scheme (``select_scheme`` under ``auto``).
@@ -382,17 +387,19 @@ def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> np.ndar
         mat = np.clip(plan.u[(t, j)], 0.0, None)
         m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
         scheme = rounding.select_scheme(m)[0] if policy == "auto" else policy
-        rows[g] = (m, *rounding._kernel(m, scheme))
+        rows[g] = (scheme, m, *rounding._kernel(m, scheme))
 
-    per = np.array([n_u for _, n_u, _ in rows], dtype=np.intp)[pair_of]
+    per = np.array([n_u for _, _, n_u, _ in rows], dtype=np.intp)[pair_of]
     off = np.cumsum(per) - per
     u = dec_rng.uniform(int(per.sum()))
     fc = np.empty(n_req, dtype=np.intp)
+    drawn = dict.fromkeys(rounding.SCHEMES, 0)
     by_pair = np.split(np.argsort(pair_of, kind="stable"), np.cumsum(np.bincount(pair_of))[:-1])
-    for (m, n_u, kernel), members in zip(rows, by_pair):
+    for (scheme, m, n_u, kernel), members in zip(rows, by_pair):
         z = kernel(m, u[off[members, None] + np.arange(n_u)])[0]
         fc[req_off[members, None] + np.arange(m.q)] = z
-    return fc
+        drawn[scheme] += members.size
+    return fc, drawn
 
 
 def _running_sum(x: np.ndarray) -> float:
@@ -425,11 +432,19 @@ def theoretical_beta(inst: FulfillmentInstance, plan: DLPlan) -> tuple[float, fl
 
 
 def scale(inst: FulfillmentInstance, theta: float) -> FulfillmentInstance:
-    """Scaled instance: horizon theta*T, inventories theta*b (nearest int)."""
+    """Scaled instance: horizon theta*T, inventories theta*b (nearest int).
+
+    Both products are bounded before any array is scaled: theta*T must fit
+    a 64-bit int and theta*b must stay finite.
+    """
     if not theta > 0.0:
         raise FulfillmentError(f"scale factor must be positive, got {theta}")
     if not inst.T * theta < 2.0 ** 63:
         raise FulfillmentError(f"scaled horizon {inst.T} * {theta} does not fit a 64-bit int")
+    stock = inst.inventory[1:]
+    top = float(stock[np.isfinite(stock)].max(initial=0.0))
+    if not math.isfinite(top * theta):
+        raise FulfillmentError(f"scaled inventory {top} * {theta} is not finite")
     inv = inst.inventory.copy()
     inv[1:] = np.rint(inv[1:] * theta)
     meta = dict(inst.meta)

@@ -18,12 +18,16 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-`sample` draws n assignments of a named scheme in one block; Monte Carlo,
-set cover and dispatch all draw through it or through its kernels, and it is
-the one place a scheme name turns into draw code. `mc_estimate` verifies
-marginals, usage bounds, support and the waiting-time tail empirically. Both
-consume uniforms in the exact per-call order, so batched and
-one-call-at-a-time sampling produce identical assignments.
+Each scheme has one kernel, which maps a block of uniforms, one row per
+draw, to assignments and clocks; the single-call ``*_round`` functions run
+it on one row, and `sample` on n rows. Monte Carlo, set cover and dispatch
+all draw through `sample` or its kernels, and `_kernel` is the one place a
+scheme name turns into draw code. The kernels form each observed time from
+tables cached on `MarginalMatrix` and never multiply 0 by inf, so the draw
+path needs no floating-point error state. `mc_estimate` verifies marginals,
+usage bounds, support and the waiting-time tail empirically. Both consume
+uniforms in the exact per-call order, so batched and one-call-at-a-time
+sampling produce identical assignments.
 """
 
 from __future__ import annotations
@@ -94,26 +98,32 @@ class MarginalMatrix:
         return y
 
     @cached_property
-    def ratios(self) -> np.ndarray:
-        """Dilation factors y_k / u_ki, +inf where u_ki = 0."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.u > 0.0, self.y[None, :] / self.u, np.inf)
-        r.flags.writeable = False
-        return r
+    def dilation(self) -> tuple[np.ndarray, ...]:
+        """The tables of a dilated-clock draw: (divisor, floor, usable,
+        unusable, ratios).
 
-    @cached_property
-    def clock(self) -> tuple[np.ndarray, np.ndarray]:
-        """(divisor, floor) with E_k = max(ln(U_k) / divisor_k, floor_k).
-
+        Opening times are E_k = max(ln(U_k) / divisor_k, floor_k), with
         divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
         = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
-        makes no 0/0, and its floor of +inf keeps it closed.
+        makes no 0/0, and its floor of +inf keeps it closed. ``usable`` is
+        the mask u_ki > 0, ``unusable`` is 0 there and +inf elsewhere (each
+        draw's observed times start from it), and ``ratios`` holds y_k / u_ki
+        where usable and +inf elsewhere.
         """
         closed = self.y == 0.0
-        out = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
+        usable = self.u > 0.0
+        unusable = np.where(usable, 0.0, np.inf)
+        ratios = np.divide(self.y[None, :], self.u, out=unusable.copy(), where=usable)
+        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf),
+               usable, unusable, ratios)
         for a in out:
             a.flags.writeable = False
         return out
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Dilation factors y_k / u_ki, +inf where u_ki = 0."""
+        return self.dilation[4]
 
     @cached_property
     def row_cdf(self) -> np.ndarray:
@@ -130,12 +140,22 @@ class MarginalMatrix:
         return f
 
     @cached_property
+    def forced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """force_open's favorite table, per item: the flat index i*K + m(i)
+        of its favorite FC, the time item i sees it forced open,
+        (y_m(i) / u_m(i)i) * (1 / y_m(i)), and its hiding probability."""
+        fav = self.favorite
+        flat = np.arange(0, self.u.size, self.K) + fav
+        um, yf = self.u.ravel()[flat], self.y[fav]
+        out = flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @property
     def hide_prob(self) -> np.ndarray:
         """Per-item hiding probability evaluated at u_{favorite(i), i}."""
-        um = self.u[np.arange(self.q), self.favorite]
-        h = _hiding_probability_vec(um)
-        h.flags.writeable = False
-        return h
+        return self.forced[2]
 
     @cached_property
     def sparsity(self) -> int:
@@ -175,6 +195,7 @@ class RoundingTrace:
     ``e`` holds the FC opening times, ``x`` the per-item observed opening
     times (inf where an item cannot use an FC). ``h`` (hide flags) and
     ``m`` (per-item forced-open target) are populated by force_open only.
+    A kernel's trace of a block of draws carries one leading row per draw.
     """
 
     e: np.ndarray
@@ -313,9 +334,9 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 # ---------------------------------------------------------------------------
 # The schemes. Each draw spends a fixed number of uniforms: independent q,
-# dilate K, force_open K + q. The kernels below take a block of uniforms,
-# one row per draw, and `sample` and `mc_estimate` feed them blocks in
-# stream order, so outcomes match the single-call functions draw for draw.
+# dilate K, force_open K + q. A scheme's kernel takes them as (per,) for
+# one draw or (n, per) for n; independent_round runs inverse_cdf, its
+# kernel's body.
 # ---------------------------------------------------------------------------
 
 
@@ -331,9 +352,8 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    e = _openings(m, rng.uniform(m.K))
-    x = _dilated_view(m, e)
-    return RoundingOutcome(z=np.argmin(x, axis=-1)), RoundingTrace(e=e, x=x)
+    z, trace = _dilate(m, rng.uniform(m.K))
+    return RoundingOutcome(z=z), trace
 
 
 def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -344,10 +364,8 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     item i's view with the calibrated probability that keeps the marginals
     exact. All items are assigned by time alpha_force with probability 1.
     """
-    e = _openings(m, rng.uniform(m.K))
-    h = rng.uniform(m.q) <= m.hide_prob
-    z, x = _force_open_view(m, e, h)
-    return RoundingOutcome(z=z), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
+    z, trace = _force_open(m, rng.uniform(m.K + m.q))
+    return RoundingOutcome(z=z), trace
 
 
 def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndarray:
@@ -377,55 +395,56 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _kernel(m: MarginalMatrix, scheme: str):
-    """(uniforms per draw, block kernel) of a scheme; the kernel maps an
-    (n, per) block of uniforms to (z, x): the (n, q) assignments and the
-    (n, q, K) observed opening times, None for independent draws."""
+    """(uniforms per draw, kernel) of a scheme. The kernel maps a (..., per)
+    block of uniforms to (z, trace): the (..., q) assignments and the
+    draws' `RoundingTrace`, None for independent draws."""
     if scheme == "independent":
-        return m.q, _independent_block
+        return m.q, _independent
     if scheme == "dilate":
-        return m.K, _dilate_block
+        return m.K, _dilate
     if scheme == "force_open":
-        return m.K + m.q, _force_open_block
+        return m.K + m.q, _force_open
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
-def _independent_block(m, u):
+def _independent(m, u):
     return inverse_cdf(m.row_cdf, u), None
 
 
-def _dilate_block(m, u):
-    x = _dilated_view(m, _openings(m, u))
-    return np.argmin(x, axis=-1), x
+def _dilate(m, u):
+    e, x = _dilated(m, u)
+    return x.argmin(axis=-1), RoundingTrace(e=e, x=x)
 
 
-def _force_open_block(m, u):
-    return _force_open_view(m, _openings(m, u[:, :m.K]), u[:, m.K:] <= m.hide_prob)
+def _force_open(m, u):
+    """Hide flags H_i = U_K+i <= hide_prob_i. Item i sees its favorite at
+    the earlier of its dilated natural opening and its forced time, or at
+    the forced time alone if hidden; the factor y/u_m(i) > 0 commutes with
+    the min, so this is (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
+    K = m.K
+    e, x = _dilated(m, u[..., :K])
+    flat, forced, hide = m.forced
+    h = u[..., K:] <= hide
+    # indexing the leading axis of the transpose, rather than [..., flat],
+    # keeps numpy on its fast path for one draw and for a block alike
+    xt = x.reshape(x.shape[:-2] + (m.u.size,)).T
+    seen = np.minimum(xt[flat].T, forced)
+    np.copyto(seen, forced, where=h)
+    xt[flat] = seen.T
+    return x.argmin(axis=-1), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
 
 
-def _openings(m: MarginalMatrix, u) -> np.ndarray:
-    """Opening times from uniforms: E_k = -ln(U_k)/y_k (inf for y_k = 0)."""
-    divisor, floor = m.clock
-    return np.maximum(np.log(u) / divisor, floor)
-
-
-def _dilated_view(m: MarginalMatrix, e: np.ndarray) -> np.ndarray:
-    """Observed opening times (..., q, K) for opening vectors e (..., K)."""
-    with np.errstate(invalid="ignore"):
-        x = m.ratios * e[..., None, :]
-    # 0 * inf from an instantly-open unusable FC must stay unusable
-    return np.where(m.u > 0.0, x, np.inf)
-
-
-def _force_open_view(m, e, h):
-    """Apply hide flags h (..., q) and forced openings; returns (z, x)."""
-    x = _dilated_view(m, e)
-    fav = m.favorite
-    idx = np.arange(m.q)
-    um = m.u[idx, fav]
-    nat = np.where(h, np.inf, e[..., fav])
-    capped = np.minimum(nat, 1.0 / m.y[fav])
-    x[..., idx, fav] = (m.y[fav] / um) * capped
-    return np.argmin(x, axis=-1), x
+def _dilated(m, u):
+    """Opening times e (..., K) from uniforms (..., K), E_k = -ln(U_k)/y_k
+    (inf for y_k = 0), and the observed times x (..., q, K), (y_k/u_ki) E_k
+    where u_ki > 0 and inf elsewhere. x starts from the unusable template
+    and is multiplied only where usable, so no 0 * inf is ever formed."""
+    divisor, floor, usable, unusable, ratios = m.dilation
+    e = np.maximum(np.log(u) / divisor, floor)
+    x = np.empty(e.shape[:-1] + unusable.shape)
+    x[...] = unusable
+    np.multiply(ratios, e[..., None, :], out=x, where=usable)
+    return e, x
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +463,15 @@ class MCReport:
     tail_grid: Optional[np.ndarray] = None  # dilate only
     tail: Optional[np.ndarray] = None       # P[some item unassigned at t]
     in_support: Optional[int] = None        # runs with u[i, z_i] > 0 for every item
+    uniforms: Optional[int] = None          # uniforms the runs consumed
 
 
 def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStream) -> MCReport:
     """Estimate marginals and FC usage over n_samples independent runs.
 
     Draws in blocks of about CHUNK_ELEMS elements through `sample`'s kernels.
-    The report counts the runs that gave every item an FC it has mass on.
+    The report counts the runs that gave every item an FC it has mass on,
+    and the uniforms they consumed.
     For the dilate scheme it also carries the empirical tail
     P[some item still unassigned at time t] on the grid t = 0, 0.5, ..., 10,
     computed from the observed opening times.
@@ -465,9 +486,10 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
     in_support = 0
     tail = np.zeros(TAIL_GRID.size, dtype=np.int64) if scheme == "dilate" else None
     chunk = max(1, CHUNK_ELEMS // (q * K))
+    start = rng.position
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        z, x = kernel(m, rng.uniform((c, per)))
+        z, trace = kernel(m, rng.uniform((c, per)))
         flat = z + item_base
         marg += np.bincount(flat.ravel(), minlength=q * K)
         hit = np.zeros((c, K), dtype=bool)
@@ -475,7 +497,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
         used += hit.sum(axis=0)
         in_support += int(np.count_nonzero((m.u.ravel()[flat] > 0.0).all(axis=1)))
         if tail is not None:
-            wait = x.min(axis=2).max(axis=1)
+            wait = trace.x.min(axis=2).max(axis=1)
             tail += (wait[:, None] >= TAIL_GRID[None, :]).sum(axis=0)
     return MCReport(
         scheme=scheme,
@@ -485,6 +507,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
         tail_grid=TAIL_GRID.copy() if tail is not None else None,
         tail=tail / n_samples if tail is not None else None,
         in_support=in_support,
+        uniforms=rng.position - start,
     )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -116,16 +117,35 @@ def mps_sha256(problem) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-class UnitUniforms(RandomStream):
-    """A stream whose every uniform is exactly 1.0, the top of its support."""
+class ConstantUniforms(RandomStream):
+    """A stream whose every uniform is ``value``; subclasses fix the value."""
+
+    value = 1.0
 
     def uniform(self, size=None):
         if size is None:
             self.position += 1
-            return 1.0
-        u = np.ones(size)
+            return self.value
+        u = np.full(size, self.value)
         self.position += int(u.size)
         return u
+
+
+class UnitUniforms(ConstantUniforms):
+    """Every uniform is exactly 1.0, the top of the stream's support."""
+
+
+class SmallestUniforms(ConstantUniforms):
+    """Every uniform is 2**-53, the smallest value RandomStream.uniform
+    returns (1 minus the largest double below 1)."""
+
+    value = 2.0 ** -53
+
+
+class TinyUniforms(ConstantUniforms):
+    """Every uniform is the smallest positive double, 5e-324."""
+
+    value = math.ulp(0.0)
 
 
 @pytest.fixture

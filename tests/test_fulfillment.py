@@ -303,6 +303,7 @@ def reference_simulate(inst, plan, policy, rng):
     rows = {}
     fixed = unit = shortage = 0.0
     orders = split = short = fcs = short_items = 0
+    drawn = dict.fromkeys(rounding.SCHEMES, 0)
     for flat in idx[idx < len(pairs)]:
         t, j = pairs[flat]
         if flat not in rows:
@@ -312,6 +313,7 @@ def reference_simulate(inst, plan, policy, rng):
         m, scheme = rows[flat]
         ks = rounds[scheme](m, dec)
         orders += 1
+        drawn[scheme] += 1
         used = set()
         for pos, i in enumerate(inst.types[t]):
             k = int(ks[pos])
@@ -336,7 +338,8 @@ def reference_simulate(inst, plan, policy, rng):
         "loss_pct": 100.0 * (total - plan.objective) / plan.objective, "orders": orders,
         "fcs_per_order": fcs / orders if orders else 0.0, "split_orders": split,
         "short_orders": short, "seed": rng.seed, "uniforms": dec.position,
-        "short_items": short_items,
+        "short_items": short_items, "dilate_orders": drawn["dilate"],
+        "force_open_orders": drawn["force_open"],
     }
 
 
@@ -412,6 +415,8 @@ def test_simulate_matches_per_order_reference():
                 got = simulate(case, pl, policy, RandomStream(seed))
                 want = reference_simulate(case, pl, policy, RandomStream(seed))
                 assert {f: getattr(got, f) for f in want} == want, (name, policy, seed)
+                if policy == "auto":
+                    assert got.dilate_orders + got.force_open_orders == got.orders
 
 
 def test_simulate_report_is_pinned():
@@ -419,15 +424,16 @@ def test_simulate_report_is_pinned():
     # cannot drift together
     hand, hand_plan = hand_case()
     pinned = {
-        "independent": (9055.0, 1956.0, 5400.0, 1699.0, 1194, 252, 863, 1005, 1945),
-        "dilate": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776),
-        "force_open": (9112.0, 1973.0, 5450.0, 1689.0, 1194, 263, 851, 995, 6721),
-        "auto": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776),
+        "independent": (9055.0, 1956.0, 5400.0, 1699.0, 1194, 252, 863, 1005, 1945, 0, 0),
+        "dilate": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776, 1194, 0),
+        "force_open": (9112.0, 1973.0, 5450.0, 1689.0, 1194, 263, 851, 995, 6721, 0, 1194),
+        "auto": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776, 1194, 0),
     }
     for policy, want in pinned.items():
         r = simulate(hand, hand_plan, policy, RandomStream(3))
         got = (r.total_cost, r.fixed_cost, r.unit_cost, r.shortage_cost, r.orders,
-               r.split_orders, r.short_orders, r.short_items, r.uniforms)
+               r.split_orders, r.short_orders, r.short_items, r.uniforms,
+               r.dilate_orders, r.force_open_orders)
         assert got == want, policy
 
 
@@ -435,6 +441,7 @@ def test_simulate_myopic_counts_short_items():
     inst = tiny_instance(T=50, lam=1.0, b=3.0)
     r = simulate(inst, None, "myopic", RandomStream(7))
     assert (r.orders, r.short_orders, r.short_items, r.uniforms) == (50, 47, 47, 0)
+    assert (r.dilate_orders, r.force_open_orders) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +521,9 @@ def test_scale_identity_and_doubling():
 def test_scale_rejects_horizons_past_int64(theta):
     with pytest.raises(FulfillmentError):
         scale(tiny_instance(T=120), theta)
+    # with no horizon to bound, the scaled stock must stay finite
+    with pytest.raises(FulfillmentError):
+        scale(tiny_instance(T=0), theta if theta != 1e17 else 1e306)
 
 
 # ---------------------------------------------------------------------------

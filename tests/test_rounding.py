@@ -10,6 +10,7 @@ from corround.rounding import (
     EmptyInstance,
     NegativeEntry,
     ParseError,
+    RoundingTrace,
     RowSumMismatch,
     dilate_round,
     force_open_round,
@@ -27,9 +28,10 @@ from corround.rounding import (
     validate,
     write_instance,
 )
+from corround.optimal import sample_optimal, solve_optimal_alpha
 from corround.streams import RandomStream
 
-from conftest import UnitUniforms, instance_battery
+from conftest import SmallestUniforms, TinyUniforms, UnitUniforms, instance_battery, random_instance
 
 N_MC = 200_000
 
@@ -332,6 +334,123 @@ def test_sample_edge_instances_match_single_calls(rows, scheme):
         assert not np.isnan(trace.e).any()
 
 
+# ---------------------------------------------------------------------------
+# differential oracle: the dilate and force_open draws as they were computed
+# before the kernels were fused (openings, then the dilated view, then the
+# forced favorites), kept to pin the fused kernels bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _oracle_openings(m, u):
+    closed = m.y == 0.0
+    divisor, floor = np.where(closed, -np.inf, -m.y), np.where(closed, np.inf, -np.inf)
+    return np.maximum(np.log(u) / divisor, floor)
+
+
+def _oracle_dilated_view(m, e):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(m.u > 0.0, m.y[None, :] / m.u, np.inf)
+        x = ratios * e[..., None, :]
+    return np.where(m.u > 0.0, x, np.inf)
+
+
+def _oracle_force_open_view(m, e, h):
+    x = _oracle_dilated_view(m, e)
+    fav = m.u.argmax(axis=1)
+    idx = np.arange(m.q)
+    um = m.u[idx, fav]
+    nat = np.where(h, np.inf, e[..., fav])
+    capped = np.minimum(nat, 1.0 / m.y[fav])
+    x[..., idx, fav] = (m.y[fav] / um) * capped
+    return np.argmin(x, axis=-1), x
+
+
+def oracle_round(m, scheme, rng):
+    """One draw as the unfused code made it: (z, RoundingTrace)."""
+    e = _oracle_openings(m, rng.uniform(m.K))
+    if scheme == "dilate":
+        x = _oracle_dilated_view(m, e)
+        return np.argmin(x, axis=-1), RoundingTrace(e=e, x=x)
+    fav = m.u.argmax(axis=1)
+    hide = np.array([hiding_probability(v) for v in m.u[np.arange(m.q), fav]])
+    h = rng.uniform(m.q) <= hide
+    z, x = _oracle_force_open_view(m, e, h)
+    return z, RoundingTrace(e=e, x=x, h=h, m=fav)
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+# q=1, K=1, a y_k = 0 column, a trailing zero column, an item with u_m = 1,
+# then dense and sparse random rows
+ORACLE_INSTANCES = EDGE_INSTANCES + [
+    [[1.0, 0.0, 0.0], [0.3, 0.3, 0.4], [0.0, 0.0, 1.0]],
+]
+_gen = np.random.default_rng(606)
+ORACLE_INSTANCES += [random_instance(_gen, 6, 5).u for _ in range(3)]
+ORACLE_INSTANCES += [random_instance(_gen, 7, 6, sparse=True).u for _ in range(3)]
+
+
+@pytest.mark.parametrize("rows", ORACLE_INSTANCES)
+@pytest.mark.parametrize("scheme", ("dilate", "force_open"))
+def test_fused_kernels_match_unfused_oracle(rows, scheme):
+    m = validate(rows)
+    draw = dilate_round if scheme == "dilate" else force_open_round
+    n = 40
+    for stream in (RandomStream(17), UnitUniforms(0)):
+        mk = lambda: type(stream)(stream.seed)  # noqa: E731
+        ro, rn = mk(), mk()
+        want = [oracle_round(m, scheme, ro) for _ in range(n)]
+        for z_want, t_want in want:
+            out, t_got = draw(m, rn)
+            assert _same(out.z, z_want)
+            for f in ("e", "x", "h", "m"):
+                assert _same(getattr(t_got, f), getattr(t_want, f)), f
+        assert rn.position == ro.position
+
+        rs = mk()
+        z_all = np.array([z for z, _ in want])
+        assert _same(sample(m, scheme, rs, n), z_all)
+        assert rs.position == ro.position
+
+        rep = mc_estimate(m, scheme, n, mk())
+        counts = np.stack([np.bincount(z_all[:, i], minlength=m.K) for i in range(m.q)])
+        assert np.array_equal(rep.marginals, counts / n)
+        used = np.zeros((n, m.K), dtype=bool)
+        used[np.arange(n)[:, None], z_all] = True
+        assert np.array_equal(rep.usage, used.mean(axis=0))
+        assert rep.uniforms == ro.position
+        if scheme == "dilate":
+            wait = np.array([t.x.min(axis=1).max() for _, t in want])
+            assert np.array_equal(rep.tail, (wait[:, None] >= rep.tail_grid).sum(axis=0) / n)
+
+
+@pytest.mark.parametrize("stream_type", (SmallestUniforms, TinyUniforms))
+@pytest.mark.parametrize("rows", ORACLE_INSTANCES)
+def test_smallest_uniforms_draw_in_support(rows, stream_type):
+    # every uniform at the bottom of (0, 1]: the longest openings a draw can
+    # see must stay finite on open FCs and every draw on the support
+    m = validate(rows)
+    for scheme in rounding.SCHEMES:
+        n = 5
+        singles = _singles(m, scheme, n, stream_type(0))
+        assert np.array_equal(sample(m, scheme, stream_type(0), n), singles)
+        assert np.all(m.u[np.arange(m.q), singles] > 0.0)
+        if scheme != "independent":
+            draw = dilate_round if scheme == "dilate" else force_open_round
+            trace = draw(m, stream_type(0))[1]
+            assert np.all(np.isfinite(trace.e[m.y > 0.0]))
+            assert np.all(trace.e[m.y == 0.0] == np.inf)
+            assert not np.isnan(trace.x).any()
+    if m.q <= 3 and m.K <= 4:
+        sol = solve_optimal_alpha(m)
+        z = sample_optimal(sol, stream_type(0)).z
+        assert np.all(m.u[np.arange(m.q), z] > 0.0)
+
+
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)
 def test_mc_every_run_in_support(scheme):
     for rows in EDGE_INSTANCES:
@@ -347,7 +466,8 @@ def test_sample_argument_errors():
         sample(m, "nope", RandomStream(0), 3)
     with pytest.raises(DomainError):
         sample(m, "dilate", RandomStream(0), -1)
-    assert sample(m, "dilate", RandomStream(0), 0).shape == (0, 1)
+    for scheme in rounding.SCHEMES:
+        assert sample(m, scheme, RandomStream(0), 0).shape == (0, 1)
 
 
 def test_draw_at_u_one_stays_on_support():
