@@ -5,6 +5,10 @@ the optimum of an LP with one probability z(S) per nonempty FC subset S and
 conditional masses u_ki(S) splitting each marginal across the subsets that
 contain k. The LP has O(q K 2^K) size, so K is capped (default 12).
 
+One table lays the LP out: ``cells`` holds a row (S, i, k) per u column,
+for every k in S with u_ki > 0, in lexicographic order. The builder, the
+solution, its checks, its sampler and its text all read it.
+
 The solved distribution is itself a runnable rounding scheme: draw a subset
 S proportional to z, then give each item an FC inside S proportional to its
 conditional masses. `sample_optimal` implements exactly that.
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import simplex
 from .errors import CapExceeded
-from .rounding import MarginalMatrix, RoundingOutcome, inverse_cdf, pinned_cdf
+from .rounding import MarginalMatrix, ParseError, RoundingOutcome, inverse_cdf, pinned_cdf
 from .streams import RandomStream
 
 DEFAULT_CAP = 12
@@ -29,25 +33,26 @@ CLAMP_TOL = -1e-9
 
 
 class SolverFailure(RuntimeError):
-    """The subset LP did not come back optimal."""
+    """The subset LP did not come back optimal, or a solution fails its checks."""
 
 
 class DegenerateSubset(RuntimeError):
     """z(S) > 0 but some item has no conditional mass on S."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetVarIndex:
     """Column layout of the subset LP: alpha in column 0, z(S) in column S
-    for every nonempty subset bitmask S, then the u_ki(S) in ``u_col``."""
+    for every nonempty subset bitmask S, and u_ki(S) in column 2^K + r for
+    row r = (S, i, k) of ``cells``."""
 
     K: int
     q: int
-    u_col: dict  # (k, i, mask) -> column, only where u_ki > 0 and k in mask
+    cells: np.ndarray  # (n, 3) int: (mask, item, FC), lexicographic
 
     @property
     def n_vars(self) -> int:
-        return 2 ** self.K + len(self.u_col)
+        return 2 ** self.K + len(self.cells)
 
 
 def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProblem, SubsetVarIndex]:
@@ -60,112 +65,124 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
     q, K = m.q, m.K
-    masks = range(1, 2 ** K)
-    support = [np.flatnonzero(m.u[i] > 0.0).tolist() for i in range(q)]
-    u_col = {}
+    inside = (np.arange(2 ** K)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
+    cells = np.argwhere(inside[:, None, :] & (m.u > 0.0))
+    S, I, F = cells.T
     rows = []
-    # each item is served from exactly one FC of the realized subset; the
-    # u columns are numbered in the order these rows meet them
-    for mask in masks:
-        for i in range(q):
-            coef = {mask: -1.0}
-            for k in support[i]:
-                if mask >> k & 1:
-                    col = u_col[(k, i, mask)] = 2 ** K + len(u_col)
-                    coef[col] = 1.0
-            rows.append((coef, "=", 0.0))
-    # conditional masses add up to the marginals
-    for k in range(K):
-        for i in range(q):
-            if m.u[i, k] > 0.0:
-                coef = {u_col[(k, i, mask)]: 1.0 for mask in masks if mask >> k & 1}
-                rows.append((coef, "=", float(m.u[i, k])))
+    # each item is served from exactly one FC of the realized subset: row
+    # (S, i) holds z(S) and the run of cells keyed S*q + i
+    ends = (2 ** K + np.searchsorted(S * q + I, np.arange(q, 2 ** K * q + 1))).tolist()
+    for key, (lo, hi) in enumerate(zip(ends, ends[1:]), start=q):
+        coef = {key // q: -1.0}
+        for col in range(lo, hi):
+            coef[col] = 1.0
+        rows.append((coef, "=", 0.0))
+    # conditional masses add up to the marginals: in (k, i, S) order each
+    # positive u_ki owns 2^(K-1) cells, one per subset containing k
+    by_fc = (2 ** K + np.lexsort((S, I, F))).reshape(-1, 2 ** (K - 1)).tolist()
+    for cols, u in zip(by_fc, m.u.T[m.u.T > 0.0].tolist()):
+        rows.append((dict.fromkeys(cols, 1.0), "=", u))
     # usage of each FC stays below alpha * y_k
     for k in range(K):
-        coef = {mask: 1.0 for mask in masks if mask >> k & 1}
+        coef = dict.fromkeys(np.flatnonzero(inside[:, k]).tolist(), 1.0)
         coef[0] = -float(m.y[k])
         rows.append((coef, "<=", 0.0))
     # exactly one subset happens
-    rows.append((dict.fromkeys(masks, 1.0), "=", 1.0))
+    rows.append((dict.fromkeys(range(1, 2 ** K), 1.0), "=", 1.0))
 
-    c = np.zeros(2 ** K + len(u_col))
+    c = np.zeros(2 ** K + len(cells))
     c[0] = 1.0
-    return simplex.LPProblem(c=c, constraints=rows), SubsetVarIndex(K=K, q=q, u_col=u_col)
+    return simplex.LPProblem(c=c, constraints=rows), SubsetVarIndex(K=K, q=q, cells=cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalSchemeSolution:
-    """alpha*, subset distribution z, and conditional masses u_ki(S)."""
+    """alpha*, the subset distribution and the conditional masses.
+
+    ``z`` is indexed by bitmask, with z[0] = 0 for the empty subset;
+    ``mass[r]`` is u_ki(S) for row r = (S, i, k) of ``cells``.
+    """
 
     alpha: float
-    K: int
     q: int
-    z: dict        # mask -> probability (clamped at 0)
-    u_cond: dict   # (k, i, mask) -> mass
+    z: np.ndarray      # (2^K,) probabilities, clamped at 0
+    cells: np.ndarray  # (n, 3) int: (mask, item, FC)
+    mass: np.ndarray   # (n,)
+
+    @property
+    def K(self) -> int:
+        return self.z.size.bit_length() - 1
 
     @cached_property
-    def sorted_masks(self) -> tuple[int, ...]:
-        """Subsets with positive probability, ascending bitmask (sampling support)."""
-        return tuple(mk for mk in sorted(self.z) if self.z[mk] > 0.0)
+    def support(self) -> np.ndarray:
+        """Subsets with positive probability, ascending bitmask."""
+        return np.flatnonzero(self.z > 0.0)
 
     @cached_property
     def z_cdf(self) -> np.ndarray:
-        return pinned_cdf([self.z[mk] for mk in self.sorted_masks])
+        return pinned_cdf(self.z[self.support])
 
     @cached_property
-    def item_cdfs(self) -> dict:
-        """mask -> (FCs of the subset, each item's pinned CDF over them).
+    def item_mass(self) -> np.ndarray:
+        """(2^K, q) mass of each item on each subset, added FC by FC."""
+        S, I, _ = self.cells.T
+        n = self.z.size
+        sums = np.bincount(S * self.q + I, weights=self.mass, minlength=n * self.q)
+        return sums.reshape(n, self.q)
 
-        Covers the sampling support; the CDFs form a q x |S| array. Raises
-        DegenerateSubset if some item has no conditional mass on a subset.
-        """
-        out = {}
-        for mask in self.sorted_masks:
-            members = [k for k in range(self.K) if mask >> k & 1]
-            w = np.array([[self.u_cond.get((k, i, mask), 0.0) for k in members]
-                          for i in range(self.q)])
-            total = w.sum(axis=1)
-            empty = np.flatnonzero(total <= 0.0)
-            if empty.size:
-                raise DegenerateSubset(
-                    f"subset {mask:b} has z = {self.z[mask]} but no mass for item {empty[0]}"
-                )
-            out[mask] = (np.array(members), pinned_cdf(w / total[:, None]))
-        return out
+    @cached_property
+    def item_cdfs(self) -> np.ndarray:
+        """(support, q, K) pinned CDFs of each item's FC within each subset of
+        the support; FCs outside a subset carry zero weight, so they never
+        win an inverse-CDF draw. Raises DegenerateSubset if some item has
+        no conditional mass on a subset."""
+        total = self.item_mass[self.support]
+        empty = np.argwhere(total <= 0.0)
+        if empty.size:
+            mask = self.support[empty[0, 0]]
+            raise DegenerateSubset(
+                f"subset {mask:b} has z = {self.z[mask]} but no mass for item {empty[0, 1]}"
+            )
+        on = self.z[self.cells[:, 0]] > 0.0
+        S, I, F = self.cells[on].T
+        w = np.zeros((self.support.size, self.q, self.K))
+        w[np.searchsorted(self.support, S), I, F] = self.mass[on]
+        return pinned_cdf(w / total[..., None])
 
     @cached_property
     def usage(self) -> np.ndarray:
-        out = np.zeros(self.K)
-        for mask, zv in self.z.items():
-            for k in range(self.K):
-                if mask >> k & 1:
-                    out[k] += zv
-        return out
+        """P[FC k used]: the z of every subset containing k, added in mask order."""
+        inside = np.arange(self.z.size)[:, None] >> np.arange(self.K) & 1
+        return np.where(inside, self.z[:, None], 0.0).sum(axis=0)
 
     def verify(self, m: MarginalMatrix, tol: float = CHECK_TOL) -> None:
         """Re-check every solution invariant against the instance."""
-        total = sum(self.z.values())
-        if abs(total - 1.0) > tol:
+        q, K = self.q, self.K
+        if self.z.shape != (2 ** m.K,) or q != m.q or self.cells.shape != (self.mass.size, 3):
+            raise SolverFailure(f"solution with q = {q}, K = {K}, {len(self.cells)} cells and "
+                                f"{self.mass.size} masses does not fit q = {m.q}, K = {m.K}")
+        S, I, F = self.cells.T
+        if not np.all((S > 0) & (S < 2 ** K) & (I >= 0) & (I < q) & (F >= 0) & (F < K)):
+            raise SolverFailure("a cell's subset, item or FC is out of range")
+        if not np.all(S >> F & 1):
+            raise SolverFailure("a cell's FC is not in its subset")
+        if not np.all(self.mass >= 0.0):
+            raise SolverFailure("negative or NaN conditional mass")
+        total = self.z.sum()
+        if not abs(total - 1.0) <= tol:
             raise SolverFailure(f"subset probabilities sum to {total}, not 1")
-        if min(self.z.values()) < 0.0:
+        if not np.all(self.z >= 0.0):
             raise SolverFailure("negative subset probability after clamping")
-        cond_tot = np.zeros((self.q, self.K))
-        for (k, i, mask), v in self.u_cond.items():
-            cond_tot[i, k] += v
-        if np.abs(cond_tot - m.u).max() > tol:
+        marg = np.bincount(I * K + F, weights=self.mass, minlength=q * K).reshape(q, K)
+        if np.abs(marg - m.u).max() > tol:
             raise SolverFailure("conditional masses do not reproduce the marginals")
-        for mask in self.z:
-            for i in range(self.q):
-                s = sum(
-                    self.u_cond.get((k, i, mask), 0.0)
-                    for k in range(self.K)
-                    if mask >> k & 1
-                )
-                if abs(s - self.z[mask]) > tol:
-                    raise SolverFailure(
-                        f"item {i} mass {s} != z = {self.z[mask]} on subset {mask:b}"
-                    )
-        if np.any(self.usage > self.alpha * m.y + tol):
+        off = np.argwhere(np.abs(self.item_mass - self.z[:, None]) > tol)
+        if off.size:
+            mask, i = off[0]
+            raise SolverFailure(
+                f"item {i} mass {self.item_mass[mask, i]} != z = {self.z[mask]} on subset {mask:b}"
+            )
+        if not np.all(self.usage <= self.alpha * m.y + tol):
             raise SolverFailure("usage exceeds alpha * y")
 
 
@@ -175,15 +192,17 @@ def solve_optimal_alpha(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> OptimalSch
     sol = simplex.solve(problem)
     if sol.status != simplex.OPTIMAL:
         raise SolverFailure(f"subset LP ended with status {sol.status}")
-    x = sol.x
-    z = {}
-    for mask in range(1, 2 ** index.K):
-        v = float(x[mask])
-        if v < CLAMP_TOL:
-            raise SolverFailure(f"z({mask:b}) = {v} below clamp tolerance")
-        z[mask] = max(v, 0.0)
-    u_cond = {key: max(float(x[col]), 0.0) for key, col in index.u_col.items()}
-    out = OptimalSchemeSolution(alpha=float(x[0]), K=index.K, q=index.q, z=z, u_cond=u_cond)
+    n = 2 ** index.K
+    z = sol.x[:n].copy()
+    z[0] = 0.0
+    low = np.flatnonzero(z < CLAMP_TOL)
+    if low.size:
+        raise SolverFailure(f"z({low[0]:b}) = {float(z[low[0]])} below clamp tolerance")
+    # np.where rather than np.maximum keeps a solver's -0.0 as written
+    out = OptimalSchemeSolution(
+        alpha=float(sol.x[0]), q=index.q, z=np.where(z < 0.0, 0.0, z),
+        cells=index.cells, mass=np.where(sol.x[n:] < 0.0, 0.0, sol.x[n:]),
+    )
     out.verify(m)
     return out
 
@@ -194,13 +213,8 @@ def sample_optimal(s: OptimalSchemeSolution, rng: RandomStream) -> RoundingOutco
     One uniform picks the subset (inverse CDF over ascending bitmasks),
     then one uniform per item picks its FC within the subset.
     """
-    u = rng.uniform()
-    pos = int(np.searchsorted(s.z_cdf, u, side="left"))
-    pos = min(pos, len(s.sorted_masks) - 1)
-    mask = s.sorted_masks[pos]
-    draws = rng.uniform(s.q)
-    members, cdf = s.item_cdfs[mask]
-    return RoundingOutcome(z=members[inverse_cdf(cdf, draws)])
+    pos = min(int(np.searchsorted(s.z_cdf, rng.uniform(), side="left")), s.support.size - 1)
+    return RoundingOutcome(z=inverse_cdf(s.item_cdfs[pos], rng.uniform(s.q)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,29 +226,47 @@ def sample_optimal(s: OptimalSchemeSolution, rng: RandomStream) -> RoundingOutco
 
 def write_solution(s: OptimalSchemeSolution, f: TextIO) -> None:
     f.write(f"{s.alpha!r}\n")
-    for mask in sorted(s.z):
-        f.write(f"{mask} {s.z[mask]!r}\n")
-    for (k, i, mask) in sorted(s.u_cond, key=lambda t: (t[2], t[1], t[0])):
-        f.write(f"{k} {i} {mask} {s.u_cond[(k, i, mask)]!r}\n")
+    f.writelines(f"{mask} {v!r}\n" for mask, v in enumerate(s.z.tolist()) if mask)
+    f.writelines(f"{k} {i} {mask} {v!r}\n"
+                 for (mask, i, k), v in zip(s.cells.tolist(), s.mass.tolist()))
 
 
 def read_solution(f: TextIO) -> OptimalSchemeSolution:
-    lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    alpha = float(lines[0])
-    z, u_cond = {}, {}
-    max_mask = 0
-    max_item = -1
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) == 2:
-            z[int(parts[0])] = float(parts[1])
-            max_mask = max(max_mask, int(parts[0]))
-        elif len(parts) == 4:
-            k, i, mask = int(parts[0]), int(parts[1]), int(parts[2])
-            u_cond[(k, i, mask)] = float(parts[3])
-            max_item = max(max_item, i)
-        else:
-            raise ValueError(f"unrecognized solution line {ln!r}")
-    return OptimalSchemeSolution(
-        alpha=alpha, K=max_mask.bit_length(), q=max_item + 1, z=z, u_cond=u_cond
-    )
+    """Parse `write_solution` text. The "k i mask value" lines may come in
+    any order, and masks without a "mask z" line get z = 0. Malformed text
+    raises rounding.ParseError with its 1-based line number."""
+    numbered = [(n, ln.split()) for n, ln in enumerate(f.read().splitlines(), 1) if ln.strip()]
+    if not numbered:
+        raise ParseError(1, "empty solution file")
+    (n, head), *rest = numbered
+    try:
+        [alpha] = [float(p) for p in head]
+    except ValueError:
+        raise ParseError(n, f"expected alpha, got {' '.join(head)!r}") from None
+    z, cells, mass, where = {}, [], [], []
+    for n, parts in rest:
+        try:
+            if len(parts) == 4:
+                cells.append((int(parts[2]), int(parts[1]), int(parts[0])))
+                mass.append(float(parts[3]))
+                where.append(n)
+                continue
+            mask, v = parts
+            mask, v = int(mask), float(v)
+        except ValueError:  # a non-numeric field, or a line of another width
+            raise ParseError(
+                n, f"expected 'mask z' or 'k i mask value', got {' '.join(parts)!r}"
+            ) from None
+        if mask < 1 or mask in z:
+            raise ParseError(n, f"subset {mask} is empty or listed twice")
+        z[mask] = v
+    zs = np.zeros(2 ** max(z, default=0).bit_length())
+    zs[list(z)] = list(z.values())
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    twice = np.flatnonzero(np.all(cells[1:] == cells[:-1], axis=1))
+    if twice.size:
+        raise ParseError(where[order[twice[0] + 1]], "conditional mass listed twice")
+    return OptimalSchemeSolution(alpha=alpha, q=int(cells[:, 1].max(initial=-1)) + 1,
+                                 z=zs, cells=cells, mass=np.array(mass, dtype=float)[order])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -15,7 +16,7 @@ from corround.optimal import (
     solve_optimal_alpha,
     write_solution,
 )
-from corround.rounding import guarantee_dilate, guarantee_force_open, validate
+from corround.rounding import ParseError, guarantee_dilate, guarantee_force_open, validate
 from corround.streams import RandomStream
 
 from conftest import UnitUniforms, mps_sha256, random_instance
@@ -69,6 +70,68 @@ def test_subset_lp_mps_text_is_pinned():
     assert got == SUBSET_MPS_SHA256
 
 
+# a perfbench-style triangle: items 0-2 pairwise share FCs 0, 2 and 4, an
+# odd cycle that forces alpha* > 1; the other two items sit on two FCs each
+TRIANGLE = [[0.45, 0.0, 0.55, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.62, 0.0, 0.38, 0.0],
+            [0.33, 0.0, 0.0, 0.0, 0.67, 0.0],
+            [0.0, 0.7, 0.0, 0.0, 0.0, 0.3],
+            [0.0, 0.0, 0.25, 0.75, 0.0, 0.0]]
+
+
+def solution_text_instances():
+    """The MPS-pinned instances plus the edges: q = 1 and K = 1, an
+    instance with alpha* = 1 and a triangle with alpha* > 1."""
+    yield from digest_subset_instances()
+    yield "q1_k1", validate([[1.0]])
+    yield "alpha_one", validate([[0.6, 0.4], [0.3, 0.7]])
+    yield "triangle", validate(TRIANGLE)
+
+
+# SHA-256 of write_solution's text for each instance above, recorded before
+# the subset LP moved onto one column table; the zero_column text holds -0.0
+SOLUTION_TEXT_SHA256 = {
+    "sparse_q3_k3": "d930592b87146633b709673b82745532b6797f5f72a7a27762e2683c1ea4881b",
+    "sparse_q5_k4": "4d00fdc35c2774c9f0305ac2e284985d3347bf519e4738563636f2f8ece49263",
+    "sparse_q4_k5": "7df5c5b91a9ea27525e864554d6a3bbc44321abfda29c26c164093c16588ab64",
+    "dense_q2_k3": "eb39287f19dc09032a296a79ac44f224e2a8cbddc6e38addaa99018dde09d28d",
+    "zero_column": "60cefb005d3b3c31876455408613e25b09039f7e283ece457d4fbbfed4032855",
+    "q1_k1": "ee9f9e9cb89f7aae6481c8e4343403e225dfe925b9d7ae9b5d86fbb76c7fa300",
+    "alpha_one": "881e42eb60375b49fff0ec438a5be51b723e16e319f89a21ee903ea67b3f41b9",
+    "triangle": "99d6e3c2b04ab943f4777fa9a6a14e9ff60e534d7e5a5975c55873cee8e306e2",
+}
+
+
+def test_solution_text_is_pinned():
+    got, alphas = {}, {}
+    for name, m in solution_text_instances():
+        sol = solve_optimal_alpha(m)
+        buf = io.StringIO()
+        write_solution(sol, buf)
+        got[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        alphas[name] = sol.alpha
+    assert got == SOLUTION_TEXT_SHA256
+    assert alphas["alpha_one"] == pytest.approx(1.0, abs=1e-9)
+    assert alphas["triangle"] > 1.1
+
+
+def test_array_sums_match_loop_reference():
+    # usage and the per-subset item masses against the per-mask loops they
+    # replaced, which add in the same order
+    for _, m in solution_text_instances():
+        sol = solve_optimal_alpha(m)
+        mass = {tuple(c): v for c, v in zip(sol.cells.tolist(), sol.mass.tolist())}
+        usage = np.zeros(sol.K)
+        item_mass = np.zeros((2 ** sol.K, sol.q))
+        for mask in range(1, 2 ** sol.K):
+            members = [k for k in range(sol.K) if mask >> k & 1]
+            usage[members] += sol.z[mask]
+            for i in range(sol.q):
+                item_mass[mask, i] = sum(mass.get((mask, i, k), 0.0) for k in members)
+        assert np.array_equal(sol.usage, usage)
+        assert np.array_equal(sol.item_mass, item_mass)
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         build_lp(validate([np.full(13, 1.0 / 13)]), cap=12)
@@ -118,20 +181,77 @@ def test_alpha_is_one_for_two_fcs():
 def test_verify_catches_corruption():
     sol = solve_optimal_alpha(validate([[0.3, 0.7]]))
     bad = OptimalSchemeSolution(
-        alpha=sol.alpha, K=sol.K, q=sol.q,
-        z={k: v * 0.5 for k, v in sol.z.items()}, u_cond=sol.u_cond,
+        alpha=sol.alpha, q=sol.q, z=sol.z * 0.5, cells=sol.cells, mass=sol.mass,
     )
     with pytest.raises(SolverFailure):
         bad.verify(validate([[0.3, 0.7]]))
 
 
+@pytest.mark.parametrize("other", [[[0.2, 0.3, 0.5]], [[0.3, 0.7], [0.6, 0.4]]])
+def test_verify_rejects_another_shape(other):
+    # an instance with another K, and one with another q
+    sol = solve_optimal_alpha(validate([[0.3, 0.7]]))
+    with pytest.raises(SolverFailure, match="does not fit"):
+        sol.verify(validate(other))
+
+
+# q = 1, K = 3, alpha = 2: every subset sum, marginal and usage checks out,
+# but three conditional masses are negative
+NEGATIVE_MASS_TEXT = """2.0
+3 0.3333333333333333
+5 0.3333333333333333
+6 0.3333333333333334
+0 0 3 -0.1
+1 0 3 0.43333333333333335
+0 0 5 0.43333333333333335
+2 0 5 -0.1
+1 0 6 -0.1
+2 0 6 0.43333333333333335
+"""
+
+
+def test_verify_rejects_negative_mass():
+    sol = read_solution(io.StringIO(NEGATIVE_MASS_TEXT))
+    with pytest.raises(SolverFailure, match="negative"):
+        sol.verify(validate([[1 / 3, 1 / 3, 1 / 3]]))
+
+
+# q = 1, K = 2 on [[0.5, 0.5]]: z({0}) = z({1}) = 0.5 and each FC carries its half
+HALVES_TEXT = "1.0\n1 0.5\n2 0.5\n0 0 1 0.5\n1 0 2 0.5\n"
+
+
+def test_verify_accepts_halves():
+    read_solution(io.StringIO(HALVES_TEXT)).verify(validate([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("cells, match", [
+    ("1 0 1 0.5\n0 0 2 0.5\n", "not in its subset"),       # FCs swapped between subsets
+    ("0 0 1 0.5\n1 0 2 0.5\n1 0 1 0.0\n", "not in its subset"),
+    ("0 0 1 0.5\n1 0 2 0.5\n0 -1 1 0.0\n", "out of range"),  # negative item
+    ("0 0 1 0.5\n1 0 2 0.5\n5 0 1 0.0\n", "out of range"),   # FC 5 of K = 2
+    ("0 0 1 0.5\n1 0 2 0.5\n-1 0 1 0.0\n", "out of range"),  # negative FC
+    ("0 0 1 0.5\n1 0 2 0.5\n0 0 4 0.0\n", "out of range"),   # mask 4 of K = 2
+])
+def test_verify_rejects_bad_cells(cells, match):
+    sol = read_solution(io.StringIO("1.0\n1 0.5\n2 0.5\n" + cells))
+    with pytest.raises(SolverFailure, match=match):
+        sol.verify(validate([[0.5, 0.5]]))
+
+
+def test_verify_rejects_an_item_beyond_q():
+    sol = read_solution(io.StringIO(HALVES_TEXT))
+    bad = OptimalSchemeSolution(alpha=1.0, q=1, z=sol.z, cells=sol.cells + [0, 1, 0],
+                                mass=sol.mass)
+    with pytest.raises(SolverFailure, match="out of range"):
+        bad.verify(validate([[0.5, 0.5]]))
+
+
 def test_sampling_single_subset():
-    sol = OptimalSchemeSolution(
-        alpha=1.0, K=2, q=2,
-        z={0b11: 1.0},
-        u_cond={(0, 0, 0b11): 0.5, (1, 0, 0b11): 0.5,
-                (0, 1, 0b11): 0.2, (1, 1, 0b11): 0.8},
-    )
+    sol = read_solution(io.StringIO(
+        "1.0\n1 0.0\n2 0.0\n3 1.0\n"
+        "0 0 3 0.5\n1 0 3 0.5\n0 1 3 0.2\n1 1 3 0.8\n"
+    ))
+    assert (sol.K, sol.q) == (2, 2)
     for s in range(30):
         z = sample_optimal(sol, RandomStream(s)).z
         assert set(z) <= {0, 1}
@@ -158,23 +278,22 @@ def test_sampling_consistency_with_marginals():
 def test_sampling_at_u_one_stays_on_support():
     # the item's cumulative masses end one ulp under 1 before FC 3, which
     # carries none of its mass
-    sol = OptimalSchemeSolution(
-        alpha=1.0, K=4, q=1,
-        z={0b1111: 1.0},
-        u_cond={(0, 0, 0b1111): 0.34, (1, 0, 0b1111): 0.56, (2, 0, 0b1111): 0.10},
-    )
+    # (unlisted subsets read as z = 0)
+    sol = read_solution(io.StringIO("1.0\n15 1.0\n0 0 15 0.34\n1 0 15 0.56\n2 0 15 0.10\n"))
+    assert (sol.K, sol.q) == (4, 1)
     assert sample_optimal(sol, UnitUniforms(0)).z.tolist() == [2]
 
 
 def loop_sample(s, rng):
     """One draw by the per-item searchsorted loop, the reference sampler."""
-    pos = min(int(np.searchsorted(s.z_cdf, rng.uniform(), side="left")), len(s.sorted_masks) - 1)
-    mask = s.sorted_masks[pos]
+    pos = min(int(np.searchsorted(s.z_cdf, rng.uniform(), side="left")), len(s.support) - 1)
+    mask = int(s.support[pos])
     members = [k for k in range(s.K) if mask >> k & 1]
+    mass = {tuple(c): v for c, v in zip(s.cells.tolist(), s.mass.tolist())}
     draws = rng.uniform(s.q)
     z = np.empty(s.q, dtype=np.int64)
     for i in range(s.q):
-        w = np.array([s.u_cond.get((k, i, mask), 0.0) for k in members])
+        w = np.array([mass.get((mask, i, k), 0.0) for k in members])
         cdf = np.cumsum(w / w.sum())
         z[i] = members[min(int(np.searchsorted(cdf, draws[i], side="left")), len(members) - 1)]
     return z
@@ -182,8 +301,10 @@ def loop_sample(s, rng):
 
 def test_sampling_matches_loop_reference():
     gen = np.random.default_rng(11)
-    for _ in range(8):
-        sol = solve_optimal_alpha(random_instance(gen, 4, 4, sparse=True))
+    battery = [random_instance(gen, 4, 4, sparse=True) for _ in range(8)]
+    battery += [m for _, m in solution_text_instances()]
+    for m in battery:
+        sol = solve_optimal_alpha(m)
         r1, r2 = RandomStream(3), RandomStream(3)
         for _ in range(200):
             assert np.array_equal(sample_optimal(sol, r1).z, loop_sample(sol, r2))
@@ -191,7 +312,8 @@ def test_sampling_matches_loop_reference():
 
 
 def test_sampling_degenerate_subset():
-    sol = OptimalSchemeSolution(alpha=1.0, K=1, q=1, z={0b1: 1.0}, u_cond={})
+    sol = OptimalSchemeSolution(alpha=1.0, q=1, z=np.array([0.0, 1.0]),
+                                cells=np.zeros((0, 3), dtype=np.int64), mass=np.zeros(0))
     with pytest.raises(DegenerateSubset):
         sample_optimal(sol, RandomStream(0))
 
@@ -204,8 +326,9 @@ def test_solution_round_trip():
     buf.seek(0)
     sol2 = read_solution(buf)
     assert sol2.alpha == sol.alpha
-    assert sol2.z == sol.z
-    assert sol2.u_cond == sol.u_cond
+    assert np.array_equal(sol2.z, sol.z)
+    assert np.array_equal(sol2.cells, sol.cells)
+    assert np.array_equal(sol2.mass, sol.mass)
     assert (sol2.K, sol2.q) == (sol.K, sol.q)
 
 
@@ -215,3 +338,33 @@ def test_solution_text_is_byte_stable():
     write_solution(sol, a)
     write_solution(sol, b)
     assert a.getvalue() == b.getvalue()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("\n  \n", 1),
+    ("alpha\n1 1.0\n", 1),
+    ("1.0 2.0\n1 1.0\n", 1),
+    ("1.0\n1 one\n", 2),
+    ("1.0\n\n1 1.0\n0 0 1 x\n", 4),     # blank lines count
+    ("1.0\n1 1.0\n0 0.5 1 1.0\n", 3),     # a fractional index
+    ("1.0\n1 1.0 2\n", 2),
+    ("1.0\n0 1.0\n", 2),                 # the empty subset has no z
+    ("1.0\n1 0.5\n1 0.5\n", 3),
+    ("1.0\n1 1.0\n0 0 1 0.5\n0 0 1 0.5\n", 4),
+])
+def test_read_solution_reports_the_line(text, line):
+    with pytest.raises(ParseError) as info:
+        read_solution(io.StringIO(text))
+    assert info.value.line == line
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith(f"line {line}: ")
+
+
+def test_read_solution_sorts_cells_and_fills_masks():
+    text = "2.0\n3 1.0\n1 1 3 0.8\n0 0 3 0.5\n0 1 3 0.2\n1 0 3 0.5\n"
+    sol = read_solution(io.StringIO(text))
+    assert sol.z.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert sol.cells.tolist() == [[3, 0, 0], [3, 0, 1], [3, 1, 0], [3, 1, 1]]
+    assert sol.mass.tolist() == [0.5, 0.5, 0.2, 0.8]
+    sol.verify(validate([[0.5, 0.5], [0.2, 0.8]]))
