@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default=None, help="comma-separated override")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--stable-timing", action="store_true",
                    help="write wall_ms as 0 for diffable output")
     p.set_defaults(func=cmd_simulate)

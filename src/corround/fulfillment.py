@@ -23,10 +23,14 @@ Policies:
 
 Since the randomized policies never read stock, `simulate` dispatches a
 whole arrival stream at once: one draw of the decision substream, one
-batched rounding call per (type, region), and stock-outs by rank, the r-th
-request for an (FC, item), counted from 0 in arrival order, being served
-iff r < floor(inventory). ``myopic`` reads stock, so it still picks order
-by order; both then share the array bookkeeping of costs and counts.
+rounding kernel call per (scheme, item count), and stock-outs by rank, the
+r-th request for an (FC, item), counted from 0 in arrival order, being
+served iff r < floor(inventory). The kernels read the plan's dispatch
+table: every plan row checked and validated once, its ``auto`` scheme, and
+the rows' draw tables stacked by item count. The first randomized call on
+a plan builds it and every later call reuses it. ``myopic`` reads stock,
+so it still picks order by order; both then share the array bookkeeping of
+costs and counts.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from types import MappingProxyType
+from typing import Mapping, Optional, TextIO
 
 import numpy as np
 
@@ -185,13 +190,31 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     return simplex.LPProblem(c=c, constraints=rows), index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DLPlan:
-    """Optimal fulfillment frequencies; y is post-processed to max_i u."""
+    """Optimal fulfillment frequencies; y is post-processed to max_i u.
+
+    ``u`` and ``y`` hold read-only copies of the arrays given. The
+    randomized policies draw through the plan's dispatch table, which the
+    first `simulate` call on an instance builds and later calls reuse; a
+    pickled plan leaves it behind, and the copy builds its own.
+    """
 
     objective: float
-    u: dict   # (t, j) -> (q, K+1) array
-    y: dict   # (t, j) -> (K+1,) array
+    u: Mapping   # (t, j) -> (q, K+1) array
+    y: Mapping   # (t, j) -> (K+1,) array
+    _dispatch: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("u", "y"):
+            arrays = {}
+            for key, a in getattr(self, name).items():
+                arrays[key] = a = np.array(a, dtype=float)
+                a.flags.writeable = False
+            object.__setattr__(self, name, MappingProxyType(arrays))
+
+    def __reduce__(self):
+        return DLPlan, (self.objective, dict(self.u), dict(self.y))
 
     def check(self, inst: FulfillmentInstance, tol: float = 1e-7) -> None:
         """Re-verify plan invariants against the instance."""
@@ -266,13 +289,19 @@ def simulate(
 
     The randomized policies dispatch the whole stream at once: one draw of
     the decision substream, cut per order into the draw's q, K or K + q
-    uniforms, and one kernel call per (type, region). Since they never read
-    stock, stock-outs follow from ranks: the r-th request for (k, i),
+    uniforms, and one kernel call per (scheme, item count), each order
+    drawing with its (type, region) row's tables. Each plan row is checked
+    against the instance and validated once, when the plan's dispatch table
+    is built; a plan without a row for an arriving order, or with a row of
+    the wrong shape, a non-finite or negative entry or an item whose row
+    sums to 0, raises FulfillmentError. Since the randomized policies never
+    read stock, stock-outs follow from ranks: the r-th request for (k, i),
     counted from 0 in arrival order, is served iff r < floor(b_ki), which is
     what serving while one unit is left does. ``myopic`` reads stock, so it
     picks order by order. Costs are totalled in arrival order, item by item
     and, for fixed costs, FC by FC, as a per-order loop would add them.
-    Memory grows with the stream: the kernels hold q * K doubles per order.
+    Memory grows with the stream: each order's draw holds a few q * K
+    arrays, its row's tables and its clocks.
     """
     if policy not in POLICIES:
         raise FulfillmentError(f"unknown policy {policy!r}")
@@ -370,36 +399,117 @@ def _myopic_fcs(inst: FulfillmentInstance, arriving: np.ndarray) -> np.ndarray:
     return np.array(fc, dtype=np.intp)
 
 
+@dataclass(frozen=True)
+class _DispatchTable:
+    """A plan's rows laid out for randomized dispatch on one instance.
+
+    ``rows[r]`` is a (t, j) row of the plan, checked, normalised and
+    validated once. ``row_of`` maps a flat order index t*J + j to its row,
+    -1 where the plan has none; per row, ``auto`` is the index in SCHEMES
+    of `select_scheme`'s pick, ``q`` the item count, ``slot`` the position
+    among the rows of that count and ``per[r, s]`` the uniforms a draw
+    under scheme s spends. ``stacks`` caches what `stack` builds.
+    """
+
+    rows: tuple
+    row_of: np.ndarray
+    auto: np.ndarray
+    q: np.ndarray
+    slot: np.ndarray
+    per: np.ndarray
+    stacks: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, inst: FulfillmentInstance, plan: DLPlan) -> "_DispatchTable":
+        row_of = np.full(len(inst.types) * inst.J, -1, dtype=np.intp)
+        rows = []
+        for r, (t, j) in enumerate(sorted(plan.u)):
+            rows.append(_plan_row(inst, t, j, plan.u[(t, j)]))
+            row_of[t * inst.J + j] = r
+        q = np.array([m.q for m in rows], dtype=np.intp)
+        slot = np.empty_like(q)
+        for n_items in np.unique(q).tolist():
+            members = np.flatnonzero(q == n_items)
+            slot[members] = np.arange(members.size)
+        per = [[rounding.uniforms_per_draw(s, m.q, m.K) for s in rounding.SCHEMES] for m in rows]
+        auto = [rounding.SCHEMES.index(rounding.select_scheme(m)[0]) for m in rows]
+        return cls(tuple(rows), row_of, np.array(auto, dtype=np.intp), q, slot,
+                   np.array(per, dtype=np.intp).reshape(-1, len(rounding.SCHEMES)))
+
+    def stack(self, s: int, q: int):
+        """(kernel, tables) of scheme s, the tables stacked over the rows of
+        q items in slot order; built on first use."""
+        got = self.stacks.get((s, q))
+        if got is None:
+            drawn = [rounding.draw_kernel(m, rounding.SCHEMES[s]) for m in self.rows if m.q == q]
+            tables = tuple(np.stack(a) for a in zip(*(d[2] for d in drawn)))
+            for a in tables:
+                a.flags.writeable = False
+            got = self.stacks[(s, q)] = (drawn[0][1], tables)
+        return got
+
+
+def _plan_row(inst: FulfillmentInstance, t, j, raw: np.ndarray) -> rounding.MarginalMatrix:
+    """The plan's (t, j) row as the rounding instance its orders draw from:
+    one row per item of type t and one column per FC, null FC 0 included,
+    finite, non-negative and each item's row with a positive sum, which
+    is divided out."""
+    if not (0 <= t < len(inst.types) and 0 <= j < inst.J):
+        raise FulfillmentError(f"plan row {(t, j)} is not an order of the instance")
+    shape = (len(inst.types[t]), inst.K + 1)
+    if raw.shape != shape:
+        raise FulfillmentError(f"plan row {(t, j)} has shape {raw.shape}, the instance needs {shape}")
+    if not np.all((raw >= 0.0) & (raw < np.inf)):
+        raise FulfillmentError(f"plan row {(t, j)} has a negative or non-finite entry")
+    sums = raw.sum(axis=1)
+    if not np.all(sums > 0.0):
+        raise FulfillmentError(f"plan row {(t, j)} gives an item no mass")
+    try:
+        return rounding.validate(raw / sums[:, None])
+    except rounding.RoundingError as exc:
+        raise FulfillmentError(f"plan row {(t, j)}: {exc}") from None
+
+
+def _dispatch_table(inst: FulfillmentInstance, plan: DLPlan) -> _DispatchTable:
+    """The plan's dispatch table for the instance's layout, built on first use."""
+    key = (inst.K, inst.J, inst.types)
+    table = plan._dispatch.get(key)
+    if table is None:
+        table = plan._dispatch[key] = _DispatchTable.build(inst, plan)
+    return table
+
+
 def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> tuple[np.ndarray, dict]:
     """Per request, the FC drawn by the policy's scheme, stock unseen, and
     per scheme the number of orders drawn under it.
 
-    Each arriving (type, region) plan row is validated once, in order of
-    first arrival, and gets its scheme (``select_scheme`` under ``auto``).
-    Order o spends the per-draw uniforms of its row from offset ``off[o]``
-    of one decision draw, the same uniforms one ``sample`` call per order
-    would take, and each row's orders are rounded in one kernel call.
+    Each order draws from its (type, region) row of the plan's dispatch
+    table, under its row's ``select_scheme`` pick under ``auto``. Order o
+    spends its draw's uniforms from offset ``off[o]`` of one decision draw,
+    the same uniforms one ``sample`` call per order would take. The orders
+    are rounded in one kernel call per (scheme, item count), each draw
+    gathering its row's tables from the stack.
     """
-    pairs, first, pair_of = np.unique(arriving, return_index=True, return_inverse=True)
-    rows = [None] * pairs.size
-    for g in np.argsort(first).tolist():
-        t, j = divmod(int(pairs[g]), inst.J)
-        mat = np.clip(plan.u[(t, j)], 0.0, None)
-        m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
-        scheme = rounding.select_scheme(m)[0] if policy == "auto" else policy
-        rows[g] = (scheme, m, *rounding._kernel(m, scheme))
-
-    per = np.array([n_u for _, _, n_u, _ in rows], dtype=np.intp)[pair_of]
+    table = _dispatch_table(inst, plan)
+    rows = table.row_of[arriving]
+    if np.any(rows < 0):
+        t, j = divmod(int(arriving[np.argmin(rows)]), inst.J)
+        raise FulfillmentError(f"plan has no row for order {(t, j)}")
+    scheme = table.auto[rows] if policy == "auto" else np.full(rows.size, rounding.SCHEMES.index(policy))
+    q = table.q[rows]
+    per = table.per[rows, scheme]
     off = np.cumsum(per) - per
     u = dec_rng.uniform(int(per.sum()))
     fc = np.empty(n_req, dtype=np.intp)
-    drawn = dict.fromkeys(rounding.SCHEMES, 0)
-    by_pair = np.split(np.argsort(pair_of, kind="stable"), np.cumsum(np.bincount(pair_of))[:-1])
-    for (scheme, m, n_u, kernel), members in zip(rows, by_pair):
-        z = kernel(m, u[off[members, None] + np.arange(n_u)])[0]
-        fc[req_off[members, None] + np.arange(m.q)] = z
-        drawn[scheme] += members.size
-    return fc, drawn
+    group = scheme * (inst.n + 1) + q
+    for key in np.flatnonzero(np.bincount(group)).tolist():
+        members = np.flatnonzero(group == key)
+        kernel, tables = table.stack(*divmod(key, inst.n + 1))
+        pick = table.slot[rows[members]]
+        drawn = tuple(np.take(a, pick, axis=0) for a in tables)
+        z = kernel(drawn, u[off[members, None] + np.arange(per[members[0]])])[0]
+        fc[req_off[members, None] + np.arange(z.shape[-1])] = z
+    return fc, dict(zip(rounding.SCHEMES, np.bincount(scheme, minlength=len(rounding.SCHEMES)).tolist()))
 
 
 def _running_sum(x: np.ndarray) -> float:

@@ -18,13 +18,17 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-Each scheme has one kernel, which maps a block of uniforms, one row per
-draw, to assignments and clocks; the single-call ``*_round`` functions run
-it on one row, and `sample` on n rows. Monte Carlo, set cover and dispatch
-all draw through `sample` or its kernels, and `_kernel` is the one place a
-scheme name turns into draw code. The kernels form each observed time from
-tables cached on `MarginalMatrix` and never multiply 0 by inf, so the draw
-path needs no floating-point error state. `mc_estimate` verifies marginals,
+Each scheme has one kernel, which maps the scheme's tables and a block of
+uniforms, one row per draw, to assignments and clocks; the single-call
+``*_round`` functions run it on one row, and `sample` on n rows. The
+tables are cached on `MarginalMatrix`, and the kernels broadcast them
+against the draws: one matrix's tables serve a whole block, and tables
+stacked along a leading draw axis give each draw its own matrix, which is
+how dispatch rounds every order of one scheme and item count in one call.
+Monte Carlo, set cover and dispatch all draw through `sample` or its
+kernels, and `draw_kernel` is the one place a scheme name turns into draw
+code. The kernels never multiply 0 by inf, so the draw path needs no
+floating-point error state. `mc_estimate` verifies marginals,
 usage bounds, support and the waiting-time tail empirically. Both consume
 uniforms in the exact per-call order, so batched and one-call-at-a-time
 sampling produce identical assignments.
@@ -56,6 +60,10 @@ class RoundingError(ValueError):
 
 
 class NegativeEntry(RoundingError):
+    pass
+
+
+class NonFiniteEntry(RoundingError):
     pass
 
 
@@ -99,23 +107,19 @@ class MarginalMatrix:
 
     @cached_property
     def dilation(self) -> tuple[np.ndarray, ...]:
-        """The tables of a dilated-clock draw: (divisor, floor, usable,
-        unusable, ratios).
+        """The tables of a dilated-clock draw: (divisor, floor, usable, ratios).
 
         Opening times are E_k = max(ln(U_k) / divisor_k, floor_k), with
         divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
         = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
         makes no 0/0, and its floor of +inf keeps it closed. ``usable`` is
-        the mask u_ki > 0, ``unusable`` is 0 there and +inf elsewhere (each
-        draw's observed times start from it), and ``ratios`` holds y_k / u_ki
-        where usable and +inf elsewhere.
+        the mask u_ki > 0 and ``ratios`` holds y_k / u_ki where usable and
+        +inf elsewhere.
         """
         closed = self.y == 0.0
         usable = self.u > 0.0
-        unusable = np.where(usable, 0.0, np.inf)
-        ratios = np.divide(self.y[None, :], self.u, out=unusable.copy(), where=usable)
-        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf),
-               usable, unusable, ratios)
+        ratios = np.divide(self.y[None, :], self.u, out=np.full(self.u.shape, np.inf), where=usable)
+        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf), usable, ratios)
         for a in out:
             a.flags.writeable = False
         return out
@@ -123,7 +127,7 @@ class MarginalMatrix:
     @property
     def ratios(self) -> np.ndarray:
         """Dilation factors y_k / u_ki, +inf where u_ki = 0."""
-        return self.dilation[4]
+        return self.dilation[3]
 
     @cached_property
     def row_cdf(self) -> np.ndarray:
@@ -140,22 +144,23 @@ class MarginalMatrix:
         return f
 
     @cached_property
-    def forced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """force_open's favorite table, per item: the flat index i*K + m(i)
-        of its favorite FC, the time item i sees it forced open,
-        (y_m(i) / u_m(i)i) * (1 / y_m(i)), and its hiding probability."""
+    def forced(self) -> tuple[np.ndarray, ...]:
+        """The tables of a force_open draw: the dilation tables, then per
+        item the flat index i*K + m(i) of its favorite FC, the time item i
+        sees it forced open, (y_m(i) / u_m(i)i) * (1 / y_m(i)), its hiding
+        probability and m(i)."""
         fav = self.favorite
         flat = np.arange(0, self.u.size, self.K) + fav
         um, yf = self.u.ravel()[flat], self.y[fav]
-        out = flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um)
+        out = flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um), fav
         for a in out:
             a.flags.writeable = False
-        return out
+        return self.dilation + out
 
     @property
     def hide_prob(self) -> np.ndarray:
         """Per-item hiding probability evaluated at u_{favorite(i), i}."""
-        return self.forced[2]
+        return self.forced[6]
 
     @cached_property
     def sparsity(self) -> int:
@@ -225,21 +230,26 @@ def validate(matrix) -> MarginalMatrix:
     """Check and normalize a raw q x K matrix into a MarginalMatrix.
 
     Rows whose sum deviates from 1 by less than 1e-9 are silently
-    renormalized; larger deviations raise RowSumMismatch.
+    renormalized; larger deviations raise RowSumMismatch. NaN and infinite
+    entries raise NonFiniteEntry, negative ones NegativeEntry.
     """
     u = np.array(matrix, dtype=float)
     if u.size == 0:
         raise EmptyInstance("instance has no items or no FCs")
     if u.ndim != 2:
         raise EmptyInstance(f"expected a 2-D matrix, got shape {u.shape}")
+    sums = u.sum(axis=1)
+    # a NaN or infinite entry makes its row's sum NaN or infinite
+    if not np.isfinite(sums).all() and not np.isfinite(u).all():
+        i, k = np.argwhere(~np.isfinite(u))[0]
+        raise NonFiniteEntry(f"u[{i},{k}] = {u[i, k]} is not finite")
     if np.any(u < 0.0):
         i, k = np.argwhere(u < 0.0)[0]
         raise NegativeEntry(f"u[{i},{k}] = {u[i, k]} is negative")
-    sums = u.sum(axis=1)
     bad = np.abs(sums - 1.0) >= ROW_SUM_TOL
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise RowSumMismatch(f"row {i} sums to {sums[i]!r}, not 1")
+        raise RowSumMismatch(f"row {i} sums to {float(sums[i])!r}, not 1")
     u /= sums[:, None]
     u.flags.writeable = False
     return MarginalMatrix(u=u)
@@ -334,9 +344,9 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 # ---------------------------------------------------------------------------
 # The schemes. Each draw spends a fixed number of uniforms: independent q,
-# dilate K, force_open K + q. A scheme's kernel takes them as (per,) for
-# one draw or (n, per) for n; independent_round runs inverse_cdf, its
-# kernel's body.
+# dilate K, force_open K + q. A scheme's kernel takes its tables and the
+# uniforms, (per,) for one draw or (n, per) for n; independent_round runs
+# inverse_cdf, its kernel's body.
 # ---------------------------------------------------------------------------
 
 
@@ -352,7 +362,7 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    z, trace = _dilate(m, rng.uniform(m.K))
+    z, trace = _dilate(m.dilation, rng.uniform(m.K))
     return RoundingOutcome(z=z), trace
 
 
@@ -364,7 +374,7 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     item i's view with the calibrated probability that keeps the marginals
     exact. All items are assigned by time alpha_force with probability 1.
     """
-    z, trace = _force_open(m, rng.uniform(m.K + m.q))
+    z, trace = _force_open(m.forced, rng.uniform(m.K + m.q))
     return RoundingOutcome(z=z), trace
 
 
@@ -375,74 +385,93 @@ def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndar
     returns the same assignments. The draws are made in one block, so memory
     grows as n * q * K; `mc_estimate` is the chunked, counting form.
     """
-    per, kernel = _kernel(m, scheme)
+    per, kernel, tables = draw_kernel(m, scheme)
     if n < 0:
         raise DomainError(f"draw count must be >= 0, got {n}")
-    return kernel(m, rng.uniform((n, per)))[0]
+    return kernel(tables, rng.uniform((n, per)))[0]
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-row inverse CDF: z[..., i] = min{k : cdf[i, k] >= u[..., i]}.
+    """Per-row inverse CDF: z[..., i] = min{k : cdf[..., i, k] >= u[..., i]}.
 
-    ``cdf`` is (q, K) with nondecreasing rows and ``u`` is (q,) or (n, q).
-    The count of a row's entries below its draw is that leftmost position;
-    a draw above the whole row picks its last entry. The count runs over
-    FC columns, which is fastest on a column-major ``cdf`` (as
-    `pinned_cdf` returns).
+    ``u`` is (q,) or (n, q). ``cdf`` is (q, K) with nondecreasing rows,
+    shared by every draw, or (n, q, K), one table per draw. The count of a
+    row's entries below its draw is that leftmost position; a draw above
+    the whole row picks its last entry. The count runs over FC columns,
+    which is fastest where each table is column-major (as `pinned_cdf`
+    returns).
     """
-    cols = cdf.T if u.ndim == 1 else cdf.T[:, None, :]
-    return np.minimum((cols < u).sum(axis=0), cdf.shape[1] - 1)
+    cols = (cdf if cdf.ndim > u.ndim else cdf[None]).T
+    return np.minimum(np.add.reduce(cols < u.T, axis=0), cdf.shape[-1] - 1).T
 
 
-def _kernel(m: MarginalMatrix, scheme: str):
-    """(uniforms per draw, kernel) of a scheme. The kernel maps a (..., per)
-    block of uniforms to (z, trace): the (..., q) assignments and the
-    draws' `RoundingTrace`, None for independent draws."""
+def draw_kernel(m: MarginalMatrix, scheme: str):
+    """(uniforms per draw, kernel, tables) of a scheme on an instance.
+
+    The kernel maps the tables and a (..., per) block of uniforms to (z,
+    trace): the (..., q) assignments and the draws' `RoundingTrace`, None
+    for independent draws. Every kernel broadcasts its tables against the
+    draws, so one set of tables serves a block of draws, and tables stacked
+    along a leading draw axis (rows of equal shape, gathered per draw) give
+    each draw its own instance.
+    """
+    per = uniforms_per_draw(scheme, m.q, m.K)
     if scheme == "independent":
-        return m.q, _independent
+        return per, _independent, (m.row_cdf,)
     if scheme == "dilate":
-        return m.K, _dilate
+        return per, _dilate, m.dilation
+    return per, _force_open, m.forced
+
+
+def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
+    """Uniforms one draw of a scheme spends on a q x K instance."""
+    if scheme == "independent":
+        return q
+    if scheme == "dilate":
+        return K
     if scheme == "force_open":
-        return m.K + m.q, _force_open
+        return K + q
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
-def _independent(m, u):
-    return inverse_cdf(m.row_cdf, u), None
+def _independent(tables, u):
+    return inverse_cdf(tables[0], u), None
 
 
-def _dilate(m, u):
-    e, x = _dilated(m, u)
+def _dilate(tables, u):
+    e, x = _dilated(*tables, u)
     return x.argmin(axis=-1), RoundingTrace(e=e, x=x)
 
 
-def _force_open(m, u):
-    """Hide flags H_i = U_K+i <= hide_prob_i. Item i sees its favorite at
-    the earlier of its dilated natural opening and its forced time, or at
-    the forced time alone if hidden; the factor y/u_m(i) > 0 commutes with
-    the min, so this is (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
-    K = m.K
-    e, x = _dilated(m, u[..., :K])
-    flat, forced, hide = m.forced
+def _force_open(tables, u):
+    """Hide flags H_i = U_K+i <= hide_i. Item i sees its favorite at the
+    earlier of its dilated natural opening and its forced time, or at the
+    forced time alone if hidden; the factor y/u_m(i) > 0 commutes with the
+    min, so this is (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
+    divisor, floor, usable, ratios, flat, forced, hide, favorite = tables
+    K = divisor.shape[-1]
+    e, x = _dilated(divisor, floor, usable, ratios, u[..., :K])
     h = u[..., K:] <= hide
-    # indexing the leading axis of the transpose, rather than [..., flat],
-    # keeps numpy on its fast path for one draw and for a block alike
-    xt = x.reshape(x.shape[:-2] + (m.u.size,)).T
-    seen = np.minimum(xt[flat].T, forced)
+    # index the leading axis of the transpose, rather than [..., flat], which
+    # keeps numpy on its fast path for one draw and for a block alike; a
+    # per-draw table also names each favorite's draw
+    xt = x.reshape(x.shape[:-2] + (x.shape[-2] * K,)).T
+    cells = (flat,) if flat.ndim == 1 else (flat.T, np.arange(flat.shape[0]))
+    seen = np.minimum(xt[cells].T, forced)
     np.copyto(seen, forced, where=h)
-    xt[flat] = seen.T
-    return x.argmin(axis=-1), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
+    xt[cells] = seen.T
+    return x.argmin(axis=-1), RoundingTrace(e=e, x=x, h=h, m=favorite.copy())
 
 
-def _dilated(m, u):
+def _dilated(divisor, floor, usable, ratios, u):
     """Opening times e (..., K) from uniforms (..., K), E_k = -ln(U_k)/y_k
     (inf for y_k = 0), and the observed times x (..., q, K), (y_k/u_ki) E_k
-    where u_ki > 0 and inf elsewhere. x starts from the unusable template
-    and is multiplied only where usable, so no 0 * inf is ever formed."""
-    divisor, floor, usable, unusable, ratios = m.dilation
+    where u_ki > 0 and inf elsewhere. x starts as a copy of the ratios,
+    +inf where unusable, and is multiplied only where usable, so no 0 * inf
+    is ever formed."""
     e = np.maximum(np.log(u) / divisor, floor)
-    x = np.empty(e.shape[:-1] + unusable.shape)
-    x[...] = unusable
+    x = np.empty(e.shape[:-1] + ratios.shape[-2:])
+    x[...] = ratios
     np.multiply(ratios, e[..., None, :], out=x, where=usable)
     return e, x
 
@@ -476,7 +505,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
     P[some item still unassigned at time t] on the grid t = 0, 0.5, ..., 10,
     computed from the observed opening times.
     """
-    per, kernel = _kernel(m, scheme)
+    per, kernel, tables = draw_kernel(m, scheme)
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     q, K = m.q, m.K
@@ -489,7 +518,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
     start = rng.position
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        z, trace = kernel(m, rng.uniform((c, per)))
+        z, trace = kernel(tables, rng.uniform((c, per)))
         flat = z + item_base
         marg += np.bincount(flat.ravel(), minlength=q * K)
         hit = np.zeros((c, K), dtype=bool)
@@ -550,9 +579,12 @@ def read_instance(f: TextIO) -> MarginalMatrix:
         if len(parts) != K:
             raise ParseError(ln, f"expected {K} values, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise ParseError(ln, f"non-numeric value in {lines[ln - 1]!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(ln, f"non-finite value in {lines[ln - 1]!r}")
+        rows.append(row)
     try:
         return validate(rows)
     except RoundingError as exc:

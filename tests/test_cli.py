@@ -38,6 +38,16 @@ def test_round_parse_error_exit_code(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_round_non_finite_entry_is_a_parse_error(tmp_path, capsys, value):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"2 2\n0.5 0.5\n{value} 1.0\n")
+    code = run(["round", str(bad), "--out", str(tmp_path / "x"), "--samples", "10"])
+    assert code == cli.EXIT_USAGE
+    assert "line 3: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "x.marginals.csv").exists()
+
+
 def test_round_unknown_scheme_usage_error(tmp_path):
     inst = tmp_path / "i.txt"
     inst.write_text(DET_INSTANCE)
@@ -172,6 +182,16 @@ def test_simulate_workers_and_scale_match_sequential(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--out", str(par),
                 "--scale", "2.0", "--stable-timing", "--workers", "2"]) == cli.EXIT_OK
     assert seq.read_bytes() == par.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"generator": {"n": 4, "n_max": 2, "n_per": 2, "T": 50, "J": 2, "K": 2}}))
+    out = tmp_path / "out.csv"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out), "--workers", workers]) == cli.EXIT_USAGE
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_env_var_feeds_commands(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,8 @@
+import dataclasses
 import io
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from corround.fulfillment import (
     DLPSolveError,
     FulfillmentError,
     FulfillmentInstance,
+    POLICIES,
     build_dlp,
     instance_from_json,
     instance_to_json,
@@ -435,6 +439,89 @@ def test_simulate_report_is_pinned():
                r.split_orders, r.short_orders, r.short_items, r.uniforms,
                r.dilate_orders, r.force_open_orders)
         assert got == want, policy
+
+
+def _fields(report):
+    """Every report field but the wall time."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "wall_ms"}
+
+
+@pytest.mark.parametrize("policies", [("auto", "force_open", "dilate", "independent"),
+                                      ("independent", "dilate", "force_open", "auto")])
+def test_plan_tables_are_reused_across_calls_and_instances(policies):
+    # the battery's cases share plan objects, so that all but the first call
+    # on a plan draw through the tables an earlier call built
+    for name, case, pl in edge_cases():
+        fresh = plan_from_json(plan_to_json(pl))
+        for policy in policies:
+            got = simulate(case, pl, policy, RandomStream(5))
+            want = reference_simulate(case, pl, policy, RandomStream(5))
+            assert {f: getattr(got, f) for f in want} == want, (name, policy)
+            assert _fields(got) == _fields(simulate(case, fresh, policy, RandomStream(5))), (name, policy)
+
+
+def test_pickled_plan_gives_identical_reports():
+    _, inst, plan = edge_cases()[0]
+    before = {p: _fields(simulate(inst, plan, p, RandomStream(8))) for p in POLICIES}
+    copy = pickle.loads(pickle.dumps(plan))
+    for key, mat in copy.u.items():
+        assert np.array_equal(mat, plan.u[key]) and not mat.flags.writeable
+    for p in POLICIES:
+        assert _fields(simulate(inst, copy, p, RandomStream(8))) == before[p], p
+
+
+def test_plan_arrays_are_read_only_copies():
+    hand, hand_plan = hand_case()
+    row = np.array([[0.1, 0.9, 0.0, 0.0]])
+    plan = DLPlan(objective=5.0, u={**hand_plan.u, (1, 0): row}, y=dict(hand_plan.y))
+    before = _fields(simulate(hand, plan, "dilate", RandomStream(2)))
+    row[0] = [0.0, 0.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        plan.u[(1, 0)][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        plan.y[(1, 0)][0] = 1.0
+    with pytest.raises(TypeError):
+        plan.u[(1, 0)] = row
+    assert _fields(simulate(hand, plan, "dilate", RandomStream(2))) == before
+
+
+def malformed_plans():
+    """(what, pair named by the error, plan) on hand_case() that no
+    randomized policy can draw from."""
+    hand, hand_plan = hand_case()
+    good = dict(hand_plan.u)
+    rows = {
+        "missing pair": ((1, 0), {(0, 0): good[(0, 0)]}),
+        "K columns": ((1, 0), {**good, (1, 0): np.array([[0.1, 0.9, 0.0]])}),
+        "extra item row": ((1, 0), {**good, (1, 0): np.array([[0.1, 0.9, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])}),
+        "all-zero item": ((0, 0), {**good, (0, 0): np.array([[0.2, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]])}),
+        "NaN entry": ((1, 0), {**good, (1, 0): np.array([[0.1, np.nan, 0.0, 0.0]])}),
+        "inf entry": ((1, 0), {**good, (1, 0): np.array([[0.1, np.inf, 0.0, 0.0]])}),
+        "negative entry": ((1, 0), {**good, (1, 0): np.array([[-0.1, 1.1, 0.0, 0.0]])}),
+        "unknown order": ((2, 0), {**good, (2, 0): np.array([[1.0, 0.0, 0.0, 0.0]])}),
+    }
+    return hand, [(what, pair, DLPlan(objective=5.0, u=u, y={k: v.max(axis=0) for k, v in u.items()}))
+                  for what, (pair, u) in rows.items()]
+
+
+@pytest.mark.parametrize("policy", ["independent", "dilate", "force_open", "auto"])
+def test_simulate_rejects_malformed_plans(policy):
+    hand, plans = malformed_plans()
+    for _, pair, plan in plans:
+        with pytest.raises(FulfillmentError, match=re.escape(str(pair))):
+            simulate(hand, plan, policy, RandomStream(3))
+    # myopic ignores the plan
+    assert simulate(hand, plans[0][2], "myopic", RandomStream(3)).orders > 0
+
+
+def test_plan_tables_are_checked_per_instance_layout():
+    # a plan drawn from on one instance is checked again on an instance
+    # whose order types differ, not drawn through the first one's tables
+    hand, hand_plan = hand_case()
+    simulate(hand, hand_plan, "dilate", RandomStream(1))
+    wider = dataclasses.replace(hand, types=((0, 1), (0, 1)))
+    with pytest.raises(FulfillmentError, match=re.escape("(1, 0)")):
+        simulate(wider, hand_plan, "dilate", RandomStream(1))
 
 
 def test_simulate_myopic_counts_short_items():

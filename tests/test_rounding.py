@@ -9,6 +9,7 @@ from corround.rounding import (
     DomainError,
     EmptyInstance,
     NegativeEntry,
+    NonFiniteEntry,
     ParseError,
     RoundingTrace,
     RowSumMismatch,
@@ -63,6 +64,17 @@ def test_validate_deterministic_rows():
 def test_validate_negative_entry():
     with pytest.raises(NegativeEntry):
         validate([[1.1, -0.1]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_entries(bad):
+    with pytest.raises(NonFiniteEntry, match=r"u\[1,0\]"):
+        validate([[0.3, 0.7], [bad, 1.0]])
+
+
+def test_row_sum_mismatch_prints_a_plain_float():
+    with pytest.raises(RowSumMismatch, match=r"row 0 sums to 0.5, not 1"):
+        validate([[0.25, 0.25]])
 
 
 def test_validate_empty():
@@ -334,6 +346,32 @@ def test_sample_edge_instances_match_single_calls(rows, scheme):
         assert not np.isnan(trace.e).any()
 
 
+@pytest.mark.parametrize("scheme", rounding.SCHEMES)
+def test_stacked_tables_match_single_calls(scheme):
+    # the kernels broadcast per-draw tables: a block whose draws each gather
+    # their own matrix's tables from a stack draws what single calls draw
+    gen = np.random.default_rng(44)
+    mats = [validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]]), validate([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])]
+    mats += [random_instance(gen, 2, 3, sparse=sparse) for sparse in (False, True, False)]
+    per, kernel, _ = rounding.draw_kernel(mats[0], scheme)
+    stack = [np.stack(a) for a in zip(*(rounding.draw_kernel(m, scheme)[2] for m in mats))]
+    pick = gen.integers(0, len(mats), 300)
+    for stream in (RandomStream(21), UnitUniforms(0), SmallestUniforms(0)):
+        z, trace = kernel(tuple(np.take(a, pick, axis=0) for a in stack), stream.uniform((pick.size, per)))
+        replay = type(stream)(stream.seed)
+        for d, r in enumerate(pick.tolist()):
+            if scheme == "independent":
+                assert _same(z[d], independent_round(mats[r], replay).z)
+                continue
+            draw = dilate_round if scheme == "dilate" else force_open_round
+            out, want = draw(mats[r], replay)
+            assert _same(z[d], out.z)
+            for f in ("e", "x", "h", "m"):
+                got = getattr(trace, f)
+                assert _same(None if got is None else got[d], getattr(want, f)), f
+        assert replay.position == stream.position
+
+
 # ---------------------------------------------------------------------------
 # differential oracle: the dilate and force_open draws as they were computed
 # before the kernels were fused (openings, then the dilated view, then the
@@ -561,6 +599,9 @@ def test_instance_round_trip():
         ("1 2\n0.5\n", 2),
         ("1 2\n0.5 x\n", 2),
         ("1 2\n0.6 0.3\n", 2),
+        ("2 2\n0.5 0.5\nnan 1.0\n", 3),
+        ("2 2\ninf 0.0\n0.5 0.5\n", 2),
+        ("1 2\n-inf 1.0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
