@@ -217,10 +217,19 @@ def cmd_gen_instance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _campaign_job(payload):
-    inst, plan, policy, rep_seed = payload
-    report = fulfillment.simulate(inst, plan, policy, RandomStream(rep_seed))
-    return report
+# the (instance, plan) a campaign worker simulates; set once per worker, so
+# the plan's dispatch table is built once per worker, not once per job
+_campaign = None
+
+
+def _campaign_init(inst, plan):
+    global _campaign
+    _campaign = (inst, plan)
+
+
+def _campaign_job(job):
+    policy, rep_seed = job
+    return fulfillment.simulate(*_campaign, policy, RandomStream(rep_seed))
 
 
 def cmd_simulate(args) -> int:
@@ -295,14 +304,15 @@ def cmd_simulate(args) -> int:
         for rep in range(n_reps):
             rep_seed = derive_seed(inst_seed, REPLICATION_STRIDE + rep)
             for policy in policies:
-                jobs.append((inst, plan, policy, rep_seed))
+                jobs.append((policy, rep_seed))
         if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=args.workers, initializer=_campaign_init,
+                                     initargs=(inst, plan)) as pool:
                 reports = list(pool.map(_campaign_job, jobs))
         else:
-            reports = [_campaign_job(j) for j in jobs]
+            reports = [fulfillment.simulate(inst, plan, p, RandomStream(s)) for p, s in jobs]
         per_policy = {p: [] for p in policies}
-        for (_, _, policy, _), rpt in zip(jobs, reports):
+        for (policy, _), rpt in zip(jobs, reports):
             per_policy[policy].append(rpt)
         # instance_id carries the base and instance seeds; together with the
         # seed column every row names the full (base, instance, replication)

@@ -29,8 +29,10 @@ served iff r < floor(inventory). The kernels read the plan's dispatch
 table: every plan row checked and validated once, its ``auto`` scheme, and
 the rows' draw tables stacked by item count. The first randomized call on
 a plan builds it and every later call reuses it. ``myopic`` reads stock,
-so it still picks order by order; both then share the array bookkeeping of
-costs and counts.
+but an item's stock serves only that item's requests, so it dispatches
+every item at once in at most K + 1 stock-out phases, each ranking the
+unsettled requests the same way. All policies then share the rank step and
+the array bookkeeping of costs and counts.
 """
 
 from __future__ import annotations
@@ -96,6 +98,11 @@ class FulfillmentInstance:
             raise FulfillmentError(f"fixed_cost shape {fixed.shape} != (K+1, J)")
         if inv.shape != (self.K + 1, self.n):
             raise FulfillmentError(f"inventory shape {inv.shape} != (K+1, n)")
+        for arr, name in ((rates, "rates"), (unit, "unit_cost"), (fixed, "fixed_cost")):
+            if not np.all(np.isfinite(arr)):
+                raise FulfillmentError(f"{name} has a non-finite entry")
+        if np.any(np.isnan(inv)):
+            raise FulfillmentError("inventory has a NaN entry")
         if np.any(rates < 0.0):
             raise FulfillmentError("negative arrival rate")
         if rates.sum() > 1.0 + RATE_TOL:
@@ -269,6 +276,9 @@ class SimulationReport:
     short_items: int    # items sent to the null FC
     dilate_orders: int      # orders drawn under dilate
     force_open_orders: int  # orders drawn under force_open
+    # per FC k = 1..K, the arrival index (from 0) of the first order that
+    # took the last unit of an item there; -1 where no item stocked out
+    stockout_orders: tuple
 
 
 def simulate(
@@ -298,7 +308,9 @@ def simulate(
     read stock, stock-outs follow from ranks: the r-th request for (k, i),
     counted from 0 in arrival order, is served iff r < floor(b_ki), which is
     what serving while one unit is left does. ``myopic`` reads stock, so it
-    picks order by order. Costs are totalled in arrival order, item by item
+    dispatches in stock-out phases, each ranking the unsettled requests the
+    same way (see `_closest_fcs`); its picks then pass the same rank step,
+    which serves them all. Costs are totalled in arrival order, item by item
     and, for fixed costs, FC by FC, as a per-order loop would add them.
     Memory grows with the stream: each order's draw holds a few q * K
     arrays, its row's tables and its clocks.
@@ -327,18 +339,21 @@ def simulate(
     req_item = items[first_item[req_order] + np.arange(req_order.size) - req_off[req_order]]
 
     if policy == "myopic":
-        fc, drawn = _myopic_fcs(inst, arriving), {}
+        fc, drawn = _closest_fcs(inst, req_item, region[req_order]), {}
     else:
         fc, drawn = _drawn_fcs(inst, plan, policy, arriving, req_off, req_item.size, dec_rng)
 
-    # the r-th request for (k, i) finds stock iff r < floor(b_ki)
+    # the r-th request for (k, i) finds stock iff r < floor(b_ki), and
+    # takes the last unit iff r = floor(b_ki) - 1
+    units = np.floor(inst.inventory.ravel())
     key = fc * inst.n + req_item
-    by_key = np.argsort(key, kind="stable")
-    sorted_key = key[by_key]
-    rank = np.arange(key.size) - np.searchsorted(sorted_key, sorted_key, side="left")
-    served = np.empty(key.size, dtype=bool)
-    served[by_key] = rank < np.floor(inst.inventory.ravel()[sorted_key])
-    served &= fc != 0
+    rank = _ranks(key, units.size)
+    cap = units[key]
+    served = (rank < cap) & (fc != 0)
+    last = served & (rank == cap - 1)
+    stockout = np.full(inst.K + 1, -1)
+    ks, first = np.unique(fc[last], return_index=True)
+    stockout[ks] = req_order[last][first]
     fc = np.where(served, fc, 0)
 
     used = np.zeros((orders, inst.K + 1), dtype=bool)
@@ -372,31 +387,55 @@ def simulate(
         short_items=int(served.size - np.count_nonzero(served)),
         dilate_orders=drawn.get("dilate", 0),
         force_open_orders=drawn.get("force_open", 0),
+        stockout_orders=tuple(stockout[1:].tolist()),
     )
 
 
-def _myopic_fcs(inst: FulfillmentInstance, arriving: np.ndarray) -> np.ndarray:
-    """Per request, the cheapest FC that carries the item and still has a unit."""
-    inv = inst.inventory.tolist()
-    cands: dict[tuple, list] = {}
-    fc = []
-    for flat in arriving.tolist():
-        t, j = divmod(flat, inst.J)
-        for i in inst.types[t]:
-            ks = cands.get((i, j))
-            if ks is None:
-                ks = cands[(i, j)] = sorted(
-                    (k for k in range(1, inst.K + 1) if inst.inventory[k, i] > 0),
-                    key=lambda k: (inst.unit_cost[k, i, j], k),
-                )
-            pick = 0
-            for k in ks:
-                if inv[k][i] >= 1.0:
-                    inv[k][i] -= 1.0
-                    pick = k
-                    break
-            fc.append(pick)
-    return np.array(fc, dtype=np.intp)
+def _ranks(key: np.ndarray, size: int) -> np.ndarray:
+    """Per entry, the number of earlier entries with the same key, for
+    keys in [0, size). Up to 65536 keys the stable sort runs on 8- or
+    16-bit ints, which numpy radix-sorts."""
+    key = key.astype(np.min_scalar_type(size - 1))
+    by_key = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=size)
+    rank = np.empty(key.size, dtype=np.intp)
+    rank[by_key] = np.arange(key.size) - (np.cumsum(counts) - counts)[key[by_key]]
+    return rank
+
+
+def _closest_fcs(inst: FulfillmentInstance, item: np.ndarray, region: np.ndarray) -> np.ndarray:
+    """Per request, the cheapest FC (lower k on ties) that still has a unit
+    of its item when it arrives, else the null FC 0.
+
+    An item's stock serves only that item's requests, so all items run
+    together in phases. Each phase sends every unsettled request to the
+    first FC of its (item, region) order with a unit left and ranks the
+    requests per (FC, item); per item, the requests before the first one
+    ranked past its FC's units left are settled and book their units. That
+    FC is then empty, so every phase closes an FC for each item it does not
+    finish, and at most K + 1 phases run.
+    """
+    n = inst.n
+    pref = np.argsort(inst.unit_cost[1:], axis=0, kind="stable") + 1  # (K, n, J)
+    left = np.floor(inst.inventory)
+    fc = np.zeros(item.size, dtype=np.intp)
+    todo = np.arange(item.size)
+    while todo.size:
+        is_open = left[pref, np.arange(n)[:, None]] >= 1.0
+        first = np.take_along_axis(pref, is_open.argmax(axis=0)[None], axis=0)[0]
+        first[~is_open.any(axis=0)] = 0
+        it = item[todo]
+        pick = first[it, region[todo]]
+        key = pick * n + it
+        over = np.flatnonzero(_ranks(key, left.size) >= left.ravel()[key])
+        stop = np.full(n, todo.size)
+        closed, head = np.unique(it[over], return_index=True)
+        stop[closed] = over[head]
+        done = np.arange(todo.size) < stop[it]
+        fc[todo[done]] = pick[done]
+        left -= np.bincount(key[done], minlength=left.size).reshape(left.shape)
+        todo = todo[~done]
+    return fc
 
 
 @dataclass(frozen=True)

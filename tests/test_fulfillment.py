@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import pickle
 import re
@@ -21,6 +22,8 @@ from corround.fulfillment import (
     instance_to_json,
     plan_from_json,
     plan_to_json,
+    _closest_fcs,
+    _ranks,
     scale,
     simulate,
     solve_dlp,
@@ -84,6 +87,49 @@ def test_instance_validation_errors():
             fixed_cost=tiny_instance().fixed_cost,
             inventory=np.array([[5.0], [5.0]]),  # null FC must be infinite
         )
+
+
+def _with(inst, **arrays):
+    """The instance's arrays with entries replaced: name=(index, value)."""
+    fields = {name: getattr(inst, name).copy() for name in ("rates", "unit_cost", "fixed_cost", "inventory")}
+    for name, (at, value) in arrays.items():
+        fields[name][at] = value
+    return dict(n=inst.n, K=inst.K, J=inst.J, T=inst.T, types=inst.types, **fields)
+
+
+@pytest.mark.parametrize("name, at, value", [
+    ("rates", (0, 0), np.nan),
+    ("rates", (0, 0), INF),
+    ("unit_cost", (1, 0, 0), np.nan),
+    ("unit_cost", (0, 0, 0), -INF),
+    ("fixed_cost", (1, 0), INF),
+    ("fixed_cost", (0, 0), np.nan),
+    ("inventory", (1, 0), np.nan),
+])
+def test_instance_rejects_non_finite_data(name, at, value):
+    # each of these once passed the range checks and gave a report that
+    # was quietly wrong: a NaN rate served every step, a NaN or infinite
+    # cost made total_cost NaN or inf
+    with pytest.raises(FulfillmentError, match=name):
+        FulfillmentInstance(**_with(tiny_instance(), **{name: (at, value)}))
+    doc = json.loads(instance_to_json(tiny_instance()))
+    if name == "inventory":
+        doc[name][at[0] - 1][at[1]] = value
+    else:
+        target = doc[name]
+        for i in at[:-1]:
+            target = target[i]
+        target[at[-1]] = value
+    with pytest.raises(FulfillmentError, match=name):
+        instance_from_json(json.dumps(doc))
+
+
+def test_instance_allows_unbounded_stock_on_a_real_fc():
+    inst = FulfillmentInstance(**_with(tiny_instance(T=200, lam=1.0), inventory=((1, 0), INF)))
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])}, y={(0, 0): np.array([0.0, 1.0])})
+    for policy in POLICIES:
+        r = simulate(inst, plan, policy, RandomStream(1))
+        assert (r.orders, r.short_items, r.stockout_orders) == (200, 0, (-1,)), policy
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +332,46 @@ def test_simulate_argument_errors():
     assert math.isnan(r.loss_pct)
 
 
+def reference_arrivals(inst, rng):
+    """Flat (type, region) index of each arriving order."""
+    cdf = np.cumsum(inst.rates.ravel())
+    idx = np.searchsorted(cdf, rng.derive(ARRIVAL_SUBSTREAM).uniform(inst.T), side="left")
+    return idx[idx < inst.rates.size]
+
+
+def reference_myopic(inst, arriving):
+    """Per-request myopic oracle: for each request in arrival order, the
+    cheapest FC (lower k on ties) that carries the item and still has a
+    unit. Returns the FCs and, per FC k = 1..K, the index of the first
+    order that took the last unit of an item there, else -1."""
+    inv = inst.inventory.tolist()
+    cands: dict[tuple, list] = {}
+    fc = []
+    stockout = [-1] * inst.K
+    for o, flat in enumerate(arriving.tolist()):
+        t, j = divmod(flat, inst.J)
+        for i in inst.types[t]:
+            ks = cands.get((i, j))
+            if ks is None:
+                ks = cands[(i, j)] = sorted(
+                    (k for k in range(1, inst.K + 1) if inst.inventory[k, i] > 0),
+                    key=lambda k: (inst.unit_cost[k, i, j], k),
+                )
+            pick = 0
+            for k in ks:
+                if inv[k][i] >= 1.0:
+                    inv[k][i] -= 1.0
+                    pick = k
+                    if inv[k][i] < 1.0 and stockout[k - 1] < 0:
+                        stockout[k - 1] = o
+                    break
+            fc.append(pick)
+    return np.array(fc, dtype=np.intp), tuple(stockout)
+
+
 def reference_simulate(inst, plan, policy, rng):
-    """Per-order dispatch oracle: one ``rounding.*_round`` call per order.
+    """Per-order dispatch oracle: one ``rounding.*_round`` call per order,
+    or under ``myopic`` the picks of `reference_myopic`.
 
     Validates each (type, region) plan row once, picks its scheme (under
     ``auto`` by ``select_scheme``) and draws on the decision substream, then
@@ -300,30 +384,34 @@ def reference_simulate(inst, plan, policy, rng):
         "force_open": lambda m, r: rounding.force_open_round(m, r)[0].z,
     }
     dec = rng.derive(DECISION_SUBSTREAM)
-    cdf = np.cumsum(inst.rates.ravel())
-    idx = np.searchsorted(cdf, rng.derive(ARRIVAL_SUBSTREAM).uniform(inst.T), side="left")
-    pairs = [(t, j) for t in range(len(inst.types)) for j in range(inst.J)]
+    arriving = reference_arrivals(inst, rng)
+    myopic = iter(reference_myopic(inst, arriving)[0].tolist()) if policy == "myopic" else None
     inv = inst.inventory.copy()
     rows = {}
     fixed = unit = shortage = 0.0
     orders = split = short = fcs = short_items = 0
+    stockout = [-1] * inst.K
     drawn = dict.fromkeys(rounding.SCHEMES, 0)
-    for flat in idx[idx < len(pairs)]:
-        t, j = pairs[flat]
-        if flat not in rows:
-            mat = np.clip(plan.u[(t, j)], 0.0, None)
-            m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
-            rows[flat] = (m, rounding.select_scheme(m)[0] if policy == "auto" else policy)
-        m, scheme = rows[flat]
-        ks = rounds[scheme](m, dec)
-        orders += 1
-        drawn[scheme] += 1
+    for flat in arriving:
+        t, j = divmod(int(flat), inst.J)
+        if myopic is not None:
+            ks = [next(myopic) for _ in inst.types[t]]
+        else:
+            if flat not in rows:
+                mat = np.clip(plan.u[(t, j)], 0.0, None)
+                m = rounding.validate(mat / mat.sum(axis=1, keepdims=True))
+                rows[flat] = (m, rounding.select_scheme(m)[0] if policy == "auto" else policy)
+            m, scheme = rows[flat]
+            ks = rounds[scheme](m, dec)
+            drawn[scheme] += 1
         used = set()
         for pos, i in enumerate(inst.types[t]):
             k = int(ks[pos])
             if k and inv[k, i] >= 1.0:
                 inv[k, i] -= 1.0
                 unit += inst.unit_cost[k, i, j]
+                if inv[k, i] < 1.0 and stockout[k - 1] < 0:
+                    stockout[k - 1] = orders
             else:
                 k = 0
                 shortage += inst.unit_cost[0, i, j]
@@ -335,15 +423,17 @@ def reference_simulate(inst, plan, policy, rng):
         fcs += real
         split += real >= 2
         short += 0 in used
+        orders += 1
     total = fixed + unit + shortage
     return {
-        "policy": policy, "scheme": policy, "total_cost": total, "fixed_cost": fixed,
+        "policy": policy, "scheme": "none" if policy == "myopic" else policy,
+        "total_cost": total, "fixed_cost": fixed,
         "unit_cost": unit, "shortage_cost": shortage, "dlp_value": plan.objective,
         "loss_pct": 100.0 * (total - plan.objective) / plan.objective, "orders": orders,
         "fcs_per_order": fcs / orders if orders else 0.0, "split_orders": split,
         "short_orders": short, "seed": rng.seed, "uniforms": dec.position,
         "short_items": short_items, "dilate_orders": drawn["dilate"],
-        "force_open_orders": drawn["force_open"],
+        "force_open_orders": drawn["force_open"], "stockout_orders": tuple(stockout),
     }
 
 
@@ -383,6 +473,11 @@ def edge_cases():
     frac[1:] = np.where(frac[1:] > 0.0, 2.5, 0.999)
     hand_frac = hand.inventory.copy()
     hand_frac[1:] = [[2.5, 0.999], [0.999, 2.5], [1.0, 3.5]]
+    # every real FC costs the same, so myopic breaks ties to the lower k
+    hand_tied = hand.unit_cost.copy()
+    hand_tied[1:] = 4.0
+    hand_inf = hand.inventory.copy()
+    hand_inf[1, 0] = hand_inf[3, 1] = INF
     k1 = FulfillmentInstance(
         n=2, K=1, J=2, T=400, types=((0, 1), (0,), (1,)),
         rates=np.array([[0.3, 0.2], [0.0, 0.0], [0.1, 0.25]]),
@@ -408,6 +503,8 @@ def edge_cases():
         ("stocked out", dataclasses.replace(scale(inst, 3.0), inventory=inst.inventory), plan),
         ("hand", hand, hand_plan),
         ("hand fractional", dataclasses.replace(hand, inventory=hand_frac), hand_plan),
+        ("hand tied costs", dataclasses.replace(hand, unit_cost=hand_tied), hand_plan),
+        ("hand unbounded stock", dataclasses.replace(hand, inventory=hand_inf), hand_plan),
         ("K=1", k1, k1_plan),
     ]
 
@@ -423,11 +520,52 @@ def test_simulate_matches_per_order_reference():
                     assert got.dilate_orders + got.force_open_orders == got.orders
 
 
+def test_simulate_myopic_matches_per_request_reference():
+    for name, case, pl in edge_cases():
+        for seed in (3, 4):
+            arriving = reference_arrivals(case, RandomStream(seed))
+            want_fc, want_stockout = reference_myopic(case, arriving)
+            t, j = np.divmod(arriving, case.J)
+            item = np.array([i for o in t for i in case.types[o]], dtype=np.intp)
+            region = np.repeat(j, [len(case.types[o]) for o in t])
+            assert np.array_equal(_closest_fcs(case, item, region), want_fc), (name, seed)
+            got = simulate(case, pl, "myopic", RandomStream(seed))
+            want = reference_simulate(case, pl, "myopic", RandomStream(seed))
+            assert {f: getattr(got, f) for f in want} == want, (name, seed)
+            assert got.stockout_orders == want_stockout, (name, seed)
+
+
+def test_simulate_myopic_breaks_cost_ties_to_the_lower_fc():
+    inst = dataclasses.replace(two_fc_instance(b1=3.0, b2=4.0, u1=1.0, u2=1.0), T=60)
+    inst = dataclasses.replace(inst, rates=np.array([[1.0]]))
+    arriving = reference_arrivals(inst, RandomStream(0))
+    item = np.zeros(arriving.size, dtype=np.intp)
+    assert _closest_fcs(inst, item, item).tolist() == [1] * 3 + [2] * 4 + [0] * 53
+    assert simulate(inst, None, "myopic", RandomStream(0)).stockout_orders == (2, 6)
+
+
+@pytest.mark.parametrize("size", [256, 257, 65536, 65537])
+def test_ranks_count_earlier_equal_keys(size):
+    # 256 and 65536 keys are the largest that fit 8 and 16 bits
+    gen = np.random.default_rng(size)
+    values = gen.integers(0, size, 30)
+    values[:2] = 0, size - 1
+    key = gen.choice(values, 4000)
+    seen = {}
+    want = []
+    for k in key.tolist():
+        want.append(seen.get(k, 0))
+        seen[k] = want[-1] + 1
+    assert _ranks(key, size).tolist() == want
+    assert _ranks(key[:0], size).size == 0
+
+
 def test_simulate_report_is_pinned():
     # fixed outcomes of the hand case, so that simulate and its reference
     # cannot drift together
     hand, hand_plan = hand_case()
     pinned = {
+        "myopic": (9376.0, 2037.0, 5700.0, 1639.0, 1194, 252, 694, 945, 0, 0, 0),
         "independent": (9055.0, 1956.0, 5400.0, 1699.0, 1194, 252, 863, 1005, 1945, 0, 0),
         "dilate": (8865.0, 1890.0, 5245.0, 1730.0, 1194, 252, 854, 1036, 4776, 1194, 0),
         "force_open": (9112.0, 1973.0, 5450.0, 1689.0, 1194, 263, 851, 995, 6721, 0, 1194),
