@@ -197,13 +197,11 @@ def cmd_gen_instance(args) -> int:
     except (OSError, json.JSONDecodeError, TypeError, instances.GeneratorError) as exc:
         print(f"gen-instance: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = fulfillment.instance_to_json(inst)
     if args.out:
         with open(args.out, "w") as f:
-            f.write(text)
-            f.write("\n")
+            fulfillment.write_instance_json(inst, f)
     else:
-        print(text)
+        fulfillment.write_instance_json(inst, sys.stdout)
     print(
         f"instance: n={inst.n} K={inst.K} J={inst.J} T={inst.T} "
         f"types={len(inst.types)} seed={cfg.seed}",

@@ -26,13 +26,13 @@ whole arrival stream at once: one draw of the decision substream, one
 rounding kernel call per (scheme, item count), and stock-outs by rank, the
 r-th request for an (FC, item), counted from 0 in arrival order, being
 served iff r < floor(inventory). The kernels read the plan's dispatch
-table: every plan row checked and validated once, its ``auto`` scheme, and
-the rows' draw tables stacked by item count. The first randomized call on
-a plan builds it and every later call reuses it. ``myopic`` reads stock,
-but an item's stock serves only that item's requests, so it dispatches
-every item at once in at most K + 1 stock-out phases, each ranking the
-unsettled requests the same way. All policies then share the rank step and
-the array bookkeeping of costs and counts.
+table: every plan row checked against the instance and normalised once,
+its ``auto`` scheme, and the rows' draw tables stacked by item count. The
+first randomized call on a plan builds it and every later call reuses it.
+``myopic`` reads stock, but an item's stock serves only that item's
+requests, so it dispatches every item at once in at most K + 1 stock-out
+phases, each ranking the unsettled requests the same way. All policies
+then share the rank step and the array bookkeeping of costs and counts.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Optional, TextIO
 
@@ -59,6 +61,7 @@ DECISION_SUBSTREAM = 0x00DEC1
 
 RATE_TOL = 1e-12
 INV_TOL = 1e-6
+PLAN_TOL = 1e-7   # item rows of a plan's u sum to 1, and y >= max_i u, within this
 
 
 class FulfillmentError(ValueError):
@@ -77,7 +80,7 @@ class FulfillmentInstance:
     K: int
     J: int
     T: int
-    types: tuple            # tuple of tuples: distinct 0-based item ids
+    types: tuple            # tuple of tuples: distinct 0-based int item ids
     rates: np.ndarray       # (n_types, J), sum <= 1
     unit_cost: np.ndarray   # (K+1, n, J); row 0 = shortage cost
     fixed_cost: np.ndarray  # (K+1, J)
@@ -85,7 +88,10 @@ class FulfillmentInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(tuple(a) for a in self.types))
+        try:
+            object.__setattr__(self, "types", tuple(tuple(map(operator.index, a)) for a in self.types))
+        except TypeError:
+            raise FulfillmentError("order types must be sequences of integer item ids") from None
         rates = np.asarray(self.rates, dtype=float)
         unit = np.asarray(self.unit_cost, dtype=float)
         fixed = np.asarray(self.fixed_cost, dtype=float)
@@ -130,20 +136,16 @@ class DLPIndex:
 
     Pair p owns two contiguous column blocks: its u block starts at
     ``u_off[p]`` and holds u^a_kij for item slot pos and FC k (null FC 0
-    included) at ``u_off[p] + pos*(K+1) + k``; its y block starts at
-    ``y_off[p]`` with y^a_kj at ``y_off[p] + k``. Every u block comes
-    before every y block. Rows are the K*n inventory rows (k = 1..K
-    outer, item inner), then one assignment row per item slot, then one
-    linking row per u column, all in pair order.
+    included) at ``u_off[p] + pos*(K+1) + k``; its y block holds y^a_kj
+    at ``n_u + p*(K+1) + k``, n_u being the number of u columns, so every
+    u block comes before every y block. Rows are one inventory row per
+    real FC k and item i with finite stock (k = 1..K outer, item inner),
+    then one assignment row per item slot, then one linking row per u
+    column, all in pair order.
     """
 
     pairs: tuple            # ((t, j), ...) in build order
     u_off: tuple            # pair position -> first u column
-    y_off: tuple            # pair position -> first y column
-    n_vars: int
-    n_inventory_rows: int
-    n_assignment_rows: int
-    n_linking_rows: int
 
 
 def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
@@ -153,7 +155,8 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     arrival rate: fulfillment frequencies u for each item slot and FC
     (null included), and usage bounds y per FC. Rows are the inventory
     budgets per non-null (k, i), one assignment equality per item slot,
-    and the linking rows y >= u. The null FC has no inventory rows.
+    and the linking rows y >= u. The null FC has no inventory rows, and
+    neither has a (k, i) with infinite stock, whose budget never binds.
     """
     K1, T = inst.K + 1, inst.T
     pairs = tuple(
@@ -177,34 +180,38 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
             slots.append((u_off[p] + pos * K1, y_off[p]))
             by_item.setdefault(i, []).append((u_off[p] + pos * K1, w))
 
+    stock = inst.inventory.tolist()
     rows = [
-        ({u + k: w for u, w in by_item.get(i, ())}, "<=", float(inst.inventory[k, i]))
+        ({u + k: w for u, w in by_item.get(i, ())}, "<=", stock[k][i])
         for k in range(1, K1)
         for i in range(inst.n)
+        if stock[k][i] < math.inf
     ]
     rows += [(dict.fromkeys(range(u, u + K1), 1.0), "=", 1.0) for u, _ in slots]
     rows += [({u + k: 1.0, y + k: -1.0}, "<=", 0.0) for u, y in slots for k in range(K1)]
 
-    index = DLPIndex(
-        pairs=pairs,
-        u_off=u_off[:-1],
-        y_off=y_off,
-        n_vars=c.size,
-        n_inventory_rows=inst.K * inst.n,
-        n_assignment_rows=len(slots),
-        n_linking_rows=n_u,
-    )
-    return simplex.LPProblem(c=c, constraints=rows), index
+    return simplex.LPProblem(c=c, constraints=rows), DLPIndex(pairs, u_off[:-1])
 
 
 @dataclass(frozen=True, eq=False)
 class DLPlan:
-    """Optimal fulfillment frequencies; y is post-processed to max_i u.
+    """Fulfillment frequencies u^a_kij and usage bounds y^a_kj per order (t, j).
 
-    ``u`` and ``y`` hold read-only copies of the arrays given. The
-    randomized policies draw through the plan's dispatch table, which the
-    first `simulate` call on an instance builds and later calls reuse; a
-    pickled plan leaves it behind, and the copy builds its own.
+    A plan is well formed when it is built: ``u`` and ``y`` have the same
+    keys, (t, j) pairs of ints; each ``u[t, j]`` is a (q >= 1, C) array,
+    with one C for the whole plan, and each ``y[t, j]`` a (C,) array; every
+    entry is finite and non-negative; each item's row of u sums to 1 and
+    y >= max_i u, both within PLAN_TOL; the objective is a finite number.
+    Otherwise construction raises FulfillmentError naming the first bad key
+    in sorted order, also through `plan_from_json` and unpickling. Whether
+    a plan fits an instance (`_plan_keys`) is checked by `check`, by the
+    randomized policies of `simulate` and by `theoretical_beta`.
+
+    ``u`` and ``y`` hold read-only copies of the arrays given, in sorted
+    key order. The randomized policies draw through the plan's dispatch
+    table, which the first `simulate` call on an instance builds and later
+    calls reuse; a pickled plan leaves it behind, and the copy builds its
+    own.
     """
 
     objective: float
@@ -213,30 +220,92 @@ class DLPlan:
     _dispatch: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("u", "y"):
-            arrays = {}
-            for key, a in getattr(self, name).items():
-                arrays[key] = a = np.array(a, dtype=float)
-                a.flags.writeable = False
-            object.__setattr__(self, name, MappingProxyType(arrays))
+        if not isinstance(self.objective, numbers.Real) or not math.isfinite(self.objective):
+            raise FulfillmentError(f"plan objective {self.objective!r} is not a finite number")
+        object.__setattr__(self, "objective", float(self.objective))
+        u, y = _plan_arrays(self.u, "u"), _plan_arrays(self.y, "y")
+        if u.keys() != y.keys():
+            raise FulfillmentError(f"plan row {min(u.keys() ^ y.keys())} has only one of u and y")
+        keys = list(u)
+        C = y[keys[0]].size if keys else 0
+        for key in keys:
+            if u[key].ndim != 2 or not len(u[key]) or u[key].shape[1] != C or y[key].shape != (C,):
+                raise FulfillmentError(f"plan row {key} has u of shape {u[key].shape} and y of shape "
+                                       f"{y[key].shape}, not (q >= 1, {C}) and ({C},)")
+        # one read-only copy of every item row and every y, checked in one
+        # pass; key p owns rows[start[p]:start[p] + q[p]] and cols[p]
+        rows = np.concatenate([np.empty((0, C)), *u.values()])
+        cols = np.concatenate([np.empty(0), *y.values()]).reshape(len(keys), C)
+        rows.flags.writeable = cols.flags.writeable = False
+        q = np.fromiter(map(len, u.values()), dtype=np.intp, count=len(keys))
+        start = np.cumsum(q) - q
+        object.__setattr__(self, "u", MappingProxyType(
+            {key: rows[s:s + n] for key, s, n in zip(keys, start.tolist(), q.tolist())}))
+        object.__setattr__(self, "y", MappingProxyType(dict(zip(keys, cols))))
+        fine = lambda a: ((a >= 0.0) & (a < np.inf)).all(axis=1)
+        bad = ~np.array([
+            np.logical_and.reduceat(fine(rows), start) & fine(cols),
+            np.logical_and.reduceat(np.abs(rows.sum(axis=1) - 1.0) <= PLAN_TOL, start),
+            (cols >= np.maximum.reduceat(rows, start) - PLAN_TOL).all(axis=1),
+        ])
+        if bad.any():
+            p = int(np.argmax(bad.any(axis=0)))
+            what = ("a negative or non-finite entry", "an item row not summing to 1", "y < max u")
+            raise FulfillmentError(f"plan row {keys[p]} has {what[np.argmax(bad[:, p])]}")
 
     def __reduce__(self):
         return DLPlan, (self.objective, dict(self.u), dict(self.y))
 
-    def check(self, inst: FulfillmentInstance, tol: float = 1e-7) -> None:
-        """Re-verify plan invariants against the instance."""
-        flow = np.zeros((inst.K + 1, inst.n))
-        for (t, j), mat in self.u.items():
-            sums = mat.sum(axis=1)
-            if np.abs(sums - 1.0).max() > tol:
-                raise FulfillmentError(f"plan rows for order {(t, j)} do not sum to 1")
-            if np.any(self.y[(t, j)] < mat.max(axis=0) - tol):
-                raise FulfillmentError(f"plan y < max u for order {(t, j)}")
-            for pos, i in enumerate(inst.types[t]):
-                flow[:, i] += inst.T * inst.rates[t, j] * mat[pos]
-        over = flow[1:] - inst.inventory[1:]
-        if over.max() > INV_TOL:
+    def check(self, inst: FulfillmentInstance) -> None:
+        """Check that the plan fits the instance and keeps to its stock.
+
+        Raises FulfillmentError when a row is not an order of the instance
+        or has the wrong shape (`_plan_keys`), when an order with a positive
+        rate has no row, or when the expected flow sum T * rate * u of an
+        item to a real FC exceeds its stock by more than INV_TOL.
+        """
+        keys = _plan_keys(inst, self)
+        missing = [pair for pair in map(tuple, np.argwhere(inst.rates > 0.0).tolist()) if pair not in self.u]
+        if missing:
+            raise FulfillmentError(f"plan has no row for order {missing[0]}")
+        # one pass over every item row: T * rate * u, added up per item
+        rows = np.concatenate([np.empty((0, inst.K + 1)), *self.u.values()])
+        items = np.fromiter(itertools.chain.from_iterable(inst.types[t] for t, _ in keys), dtype=np.intp)
+        weight = np.repeat([inst.T * inst.rates[key] for key in keys], [len(a) for a in self.u.values()])
+        flow = np.zeros((inst.n, inst.K + 1))
+        np.add.at(flow, items, weight[:, None] * rows)
+        over = flow[:, 1:] - inst.inventory[1:].T
+        if over.max(initial=0.0) > INV_TOL:
             raise FulfillmentError(f"plan oversubscribes inventory by {over.max():.2e}")
+
+
+def _plan_arrays(mapping: Mapping, name: str) -> dict:
+    """A plan's u or y as float arrays in sorted (t, j) order, t and j made
+    ints."""
+    arrays = {}
+    for key, a in mapping.items():
+        try:
+            t, j = key
+            arrays[operator.index(t), operator.index(j)] = np.asarray(a, dtype=float)
+        except (TypeError, ValueError):
+            raise FulfillmentError(f"plan {name} at {key!r} is not an int (type, region) pair "
+                                   "with an array of numbers") from None
+    return dict(sorted(arrays.items()))
+
+
+def _plan_keys(inst: FulfillmentInstance, plan: DLPlan) -> list:
+    """The plan's (t, j) keys in sorted order, each checked to fit the
+    instance: an order of it, whose u row has one row per item of type t
+    and one column per FC, null FC 0 included; else FulfillmentError
+    naming the pair."""
+    keys = list(plan.u)
+    for t, j in keys:
+        if not (0 <= t < len(inst.types) and 0 <= j < inst.J):
+            raise FulfillmentError(f"plan row {(t, j)} is not an order of the instance")
+        shape = (len(inst.types[t]), inst.K + 1)
+        if plan.u[(t, j)].shape != shape:
+            raise FulfillmentError(f"plan row {(t, j)} has shape {plan.u[(t, j)].shape}, the instance needs {shape}")
+    return keys
 
 
 def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
@@ -245,13 +314,9 @@ def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
     sol = simplex.solve(problem, max_pivots=max_pivots)
     if sol.status != simplex.OPTIMAL:
         raise DLPSolveError(f"DLP ended with status {sol.status}")
-    u, y = {}, {}
-    for (t, j), start in zip(index.pairs, index.u_off):
-        q = len(inst.types[t])
-        mat = np.clip(sol.x[start:start + q * (inst.K + 1)].reshape(q, inst.K + 1), 0.0, None)
-        u[(t, j)] = mat
-        y[(t, j)] = mat.max(axis=0)
-    plan = DLPlan(objective=float(sol.objective), u=u, y=y)
+    x, K1 = np.clip(sol.x, 0.0, None), inst.K + 1
+    u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
+    plan = DLPlan(objective=float(sol.objective), u=u, y={key: a.max(axis=0) for key, a in u.items()})
     plan.check(inst)
     return plan
 
@@ -300,18 +365,19 @@ def simulate(
     The randomized policies dispatch the whole stream at once: one draw of
     the decision substream, cut per order into the draw's q, K or K + q
     uniforms, and one kernel call per (scheme, item count), each order
-    drawing with its (type, region) row's tables. Each plan row is checked
-    against the instance and validated once, when the plan's dispatch table
-    is built; a plan without a row for an arriving order, or with a row of
-    the wrong shape, a non-finite or negative entry or an item whose row
-    sums to 0, raises FulfillmentError. Since the randomized policies never
-    read stock, stock-outs follow from ranks: the r-th request for (k, i),
-    counted from 0 in arrival order, is served iff r < floor(b_ki), which is
-    what serving while one unit is left does. ``myopic`` reads stock, so it
-    dispatches in stock-out phases, each ranking the unsettled requests the
-    same way (see `_closest_fcs`); its picks then pass the same rank step,
-    which serves them all. Costs are totalled in arrival order, item by item
-    and, for fixed costs, FC by FC, as a per-order loop would add them.
+    drawing with its (type, region) row's tables. A plan is well formed
+    when it is built (see `DLPlan`); its rows are checked against the
+    instance (`_plan_keys`) once, when its dispatch table is built, and a
+    row that is not an order of the instance or has the wrong shape, or an
+    arriving order without a row, raises FulfillmentError. Since the
+    randomized policies never read stock, stock-outs follow from ranks: the
+    r-th request for (k, i), counted from 0 in arrival order, is served iff
+    r < floor(b_ki), which is what serving while one unit is left does.
+    ``myopic`` reads stock, so it dispatches in stock-out phases, each
+    ranking the unsettled requests the same way (see `_closest_fcs`); its
+    picks then pass the same rank step, which serves them all. Costs are
+    totalled in arrival order, item by item and, for fixed costs, FC by FC,
+    as a per-order loop would add them.
     Memory grows with the stream: each order's draw holds a few q * K
     arrays, its row's tables and its clocks.
     """
@@ -442,12 +508,13 @@ def _closest_fcs(inst: FulfillmentInstance, item: np.ndarray, region: np.ndarray
 class _DispatchTable:
     """A plan's rows laid out for randomized dispatch on one instance.
 
-    ``rows[r]`` is a (t, j) row of the plan, checked, normalised and
-    validated once. ``row_of`` maps a flat order index t*J + j to its row,
-    -1 where the plan has none; per row, ``auto`` is the index in SCHEMES
-    of `select_scheme`'s pick, ``q`` the item count, ``slot`` the position
-    among the rows of that count and ``per[r, s]`` the uniforms a draw
-    under scheme s spends. ``stacks`` caches what `stack` builds.
+    ``rows[r]`` is the plan's r-th (t, j) row in key order, checked against
+    the instance and normalised once. ``row_of`` maps a flat order index
+    t*J + j to its row, -1 where the plan has none; per row, ``auto`` is the
+    index in SCHEMES of `select_scheme`'s pick, ``q`` the item count,
+    ``slot`` the position among the rows of that count and ``per[r, s]``
+    the uniforms a draw under scheme s spends. ``stacks`` caches what
+    `stack` builds.
     """
 
     rows: tuple
@@ -460,11 +527,12 @@ class _DispatchTable:
 
     @classmethod
     def build(cls, inst: FulfillmentInstance, plan: DLPlan) -> "_DispatchTable":
+        keys = _plan_keys(inst, plan)
         row_of = np.full(len(inst.types) * inst.J, -1, dtype=np.intp)
-        rows = []
-        for r, (t, j) in enumerate(sorted(plan.u)):
-            rows.append(_plan_row(inst, t, j, plan.u[(t, j)]))
-            row_of[t * inst.J + j] = r
+        row_of[[t * inst.J + j for t, j in keys]] = np.arange(len(keys))
+        # a well-formed plan's rows sum to 1 within PLAN_TOL, so validate
+        # cannot fail on them once the sums are divided out
+        rows = [rounding.validate(a / a.sum(axis=1)[:, None]) for a in plan.u.values()]
         q = np.array([m.q for m in rows], dtype=np.intp)
         slot = np.empty_like(q)
         for n_items in np.unique(q).tolist():
@@ -486,27 +554,6 @@ class _DispatchTable:
                 a.flags.writeable = False
             got = self.stacks[(s, q)] = (drawn[0][1], tables)
         return got
-
-
-def _plan_row(inst: FulfillmentInstance, t, j, raw: np.ndarray) -> rounding.MarginalMatrix:
-    """The plan's (t, j) row as the rounding instance its orders draw from:
-    one row per item of type t and one column per FC, null FC 0 included,
-    finite, non-negative and each item's row with a positive sum, which
-    is divided out."""
-    if not (0 <= t < len(inst.types) and 0 <= j < inst.J):
-        raise FulfillmentError(f"plan row {(t, j)} is not an order of the instance")
-    shape = (len(inst.types[t]), inst.K + 1)
-    if raw.shape != shape:
-        raise FulfillmentError(f"plan row {(t, j)} has shape {raw.shape}, the instance needs {shape}")
-    if not np.all((raw >= 0.0) & (raw < np.inf)):
-        raise FulfillmentError(f"plan row {(t, j)} has a negative or non-finite entry")
-    sums = raw.sum(axis=1)
-    if not np.all(sums > 0.0):
-        raise FulfillmentError(f"plan row {(t, j)} gives an item no mass")
-    try:
-        return rounding.validate(raw / sums[:, None])
-    except rounding.RoundingError as exc:
-        raise FulfillmentError(f"plan row {(t, j)}: {exc}") from None
 
 
 def _dispatch_table(inst: FulfillmentInstance, plan: DLPlan) -> _DispatchTable:
@@ -565,7 +612,8 @@ def theoretical_beta(inst: FulfillmentInstance, plan: DLPlan) -> tuple[float, fl
     """
     num = den = 0.0
     max_q = 1
-    for (t, j), mat in plan.u.items():
+    for t, j in _plan_keys(inst, plan):
+        mat = plan.u[(t, j)]
         q = len(inst.types[t])
         max_q = max(max_q, q)
         term = min(
@@ -596,20 +644,8 @@ def scale(inst: FulfillmentInstance, theta: float) -> FulfillmentInstance:
         raise FulfillmentError(f"scaled inventory {top} * {theta} is not finite")
     inv = inst.inventory.copy()
     inv[1:] = np.rint(inv[1:] * theta)
-    meta = dict(inst.meta)
-    meta["scale_theta"] = meta.get("scale_theta", 1.0) * theta
-    return FulfillmentInstance(
-        n=inst.n,
-        K=inst.K,
-        J=inst.J,
-        T=int(round(inst.T * theta)),
-        types=inst.types,
-        rates=inst.rates,
-        unit_cost=inst.unit_cost,
-        fixed_cost=inst.fixed_cost,
-        inventory=inv,
-        meta=meta,
-    )
+    meta = {**inst.meta, "scale_theta": inst.meta.get("scale_theta", 1.0) * theta}
+    return replace(inst, T=int(round(inst.T * theta)), inventory=inv, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -634,24 +670,25 @@ def instance_to_json(inst: FulfillmentInstance) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _fields(doc, *names) -> list:
+    """The named fields of a JSON object; FulfillmentError names the first
+    one missing."""
+    for name in names:
+        if not isinstance(doc, dict) or name not in doc:
+            raise FulfillmentError(f"JSON object has no field {name!r}")
+    return [doc[name] for name in names]
+
+
 def instance_from_json(text: str) -> FulfillmentInstance:
     doc = json.loads(text)
-    K, n = doc["K"], doc["n"]
-    inv = np.empty((K + 1, n))
-    inv[0] = np.inf
-    inv[1:] = np.asarray(doc["inventory"], dtype=float)
-    return FulfillmentInstance(
-        n=n,
-        K=K,
-        J=doc["J"],
-        T=doc["T"],
-        types=tuple(tuple(a) for a in doc["types"]),
-        rates=np.asarray(doc["rates"], dtype=float),
-        unit_cost=np.asarray(doc["unit_cost"], dtype=float),
-        fixed_cost=np.asarray(doc["fixed_cost"], dtype=float),
-        inventory=inv,
-        meta=doc.get("meta", {}),
-    )
+    n, K, J, T, types, rates, unit, fixed, stock = _fields(
+        doc, "n", "K", "J", "T", "types", "rates", "unit_cost", "fixed_cost", "inventory")
+    stock = np.asarray(stock, dtype=float)
+    if stock.shape != (K, n):
+        raise FulfillmentError(f"inventory shape {stock.shape} != (K, n)")
+    inv = np.vstack((np.full((1, n), np.inf), stock))
+    return FulfillmentInstance(n=n, K=K, J=J, T=T, types=types, rates=rates, unit_cost=unit,
+                               fixed_cost=fixed, inventory=inv, meta=doc.get("meta", {}))
 
 
 def write_instance_json(inst: FulfillmentInstance, f: TextIO) -> None:
@@ -664,22 +701,17 @@ def read_instance_json(f: TextIO) -> FulfillmentInstance:
 
 
 def plan_to_json(plan: DLPlan) -> str:
-    entries = [
-        {"type": t, "region": j, "u": plan.u[(t, j)].tolist(), "y": plan.y[(t, j)].tolist()}
-        for (t, j) in sorted(plan.u)
-    ]
-    return json.dumps(
-        {"objective": plan.objective, "entries": entries},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    entries = [{"type": t, "region": j, "u": u.tolist(), "y": plan.y[(t, j)].tolist()}
+               for (t, j), u in plan.u.items()]
+    return json.dumps({"objective": plan.objective, "entries": entries}, sort_keys=True, separators=(",", ":"))
 
 
 def plan_from_json(text: str) -> DLPlan:
-    doc = json.loads(text)
+    objective, entries = _fields(json.loads(text), "objective", "entries")
     u, y = {}, {}
-    for ent in doc["entries"]:
-        key = (ent["type"], ent["region"])
-        u[key] = np.asarray(ent["u"], dtype=float)
-        y[key] = np.asarray(ent["y"], dtype=float)
-    return DLPlan(objective=doc["objective"], u=u, y=y)
+    for ent in entries:
+        t, j, u_row, y_row = _fields(ent, "type", "region", "u", "y")
+        if (t, j) in u:
+            raise FulfillmentError(f"plan lists order {(t, j)} twice")
+        u[(t, j)], y[(t, j)] = u_row, y_row
+    return DLPlan(objective=objective, u=u, y=y)

@@ -167,7 +167,9 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     ``max_pivots`` caps the simplex iterations; a run that reaches it
     returns ITERATION_LIMIT. Optimal solutions satisfy every row and bound
     within FEAS_TOL and carry a dual certificate within FEAS_TOL (checked;
-    a failure raises SolverNumericalError).
+    a failure raises SolverNumericalError). A problem with no columns is
+    decided here, without HiGHS: optimal at x = [] with objective 0 when
+    every row holds there within FEAS_TOL, else infeasible.
     """
     lo, hi = problem.bounds.T
     if np.any(lo > hi):
@@ -179,6 +181,12 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     data = problem.A.data * np.repeat(sign, np.diff(problem.A.indptr))
     A = sparse.csr_matrix((data, problem.A.indices, problem.A.indptr), shape=problem.A.shape)
     b = problem.rhs * sign
+    if problem.n == 0:
+        # HiGHS needs a column; with none, x = [] and each row reads 0 <= b or 0 = b
+        viol = max(float((-b[ub]).max(initial=0.0)), float(np.abs(b[eq]).max(initial=0.0)))
+        if viol > FEAS_TOL:
+            return LPSolution(INFEASIBLE, None, None)
+        return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol)
     res = linprog(
         problem.c,
         A_ub=A[ub],

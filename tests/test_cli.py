@@ -112,7 +112,7 @@ def test_samples_below_one_is_a_usage_error(tmp_path, capsys, samples):
     assert "--samples: must be >= 1" in capsys.readouterr().err
 
 
-def test_gen_instance_deterministic(tmp_path):
+def test_gen_instance_deterministic(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({
         "n": 8, "n_max": 2, "n_per": 2, "p_carry": 0.75, "z_safety": 0.5,
@@ -122,6 +122,10 @@ def test_gen_instance_deterministic(tmp_path):
     assert run(["gen-instance", "--config", str(cfg), "--out", str(a)]) == cli.EXIT_OK
     assert run(["gen-instance", "--config", str(cfg), "--out", str(b)]) == cli.EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # stdout gets the same text as --out
+    capsys.readouterr()
+    assert run(["gen-instance", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == a.read_text()
     doc = json.loads(a.read_text())
     assert doc["n"] == 8 and doc["K"] == 3 and len(doc["inventory"]) == 3
 

@@ -12,6 +12,8 @@ from corround import rounding
 from corround.fulfillment import (
     ARRIVAL_SUBSTREAM,
     DECISION_SUBSTREAM,
+    INV_TOL,
+    PLAN_TOL,
     DLPlan,
     DLPSolveError,
     FulfillmentError,
@@ -30,6 +32,7 @@ from corround.fulfillment import (
     theoretical_beta,
 )
 from corround.instances import GeneratorConfig, build_instance
+from corround.simplex import EQ, LE
 from corround.streams import RandomStream
 
 from conftest import mps_sha256
@@ -130,6 +133,31 @@ def test_instance_allows_unbounded_stock_on_a_real_fc():
     for policy in POLICIES:
         r = simulate(inst, plan, policy, RandomStream(1))
         assert (r.orders, r.short_items, r.stockout_orders) == (200, 0, (-1,)), policy
+    # the DLP has no budget row for unbounded stock, which never binds, and
+    # solves as with stock for every order
+    bounded = FulfillmentInstance(**_with(inst, inventory=((1, 0), 200.0)))
+    assert len(build_dlp(inst)[0].constraints) == len(build_dlp(bounded)[0].constraints) - 1
+    solved = solve_dlp(inst)
+    solved.check(inst)
+    assert solved.objective == pytest.approx(600.0, abs=1e-9)
+    assert solved.objective == pytest.approx(solve_dlp(bounded).objective, abs=1e-9)
+    hand, _ = hand_case()
+    inv = hand.inventory.copy()
+    inv[1, 0] = inv[3, 1] = INF
+    hand_inf = dataclasses.replace(hand, inventory=inv)
+    solved = solve_dlp(hand_inf)
+    solved.check(hand_inf)
+    assert solved.objective == pytest.approx(3150.0, abs=1e-7)
+
+
+def test_instance_item_ids_are_ints():
+    fields = _with(tiny_instance())
+    inst = FulfillmentInstance(**{**fields, "types": ((np.int64(0),),)})
+    assert type(inst.types[0][0]) is int
+    assert instance_to_json(inst) == instance_to_json(tiny_instance())
+    for types in (((0.0,),), (("0",),), (0,)):
+        with pytest.raises(FulfillmentError, match="integer item ids"):
+            FulfillmentInstance(**{**fields, "types": types})
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +200,21 @@ def test_dlp_variable_and_row_counts():
         inventory=np.vstack([np.full((1, 3), INF), np.full((2, 3), 100.0)]),
     )
     problem, idx = build_dlp(inst)
-    pairs = 4
+    assert idx.pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert idx.u_off == (0, 3, 6, 12)
     u_vars = (1 + 2) * (inst.K + 1) * 2      # sum of sizes over (t, j) pairs
-    y_vars = pairs * (inst.K + 1)
-    assert idx.n_vars == u_vars + y_vars
-    assert idx.n_inventory_rows == inst.K * inst.n
-    assert idx.n_assignment_rows == (1 + 2) * 2
-    assert idx.n_linking_rows == u_vars
-    assert len(problem.constraints) == (
-        idx.n_inventory_rows + idx.n_assignment_rows + idx.n_linking_rows
-    )
+    y_vars = len(idx.pairs) * (inst.K + 1)
+    assert problem.n == u_vars + y_vars
+    # K*n inventory rows, one assignment row per item slot, one linking row
+    # per u column
+    n_inventory, n_assignment = inst.K * inst.n, (1 + 2) * 2
+    assert problem.relations.tolist() == [LE] * n_inventory + [EQ] * n_assignment + [LE] * u_vars
+    assert problem.rhs.tolist() == [100.0] * n_inventory + [1.0] * n_assignment + [0.0] * u_vars
+    # a real FC's unbounded stock has no row
+    inv = inst.inventory.copy()
+    inv[2, 1] = INF
+    unbounded, _ = build_dlp(dataclasses.replace(inst, inventory=inv))
+    assert unbounded.rhs.tolist() == [100.0] * (n_inventory - 1) + problem.rhs[n_inventory:].tolist()
 
 
 def test_dlp_zero_rate_pairs_carry_no_variables():
@@ -231,14 +264,74 @@ def test_dlp_mps_text_is_pinned():
 
 def test_plan_check_catches_bad_plans():
     inst = tiny_instance()
+    # a row that does not sum to 1 is refused when the plan is built
+    with pytest.raises(FulfillmentError, match=re.escape("(0, 0) has an item row not summing to 1")):
+        DLPlan(objective=1.0, u={(0, 0): np.array([[0.5, 0.4]])}, y={(0, 0): np.array([0.5, 0.4])})
+    # check catches a flow past the stock (50 orders, 10 units), an order
+    # without a row and a row that does not fit the instance
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])}, y={(0, 0): np.array([0.0, 1.0])})
+    plan.check(inst)
+    with pytest.raises(FulfillmentError, match=re.escape("oversubscribes inventory by 4.00e+01")):
+        plan.check(tiny_instance(b=10.0))
+    with pytest.raises(FulfillmentError, match=re.escape("no row for order (0, 0)")):
+        DLPlan(objective=1.0, u={}, y={}).check(inst)
+    wide = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 0.5, 0.5]])}, y={(0, 0): np.array([0.0, 0.5, 0.5])})
+    with pytest.raises(FulfillmentError, match=re.escape("(0, 0) has shape (1, 3)")):
+        wide.check(inst)
+
+
+def test_no_positive_rate_gives_an_empty_plan():
+    inst = dataclasses.replace(tiny_instance(), rates=np.array([[0.0]]))
     plan = solve_dlp(inst)
-    bad = DLPlan(
-        objective=plan.objective,
-        u={(0, 0): np.array([[0.5, 0.4]])},
-        y={(0, 0): np.array([0.5, 0.4])},
-    )
-    with pytest.raises(FulfillmentError):
-        bad.check(inst)
+    assert (plan.objective, dict(plan.u), dict(plan.y)) == (0.0, {}, {})
+    plan.check(inst)
+    assert theoretical_beta(inst, plan) == (1.0, 1.0)
+    for policy in POLICIES:
+        r = simulate(inst, plan, policy, RandomStream(1))
+        assert (r.orders, r.total_cost, r.uniforms) == (0, 0.0, 0), policy
+
+
+def reference_check(inst, plan, tol=1e-7):
+    """Per-item oracle of the plan checks: each item row sums to 1 and
+    y >= max u within tol, and the expected flow T * rate * u, added pair
+    by pair and item by item, stays within each real FC's stock."""
+    flow = np.zeros((inst.K + 1, inst.n))
+    for (t, j), mat in plan.u.items():
+        if np.abs(mat.sum(axis=1) - 1.0).max() > tol:
+            raise FulfillmentError(f"plan rows for order {(t, j)} do not sum to 1")
+        if np.any(plan.y[(t, j)] < mat.max(axis=0) - tol):
+            raise FulfillmentError(f"plan y < max u for order {(t, j)}")
+        for pos, i in enumerate(inst.types[t]):
+            flow[:, i] += inst.T * inst.rates[t, j] * mat[pos]
+    over = flow[1:] - inst.inventory[1:]
+    if over.max() > INV_TOL:
+        raise FulfillmentError(f"plan oversubscribes inventory by {over.max():.2e}")
+
+
+def _error(check, *args):
+    """The FulfillmentError message of check(*args), else None."""
+    try:
+        check(*args)
+    except FulfillmentError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_agrees_with_the_per_item_reference():
+    outcomes = []
+    for name, inst, plan in edge_cases():
+        # half of every item's mass moved to FC 1, which oversubscribes it
+        spread = {key: 0.5 * u + 0.5 * np.eye(inst.K + 1)[1] for key, u in plan.u.items()}
+        spread = DLPlan(plan.objective, spread, {key: u.max(axis=0) for key, u in spread.items()})
+        for factor in (1e6, 2.0, 1.0, 0.5, 0.0):
+            inv = inst.inventory.copy()
+            inv[np.isfinite(inv)] *= factor
+            case = dataclasses.replace(inst, inventory=inv)
+            for p in (plan, spread):
+                want = _error(reference_check, case, p)
+                assert _error(p.check, case) == want, (name, factor)
+                outcomes.append(want)
+    assert outcomes.count(None) >= 20 and len(set(outcomes)) >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +716,109 @@ def test_plan_arrays_are_read_only_copies():
     assert _fields(simulate(hand, plan, "dilate", RandomStream(2))) == before
 
 
+def malformed_rows():
+    """(what, pair named by the error, u, y): plans on hand_case()'s layout
+    that `DLPlan` refuses to build, one fault each."""
+    _, hand_plan = hand_case()
+    u0, y0 = hand_plan.u[(0, 0)], hand_plan.y[(0, 0)]
+    u1, y1 = hand_plan.u[(1, 0)], hand_plan.y[(1, 0)]
+    cases = [
+        ("NaN entry", (1, 0), [[0.1, np.nan, 0.0, 0.0]], [0.1, 1.0, 0.0, 0.0]),
+        ("inf entry", (1, 0), [[0.1, INF, 0.0, 0.0]], [0.1, INF, 0.0, 0.0]),
+        ("negative entry", (1, 0), [[-0.1, 1.1, 0.0, 0.0]], [0.0, 1.1, 0.0, 0.0]),
+        ("all-zero item", (0, 0), [[0.2, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]], y0),
+        ("item summing to 0.9", (1, 0), [[0.5, 0.4, 0.0, 0.0]], [0.5, 0.4, 0.0, 0.0]),
+        ("item summing to 1 + 2 PLAN_TOL", (1, 0), [[0.1, 0.9 + 2 * PLAN_TOL, 0.0, 0.0]], [0.1, 1.0, 0.0, 0.0]),
+        ("K columns beside K + 1", (1, 0), [[0.1, 0.9, 0.0]], [0.1, 0.9, 0.0]),
+        ("no item rows", (1, 0), np.empty((0, 4)), y1),
+        ("1-D u", (1, 0), [0.1, 0.9, 0.0, 0.0], y1),
+        ("NaN in y", (0, 0), u0, [0.2, np.nan, 0.3, 0.6]),
+        ("inf in y", (0, 0), u0, [0.2, INF, 0.3, 0.6]),
+        ("y below max u", (0, 0), u0, [0.2, 0.5 - 2 * PLAN_TOL, 0.3, 0.6]),
+        ("y of K entries", (1, 0), u1, [0.1, 0.9, 0.0]),
+        ("u without y", (1, 0), u1, None),
+        ("y without u", (2, 0), None, [1.0, 0.0, 0.0, 0.0]),
+    ]
+    for what, pair, u, y in cases:
+        us = {key: a for key, a in hand_plan.u.items() if key != pair}
+        ys = {key: a for key, a in hand_plan.y.items() if key != pair}
+        if u is not None:
+            us[pair] = np.array(u, dtype=float)
+        if y is not None:
+            ys[pair] = np.array(y, dtype=float)
+        yield what, pair, us, ys
+
+
+class _Pickled:
+    """Pickles as the DLPlan of the given fields, whatever they hold, as a
+    plan pickled by a version that did not check them would."""
+
+    def __init__(self, *fields):
+        self.fields = fields
+
+    def __reduce__(self):
+        return DLPlan, self.fields
+
+
+def _plan_text(objective, u, y):
+    entries = [{"type": t, "region": j, "u": np.asarray(u[(t, j)]).tolist(), "y": np.asarray(y[(t, j)]).tolist()}
+               for t, j in u]
+    return json.dumps({"objective": objective, "entries": entries})
+
+
+def test_malformed_plans_fail_when_built():
+    for _, pair, u, y in malformed_rows():
+        builds = [lambda: DLPlan(objective=5.0, u=u, y=y),
+                  lambda: pickle.loads(pickle.dumps(_Pickled(5.0, u, y)))]
+        if u.keys() == y.keys():
+            # NaN and inf are written as JSON's NaN and Infinity literals
+            builds.append(lambda: plan_from_json(_plan_text(5.0, u, y)))
+        for build in builds:
+            with pytest.raises(FulfillmentError, match=re.escape(str(pair))):
+                build()
+
+
+def test_plan_construction_tolerances_and_keys():
+    _, hand_plan = hand_case()
+    u, y = dict(hand_plan.u), dict(hand_plan.y)
+    # within PLAN_TOL of a row sum of 1 and of y = max u is well formed
+    u[(1, 0)] = np.array([[0.1, 0.9 + PLAN_TOL / 2, 0.0, 0.0]])
+    y[(0, 0)] = y[(0, 0)] - PLAN_TOL / 2
+    DLPlan(objective=5.0, u=u, y=y)
+    # numpy int keys become ints, and the mappings iterate in key order
+    plan = DLPlan(objective=np.float32(5.0), u={(np.int64(t), j): a for (t, j), a in reversed(hand_plan.u.items())},
+                  y=dict(hand_plan.y))
+    assert list(plan.u) == list(plan.y) == [(0, 0), (1, 0)]
+    assert all(type(t) is int for t, _ in plan.u)
+    assert plan_to_json(plan) == plan_to_json(hand_plan)
+    bad = {
+        "not a pair": ({(0,): [[1.0]]}, {(0,): [1.0]}),
+        "float type": ({(0.0, 0): [[1.0]]}, {(0.0, 0): [1.0]}),
+        "text key": ({"ab": [[1.0]]}, {"ab": [1.0]}),
+        "text entries": ({(0, 0): [["a"]]}, {(0, 0): [1.0]}),
+        "ragged rows": ({(0, 0): [[1.0], [0.5, 0.5]]}, {(0, 0): [1.0]}),
+    }
+    for what, (u, y) in bad.items():
+        with pytest.raises(FulfillmentError, match="int \\(type, region\\) pair"):
+            DLPlan(objective=1.0, u=u, y=y)
+    for objective in (np.nan, INF, "5", None):
+        with pytest.raises(FulfillmentError, match="objective"):
+            DLPlan(objective=objective, u={}, y={})
+
+
 def malformed_plans():
-    """(what, pair named by the error, plan) on hand_case() that no
-    randomized policy can draw from."""
+    """(what, pair named by the error, plan): well-formed plans that do not
+    fit hand_case(), so that no randomized policy can draw from them."""
     hand, hand_plan = hand_case()
     good = dict(hand_plan.u)
     rows = {
         "missing pair": ((1, 0), {(0, 0): good[(0, 0)]}),
-        "K columns": ((1, 0), {**good, (1, 0): np.array([[0.1, 0.9, 0.0]])}),
+        "K columns": ((0, 0), {(0, 0): np.array([[0.2, 0.5, 0.3], [0.0, 0.4, 0.6]]),
+                               (1, 0): np.array([[0.1, 0.9, 0.0]])}),
         "extra item row": ((1, 0), {**good, (1, 0): np.array([[0.1, 0.9, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])}),
-        "all-zero item": ((0, 0), {**good, (0, 0): np.array([[0.2, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]])}),
-        "NaN entry": ((1, 0), {**good, (1, 0): np.array([[0.1, np.nan, 0.0, 0.0]])}),
-        "inf entry": ((1, 0), {**good, (1, 0): np.array([[0.1, np.inf, 0.0, 0.0]])}),
-        "negative entry": ((1, 0), {**good, (1, 0): np.array([[-0.1, 1.1, 0.0, 0.0]])}),
         "unknown order": ((2, 0), {**good, (2, 0): np.array([[1.0, 0.0, 0.0, 0.0]])}),
+        "unknown region": ((0, 1), {**good, (0, 1): good[(0, 0)]}),
+        "negative type": ((-1, 0), {**good, (-1, 0): np.array([[1.0, 0.0, 0.0, 0.0]])}),
     }
     return hand, [(what, pair, DLPlan(objective=5.0, u=u, y={k: v.max(axis=0) for k, v in u.items()}))
                   for what, (pair, u) in rows.items()]
@@ -650,6 +832,18 @@ def test_simulate_rejects_malformed_plans(policy):
             simulate(hand, plan, policy, RandomStream(3))
     # myopic ignores the plan
     assert simulate(hand, plans[0][2], "myopic", RandomStream(3)).orders > 0
+
+
+def test_plan_fit_errors_name_the_pair():
+    hand, plans = malformed_plans()
+    for what, pair, plan in plans:
+        for copy in (plan, plan_from_json(plan_to_json(plan)), pickle.loads(pickle.dumps(plan))):
+            with pytest.raises(FulfillmentError, match=re.escape(str(pair))):
+                copy.check(hand)
+            # beta averages over the rows there are
+            if what != "missing pair":
+                with pytest.raises(FulfillmentError, match=re.escape(str(pair))):
+                    theoretical_beta(hand, copy)
 
 
 def test_plan_tables_are_checked_per_instance_layout():
@@ -775,3 +969,27 @@ def test_plan_json_round_trip():
     assert back.objective == plan.objective
     assert np.array_equal(back.u[(0, 0)], plan.u[(0, 0)])
     assert np.array_equal(back.y[(0, 0)], plan.y[(0, 0)])
+
+
+@pytest.mark.parametrize("reader, text, field", [
+    (plan_from_json, '{"objective": 1}', "entries"),
+    (plan_from_json, '{"entries": []}', "objective"),
+    (plan_from_json, '{"objective": 1, "entries": [{"type": 0, "region": 0, "u": [[1.0]]}]}', "y"),
+    (plan_from_json, "[]", "objective"),
+    (instance_from_json, '{"n": 1}', "K"),
+    (instance_from_json, "[1, 2]", "n"),
+])
+def test_json_readers_name_a_missing_field(reader, text, field):
+    with pytest.raises(FulfillmentError, match=f"no field '{field}'"):
+        reader(text)
+
+
+def test_json_readers_reject_malformed_documents():
+    doc = json.loads(instance_to_json(two_fc_instance()))
+    doc["inventory"] = doc["inventory"][:1]
+    with pytest.raises(FulfillmentError, match=re.escape("inventory shape (1, 1) != (K, n)")):
+        instance_from_json(json.dumps(doc))
+    doc = json.loads(plan_to_json(hand_case()[1]))
+    doc["entries"].append(doc["entries"][0])
+    with pytest.raises(FulfillmentError, match=re.escape("lists order (0, 0) twice")):
+        plan_from_json(json.dumps(doc))

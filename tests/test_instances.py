@@ -200,8 +200,11 @@ def test_big_network_config_builds():
         inst = build_instance(cfg, build_geography(99, 10))
     assert len(inst.types) == 100
     assert inst.rates.shape == (100, 99)
-    _, idx = build_dlp(inst)
-    assert idx.n_vars > 0
+    problem, idx = build_dlp(inst)
+    assert len(idx.pairs) == np.count_nonzero(inst.rates) > 0
+    # q * (K+1) u columns per pair, then K+1 y columns per pair
+    K1 = inst.K + 1
+    assert problem.n == sum(len(inst.types[t]) * K1 + K1 for t, _ in idx.pairs)
 
 
 def test_build_instance_determinism():

@@ -261,6 +261,25 @@ def test_no_rows_finite_boxes():
     assert np.allclose(s.x[:2], [-1.0, 3.0])
 
 
+@pytest.mark.parametrize("rows, status", [
+    ([], OPTIMAL),
+    ([({}, "<=", 1.0), ({}, ">=", -2.0), ({}, "=", 0.0)], OPTIMAL),
+    ([({}, "<=", -FEAS_TOL / 2), ({}, "=", FEAS_TOL / 2)], OPTIMAL),
+    ([({}, "<=", -1.0)], INFEASIBLE),
+    ([({}, ">=", 1.0)], INFEASIBLE),
+    ([({}, "=", 2 * FEAS_TOL)], INFEASIBLE),
+])
+def test_no_columns_decided_without_highs(rows, status):
+    # linprog rejects an empty objective; every row reads 0 <rel> rhs at x = []
+    s = solve(LPProblem(c=np.empty(0), constraints=rows))
+    assert s.status == status
+    if status == OPTIMAL:
+        assert (s.objective, s.x.shape, s.iterations) == (0.0, (0,), 0)
+        assert s.max_violation <= FEAS_TOL
+    else:
+        assert s.x is None and s.objective is None
+
+
 def test_unbounded_free_variables():
     p = LPProblem(
         c=np.array([1.0, -1.0]),
