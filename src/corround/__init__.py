@@ -5,8 +5,6 @@ from .rounding import (
     MCReport,
     RoundingOutcome,
     RoundingTrace,
-    SparsityStats,
-    UsageBounds,
     dilate_round,
     force_open_round,
     guarantee_dilate,
@@ -17,8 +15,6 @@ from .rounding import (
     mc_estimate,
     sample,
     select_scheme,
-    sparsity_stats,
-    usage_lower_bounds,
     validate,
 )
 from .streams import RandomStream, derive_seed
@@ -31,8 +27,6 @@ __all__ = [
     "RandomStream",
     "RoundingOutcome",
     "RoundingTrace",
-    "SparsityStats",
-    "UsageBounds",
     "derive_seed",
     "dilate_round",
     "force_open_round",
@@ -44,7 +38,5 @@ __all__ = [
     "mc_estimate",
     "sample",
     "select_scheme",
-    "sparsity_stats",
-    "usage_lower_bounds",
     "validate",
 ]

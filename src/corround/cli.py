@@ -230,6 +230,14 @@ def _campaign_job(job):
     return fulfillment.simulate(*_campaign, policy, RandomStream(rep_seed))
 
 
+def _campaign_count(doc: dict, key: str) -> int:
+    """A campaign count: a JSON integer, 1 when absent; no float or boolean."""
+    value = doc.get(key, 1)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as f:
@@ -244,8 +252,8 @@ def cmd_simulate(args) -> int:
         "base_seed", _seed_from(args)
     )
     try:
-        n_instances = int(doc.get("instances", 1))
-        n_reps = int(doc.get("replications", 1))
+        n_instances = _campaign_count(doc, "instances")
+        n_reps = _campaign_count(doc, "replications")
         theta = args.scale if args.scale is not None else float(doc.get("scale", 1.0))
     except (TypeError, ValueError) as exc:
         print(f"simulate: bad campaign value: {exc}", file=sys.stderr)

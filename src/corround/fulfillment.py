@@ -88,14 +88,14 @@ class FulfillmentInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n", "K", "J", "T"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         try:
             object.__setattr__(self, "types", tuple(tuple(map(operator.index, a)) for a in self.types))
         except TypeError:
             raise FulfillmentError("order types must be sequences of integer item ids") from None
-        rates = np.asarray(self.rates, dtype=float)
-        unit = np.asarray(self.unit_cost, dtype=float)
-        fixed = np.asarray(self.fixed_cost, dtype=float)
-        inv = np.asarray(self.inventory, dtype=float)
+        rates, unit, fixed, inv = (_floats(name, getattr(self, name))
+                                   for name in ("rates", "unit_cost", "fixed_cost", "inventory"))
         if rates.shape != (len(self.types), self.J):
             raise FulfillmentError(f"rates shape {rates.shape} != (types, J)")
         if unit.shape != (self.K + 1, self.n, self.J):
@@ -128,6 +128,25 @@ class FulfillmentInstance:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+
+def _count(name: str, value) -> int:
+    """An instance count as an int >= 0; FulfillmentError names the field."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise FulfillmentError(f"{name} must be an integer, got {value!r}") from None
+    if v < 0:
+        raise FulfillmentError(f"{name} must be >= 0, got {v}")
+    return v
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """An instance array as floats; FulfillmentError names the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise FulfillmentError(f"{name} is not an array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -545,14 +564,12 @@ class _DispatchTable:
 
     def stack(self, s: int, q: int):
         """(kernel, tables) of scheme s, the tables stacked over the rows of
-        q items in slot order; built on first use."""
+        q items in slot order and padded to their largest support; built on
+        first use."""
         got = self.stacks.get((s, q))
         if got is None:
-            drawn = [rounding.draw_kernel(m, rounding.SCHEMES[s]) for m in self.rows if m.q == q]
-            tables = tuple(np.stack(a) for a in zip(*(d[2] for d in drawn)))
-            for a in tables:
-                a.flags.writeable = False
-            got = self.stacks[(s, q)] = (drawn[0][1], tables)
+            got = self.stacks[(s, q)] = rounding.stack_kernel(
+                [m for m in self.rows if m.q == q], rounding.SCHEMES[s])
         return got
 
 
@@ -683,7 +700,7 @@ def instance_from_json(text: str) -> FulfillmentInstance:
     doc = json.loads(text)
     n, K, J, T, types, rates, unit, fixed, stock = _fields(
         doc, "n", "K", "J", "T", "types", "rates", "unit_cost", "fixed_cost", "inventory")
-    stock = np.asarray(stock, dtype=float)
+    n, K, stock = _count("n", n), _count("K", K), _floats("inventory", stock)
     if stock.shape != (K, n):
         raise FulfillmentError(f"inventory shape {stock.shape} != (K, n)")
     inv = np.vstack((np.full((1, n), np.inf), stock))

@@ -18,20 +18,23 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-Each scheme has one kernel, which maps the scheme's tables and a block of
-uniforms, one row per draw, to assignments and clocks; the single-call
-``*_round`` functions run it on one row, and `sample` on n rows. The
-tables are cached on `MarginalMatrix`, and the kernels broadcast them
-against the draws: one matrix's tables serve a whole block, and tables
-stacked along a leading draw axis give each draw its own matrix, which is
-how dispatch rounds every order of one scheme and item count in one call.
-Monte Carlo, set cover and dispatch all draw through `sample` or its
+Each scheme has a batched kernel, which maps the scheme's tables and a
+block of uniforms, one row per draw, to arrays: the assignments and, for
+dilate, each item's first-open time. The kernels draw over each item's
+support (the FCs it has mass on, at most the sparsity d of them), so a
+draw costs O(K + q*d) rather than O(q*K). The tables are cached on
+`MarginalMatrix`, and the kernels broadcast them against the draws: one
+matrix's tables serve a whole block, and tables stacked along a leading
+draw axis (`stack_kernel`) give each draw its own matrix, which is how
+dispatch rounds every order of one scheme and item count in one call.
+Monte Carlo, set cover and dispatch all draw through `sample` or these
 kernels, and `draw_kernel` is the one place a scheme name turns into draw
-code. The kernels never multiply 0 by inf, so the draw path needs no
-floating-point error state. `mc_estimate` verifies marginals,
-usage bounds, support and the waiting-time tail empirically. Both consume
-uniforms in the exact per-call order, so batched and one-call-at-a-time
-sampling produce identical assignments.
+code. The single-call ``*_round`` functions draw over all K columns, and
+only they build a `RoundingTrace` of the clocks. No draw multiplies 0 by
+inf, so the draw path needs no floating-point error state. `mc_estimate`
+verifies marginals, usage bounds, support and the waiting-time tail
+empirically. Every path consumes uniforms in the exact per-call order, so
+batched and one-call-at-a-time sampling produce identical assignments.
 """
 
 from __future__ import annotations
@@ -106,20 +109,46 @@ class MarginalMatrix:
         return y
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The support layout: item i's p-th FC with u_ki > 0, in FC order,
+        at [p, i], a read-only (d, q) array for d = `sparsity`.
+
+        An item with fewer than d such FCs repeats its last one. A draw
+        over the layout scans the positions in order and keeps an earlier
+        position on ties, so a repeat never wins; every support table
+        repeats its entry with its FC. `np.flatnonzero` lists the entries
+        row by row, so the layout needs no sort.
+        """
+        pos = self.u > 0.0
+        count = pos.sum(axis=1)
+        start = np.cumsum(count) - count
+        cells = np.flatnonzero(pos)[start + np.minimum(np.arange(count.max())[:, None], count - 1)]
+        s = cells - np.arange(0, self.u.size, self.K)
+        s.flags.writeable = False
+        return s
+
+    def _on_support(self, a: np.ndarray) -> np.ndarray:
+        """A (q, K) table's entries at the support layout's cells, (d, q)."""
+        return a.take(self.support + np.arange(0, self.u.size, self.K))
+
+    @cached_property
     def dilation(self) -> tuple[np.ndarray, ...]:
-        """The tables of a dilated-clock draw: (divisor, floor, usable, ratios).
+        """The tables of a dilated-clock draw: (divisor, floor, usable,
+        ratios, support, support ratios).
 
         Opening times are E_k = max(ln(U_k) / divisor_k, floor_k), with
         divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
         = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
         makes no 0/0, and its floor of +inf keeps it closed. ``usable`` is
         the mask u_ki > 0 and ``ratios`` holds y_k / u_ki where usable and
-        +inf elsewhere.
+        +inf elsewhere; the support ratios are those at the `support`
+        layout's cells.
         """
         closed = self.y == 0.0
         usable = self.u > 0.0
         ratios = np.divide(self.y[None, :], self.u, out=np.full(self.u.shape, np.inf), where=usable)
-        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf), usable, ratios)
+        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf), usable, ratios,
+               self.support, self._on_support(ratios))
         for a in out:
             a.flags.writeable = False
         return out
@@ -130,11 +159,16 @@ class MarginalMatrix:
         return self.dilation[3]
 
     @cached_property
-    def row_cdf(self) -> np.ndarray:
-        """Per-item cumulative marginals, for inverse-CDF draws."""
+    def row_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of an inverse-CDF draw: the per-item cumulative
+        marginals (q, K), column-major, and the same at the `support`
+        layout's cells, (d, q). A zero entry adds nothing to a cumulative
+        sum, so both tables stop a draw at the same FC."""
         c = pinned_cdf(self.u)
-        c.flags.writeable = False
-        return c
+        out = c, self._on_support(c)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     @cached_property
     def favorite(self) -> np.ndarray:
@@ -145,45 +179,37 @@ class MarginalMatrix:
 
     @cached_property
     def forced(self) -> tuple[np.ndarray, ...]:
-        """The tables of a force_open draw: the dilation tables, then per
-        item the flat index i*K + m(i) of its favorite FC, the time item i
-        sees it forced open, (y_m(i) / u_m(i)i) * (1 / y_m(i)), its hiding
-        probability and m(i)."""
+        """The tables of a force_open draw: the first four dilation tables,
+        then per item the flat index i*K + m(i) of its favorite FC m(i), the
+        time item i sees it forced open, (y_m(i) / u_m(i)i) * (1 / y_m(i)),
+        its hiding probability, m(i) and y_m(i) / u_m(i)i; then the
+        `support` layout with each favorite's cell moved to column K + i and
+        its ratio to 1, where a support draw puts the time item i sees its
+        favorite."""
         fav = self.favorite
         flat = np.arange(0, self.u.size, self.K) + fav
         um, yf = self.u.ravel()[flat], self.y[fav]
-        out = flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um), fav
+        at_fav = self.support == fav
+        out = (flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um), fav, self.ratios.ravel()[flat],
+               np.where(at_fav, self.K + np.arange(self.q), self.support), np.where(at_fav, 1.0, self.dilation[5]))
         for a in out:
             a.flags.writeable = False
-        return self.dilation + out
+        return self.dilation[:4] + out
 
     @property
     def hide_prob(self) -> np.ndarray:
         """Per-item hiding probability evaluated at u_{favorite(i), i}."""
         return self.forced[6]
 
-    @cached_property
+    @property
     def sparsity(self) -> int:
         """d = max_i |{k : u_ki > 0}|."""
-        return int((self.u > 0.0).sum(axis=1).max())
+        return self.support.shape[0]
 
     @cached_property
     def alpha_force(self) -> float:
         """1 / min_i max_k u_ki; always between 1 and the sparsity d."""
         return float(1.0 / self.u.max(axis=1).min())
-
-
-@dataclass(frozen=True)
-class UsageBounds:
-    """y_k = max_i u_ki for each FC; zero columns carry y_k = 0."""
-
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
-class SparsityStats:
-    d: int
-    alpha_force: float
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,7 @@ class RoundingTrace:
     ``e`` holds the FC opening times, ``x`` the per-item observed opening
     times (inf where an item cannot use an FC). ``h`` (hide flags) and
     ``m`` (per-item forced-open target) are populated by force_open only.
-    A kernel's trace of a block of draws carries one leading row per draw.
+    Only the single calls build one; the batched kernels return arrays.
     """
 
     e: np.ndarray
@@ -253,15 +279,6 @@ def validate(matrix) -> MarginalMatrix:
     u /= sums[:, None]
     u.flags.writeable = False
     return MarginalMatrix(u=u)
-
-
-def usage_lower_bounds(m: MarginalMatrix) -> UsageBounds:
-    """Column-wise maxima: the minimum usage probability of each FC."""
-    return UsageBounds(y=m.y)
-
-
-def sparsity_stats(m: MarginalMatrix) -> SparsityStats:
-    return SparsityStats(d=m.sparsity, alpha_force=m.alpha_force)
 
 
 def hiding_probability(u_m: float) -> float:
@@ -345,14 +362,17 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 # ---------------------------------------------------------------------------
 # The schemes. Each draw spends a fixed number of uniforms: independent q,
 # dilate K, force_open K + q. A scheme's kernel takes its tables and the
-# uniforms, (per,) for one draw or (n, per) for n; independent_round runs
-# inverse_cdf, its kernel's body.
+# uniforms, (n, per) for n draws, and returns (z, first): the (n, q)
+# assignments and, for dilate, each item's first-open time (None
+# otherwise). The kernels draw over the `support` layout, O(K + q*d) per
+# draw; a dense matrix (d = K) draws over all K columns instead, the way
+# the single calls do, which saves the layout's gathers there.
 # ---------------------------------------------------------------------------
 
 
 def independent_round(m: MarginalMatrix, rng: RandomStream) -> RoundingOutcome:
     """Draw each item's FC independently from its marginal row."""
-    return RoundingOutcome(z=inverse_cdf(m.row_cdf, rng.uniform(m.q)))
+    return RoundingOutcome(z=inverse_cdf(m.row_cdf[0], rng.uniform(m.q)))
 
 
 def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -362,8 +382,8 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    z, trace = _dilate(m.dilation, rng.uniform(m.K))
-    return RoundingOutcome(z=z), trace
+    e, x = _dilated(*m.dilation[:4], rng.uniform(m.K))
+    return RoundingOutcome(z=x.argmin(axis=-1)), RoundingTrace(e=e, x=x)
 
 
 def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -374,8 +394,8 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     item i's view with the calibrated probability that keeps the marginals
     exact. All items are assigned by time alpha_force with probability 1.
     """
-    z, trace = _force_open(m.forced, rng.uniform(m.K + m.q))
-    return RoundingOutcome(z=z), trace
+    e, x, h = _force_opened(m.forced, rng.uniform(m.K + m.q))
+    return RoundingOutcome(z=x.argmin(axis=-1)), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
 
 
 def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndarray:
@@ -383,7 +403,8 @@ def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndar
 
     Spends the stream exactly like n successive ``<scheme>_round`` calls and
     returns the same assignments. The draws are made in one block, so memory
-    grows as n * q * K; `mc_estimate` is the chunked, counting form.
+    grows as n * q * d (n * q * K for dilate and force_open on a dense
+    matrix); `mc_estimate` is the chunked, counting form.
     """
     per, kernel, tables = draw_kernel(m, scheme)
     if n < 0:
@@ -408,19 +429,38 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def draw_kernel(m: MarginalMatrix, scheme: str):
     """(uniforms per draw, kernel, tables) of a scheme on an instance.
 
-    The kernel maps the tables and a (..., per) block of uniforms to (z,
-    trace): the (..., q) assignments and the draws' `RoundingTrace`, None
-    for independent draws. Every kernel broadcasts its tables against the
-    draws, so one set of tables serves a block of draws, and tables stacked
-    along a leading draw axis (rows of equal shape, gathered per draw) give
-    each draw its own instance.
+    The kernel maps the tables and an (n, per) block of uniforms to (z,
+    first), as the schemes' section says; one set of tables serves the
+    whole block.
     """
     per = uniforms_per_draw(scheme, m.q, m.K)
+    if m.sparsity < m.K:
+        return per, _KERNELS[scheme], _support_tables(m, scheme)
     if scheme == "independent":
-        return per, _independent, (m.row_cdf,)
+        return per, _independent_full, m.row_cdf[:1]
     if scheme == "dilate":
-        return per, _dilate, m.dilation
-    return per, _force_open, m.forced
+        return per, _dilate_full, m.dilation
+    return per, _force_open_full, m.forced
+
+
+def stack_kernel(mats, scheme: str):
+    """(kernel, tables) of a scheme's support draw, one table per matrix.
+
+    The matrices share one shape (q, K). Each table is stacked along a
+    leading axis in the order of ``mats``, and the support tables are
+    widened to the largest sparsity by repeating their last position, so a
+    block whose draws each take their own matrix's tables (gathered along
+    that axis) draws what single calls draw.
+    """
+    width = max(m.sparsity for m in mats)
+    rows = [_support_tables(m, scheme) for m in mats]
+    tables = tuple(
+        np.stack([a[np.minimum(np.arange(width), len(a) - 1)] if a.ndim == 2 else a for a in col])
+        for col in zip(*rows)
+    )
+    for a in tables:
+        a.flags.writeable = False
+    return _KERNELS[scheme], tables
 
 
 def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
@@ -434,33 +474,124 @@ def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
+def _support_tables(m: MarginalMatrix, scheme: str) -> tuple:
+    """The tables of a scheme's support kernel, from the matrix's caches."""
+    if scheme == "independent":
+        return m.row_cdf[1], m.support
+    divisor, floor, _, _, fcs, ratios = m.dilation
+    if scheme == "dilate":
+        return divisor, floor, fcs, ratios
+    forced, hide, fav, fav_ratio, cols, fav_ratios = m.forced[5:]
+    return divisor, floor, fcs, cols, fav_ratios, fav, fav_ratio, forced, hide
+
+
+def _fc_at(fcs, pos):
+    """The FC at each item's position: fcs[..., pos[..., i], i]."""
+    d, q = fcs.shape[-2:]
+    at = pos * q + np.arange(q)
+    if fcs.ndim == 3:
+        at += np.arange(0, fcs.size, d * q)[:, None]
+    return fcs.take(at)
+
+
 def _independent(tables, u):
-    return inverse_cdf(tables[0], u), None
+    """Item i stops at the count of its support's cumulative marginals below
+    u_i, one position at a time; the last is 1, never below a uniform, so
+    it is not counted."""
+    cdf, fcs = tables
+    cdf = np.moveaxis(cdf, -2, 0)
+    pos = np.zeros(u.shape, dtype=np.intp)
+    for p in range(len(cdf) - 1):
+        np.add(pos, cdf[p] < u, out=pos)
+    return _fc_at(fcs, pos), None
 
 
 def _dilate(tables, u):
-    e, x = _dilated(*tables, u)
-    return x.argmin(axis=-1), RoundingTrace(e=e, x=x)
+    divisor, floor, fcs, ratios = tables
+    return _scan(np.maximum(np.log(u) / divisor, floor), fcs, ratios, fcs)
 
 
 def _force_open(tables, u):
-    """Hide flags H_i = U_K+i <= hide_i. Item i sees its favorite at the
-    earlier of its dilated natural opening and its forced time, or at the
-    forced time alone if hidden; the factor y/u_m(i) > 0 commutes with the
-    min, so this is (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
-    divisor, floor, usable, ratios, flat, forced, hide, favorite = tables
+    """Item i sees its favorite m(i) at y/u_m(i) times the earlier of E_m(i)
+    and the forced time 1/y, or at the forced time alone if hidden (H_i =
+    U_K+i <= hide_i), as in `_force_opened`; the scan reads that time from
+    column K + i of the clocks."""
+    divisor, floor, fcs, cols, ratios, fav, fav_ratio, forced, hide = tables
+    n, K = u.shape[0], divisor.shape[-1]
+    ext = np.empty((n, K + forced.shape[-1]))
+    e, seen = ext[:, :K], ext[:, K:]
+    np.log(u[:, :K], out=e)
+    np.divide(e, divisor, out=e)
+    np.maximum(e, floor, out=e)
+    np.multiply(fav_ratio, ext.ravel().take(fav + np.arange(0, ext.size, ext.shape[1])[:, None]), out=seen)
+    np.minimum(seen, forced, out=seen)
+    np.copyto(seen, forced, where=u[:, K:] <= hide)
+    return _scan(ext, cols, ratios, fcs)[0], None
+
+
+def _scan(clocks, cols, ratios, fcs):
+    """(z, first): per item, the first FC it sees open and when.
+
+    Position p of the support tables shows item i clock cols[p, i] of its
+    draw's row of ``clocks`` (n, w), slowed by ratios[p, i], on FC fcs[p,
+    i]; the positions are scanned in FC order with a running minimum, and
+    the strict `<` keeps the lowest FC on ties, as argmin over all K
+    columns does. Every ratio on a support is finite and at least 1, so no
+    0 * inf is formed.
+    """
+    n, w = clocks.shape
+    flat = clocks.ravel()
+    base = np.arange(0, n * w, w)[:, None]
+    cols, ratios, fcs = (np.moveaxis(a, -2, 0) for a in (cols, ratios, fcs))
+    first = flat.take(cols[0] + base)
+    first *= ratios[0]
+    z = np.empty(first.shape, dtype=np.intp)
+    z[...] = fcs[0]
+    t = np.empty_like(first)
+    better = np.empty(first.shape, dtype=bool)
+    for p in range(1, len(cols)):
+        flat.take(cols[p] + base, out=t)
+        t *= ratios[p]
+        np.less(t, first, out=better)
+        np.minimum(first, t, out=first)
+        np.copyto(z, fcs[p], where=better)
+    return z, first
+
+
+_KERNELS = {"independent": _independent, "dilate": _dilate, "force_open": _force_open}
+
+
+def _independent_full(tables, u):
+    return inverse_cdf(tables[0], u), None
+
+
+def _dilate_full(tables, u):
+    e, x = _dilated(*tables[:4], u)
+    z = x.argmin(axis=-1)
+    return z, np.take_along_axis(x, z[..., None], -1)[..., 0]
+
+
+def _force_open_full(tables, u):
+    return _force_opened(tables, u)[1].argmin(axis=-1), None
+
+
+def _force_opened(tables, u):
+    """(e, x, h) of force_open draws over all K columns. Hide flags H_i =
+    U_K+i <= hide_i. Item i sees its favorite at the earlier of its dilated
+    natural opening and its forced time, or at the forced time alone if
+    hidden; the factor y/u_m(i) > 0 commutes with the min, so this is
+    (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
+    divisor, floor, usable, ratios, flat, forced, hide = tables[:7]
     K = divisor.shape[-1]
     e, x = _dilated(divisor, floor, usable, ratios, u[..., :K])
     h = u[..., K:] <= hide
     # index the leading axis of the transpose, rather than [..., flat], which
-    # keeps numpy on its fast path for one draw and for a block alike; a
-    # per-draw table also names each favorite's draw
+    # keeps numpy on its fast path for one draw and for a block alike
     xt = x.reshape(x.shape[:-2] + (x.shape[-2] * K,)).T
-    cells = (flat,) if flat.ndim == 1 else (flat.T, np.arange(flat.shape[0]))
-    seen = np.minimum(xt[cells].T, forced)
+    seen = np.minimum(xt[flat].T, forced)
     np.copyto(seen, forced, where=h)
-    xt[cells] = seen.T
-    return x.argmin(axis=-1), RoundingTrace(e=e, x=x, h=h, m=favorite.copy())
+    xt[flat] = seen.T
+    return e, x, h
 
 
 def _dilated(divisor, floor, usable, ratios, u):
@@ -518,15 +649,15 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
     start = rng.position
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        z, trace = kernel(tables, rng.uniform((c, per)))
+        z, first = kernel(tables, rng.uniform((c, per)))
         flat = z + item_base
         marg += np.bincount(flat.ravel(), minlength=q * K)
         hit = np.zeros((c, K), dtype=bool)
-        hit[np.arange(c)[:, None], z] = True
-        used += hit.sum(axis=0)
-        in_support += int(np.count_nonzero((m.u.ravel()[flat] > 0.0).all(axis=1)))
+        hit.ravel()[z + np.arange(0, c * K, K)[:, None]] = True
+        used += np.count_nonzero(hit, axis=0)
+        in_support += int(np.count_nonzero((m.u.take(flat) > 0.0).all(axis=1)))
         if tail is not None:
-            wait = trace.x.min(axis=2).max(axis=1)
+            wait = first.max(axis=1)
             tail += (wait[:, None] >= TAIL_GRID[None, :]).sum(axis=0)
     return MCReport(
         scheme=scheme,

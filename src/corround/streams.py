@@ -1,8 +1,8 @@
 """Seeded random streams used by every stochastic component.
 
 All randomness flows through :class:`RandomStream`, which hands out uniforms
-on (0, 1] from a PCG64 generator and derives everything else from them by
-inverse CDF. Keeping the draw primitives this explicit has two payoffs:
+on (0, 1] from a PCG64 generator; its users derive everything else from them
+by inverse CDF. Keeping the draw primitive this explicit has two payoffs:
 exponential sampling via -ln(U)/rate never sees ln(0), and batched consumers
 (the Monte Carlo estimator) see bit-for-bit the same sequence as one-at-a-time
 consumers, which the tests rely on.
@@ -21,7 +21,7 @@ def derive_seed(base: int, index: int) -> int:
 
 
 class RandomStream:
-    """Deterministic source of uniform, exponential, and Bernoulli draws.
+    """Deterministic source of uniform draws.
 
     Identical seeds produce identical draw sequences. ``position`` counts the
     uniforms consumed so far, so two streams can be checked for lockstep.
@@ -41,23 +41,10 @@ class RandomStream:
         if size is None:
             self.position += 1
             return 1.0 - self._gen.random()
-        u = 1.0 - self._gen.random(size)
+        u = self._gen.random(size)
+        np.subtract(1.0, u, out=u)
         self.position += int(u.size)
         return u
-
-    def exponential(self, rate, size=None):
-        """Exponential draws via E = -ln(U)/rate.
-
-        ``rate`` may be a scalar or an array broadcast against ``size``.
-        A zero rate yields +inf (the event never happens).
-        """
-        u = self.uniform(size if size is not None else np.shape(rate) or None)
-        with np.errstate(divide="ignore"):
-            return -np.log(u) / rate
-
-    def bernoulli(self, p, size=None):
-        """Bernoulli draws: True with probability exactly p (U <= p)."""
-        return self.uniform(size) <= p
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, position={self.position})"

@@ -235,6 +235,12 @@ def test_simulate_unknown_policy(tmp_path):
     ({"replications": "x"}, []),
     ({"replications": None}, []),
     ({"policies": "myopic"}, []),
+    ({"instances": 1.9, "replications": 1.5}, []),
+    ({"instances": 1.0}, []),
+    ({"replications": 2.5}, []),
+    ({"instances": True}, []),
+    ({"replications": False}, []),
+    ({"replications": "1"}, []),
 ])
 def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
     cfg = tmp_path / "camp.json"
@@ -248,6 +254,8 @@ def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
     assert err.startswith("simulate: ") and err.count("\n") == 1
     if "policies" in override:
         assert "policies must be a list" in err
+    if any(isinstance(v, (bool, float)) for v in override.values()):
+        assert "must be an integer" in err
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "camp", 3, None])

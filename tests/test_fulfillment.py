@@ -984,6 +984,29 @@ def test_json_readers_name_a_missing_field(reader, text, field):
         reader(text)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("T", 2.5, "T must be an integer, got 2.5"),
+    ("T", -5, "T must be >= 0, got -5"),
+    ("T", "100", "T must be an integer, got '100'"),
+    ("J", None, "J must be an integer, got None"),
+    ("n", 1.0, "n must be an integer, got 1.0"),
+    ("K", -1, "K must be >= 0, got -1"),
+    ("rates", [["x"]], "rates is not an array of numbers"),
+    ("unit_cost", "cheap", "unit_cost is not an array of numbers"),
+    ("inventory", [[1.0], ["lots"]], "inventory is not an array of numbers"),
+])
+def test_instance_counts_and_arrays_are_checked(field, value, message):
+    doc = json.loads(instance_to_json(tiny_instance()))
+    doc[field] = value
+    with pytest.raises(FulfillmentError, match=re.escape(message)):
+        instance_from_json(json.dumps(doc))
+    if field in ("n", "K", "J", "T"):
+        with pytest.raises(FulfillmentError, match=re.escape(message)):
+            FulfillmentInstance(**{**_with(tiny_instance()), field: value})
+    inst = FulfillmentInstance(**{**_with(tiny_instance()), "T": np.int64(100)})
+    assert type(inst.T) is int and inst.T == 100
+
+
 def test_json_readers_reject_malformed_documents():
     doc = json.loads(instance_to_json(two_fc_instance()))
     doc["inventory"] = doc["inventory"][:1]

@@ -24,8 +24,6 @@ from corround.rounding import (
     read_instance,
     sample,
     select_scheme,
-    sparsity_stats,
-    usage_lower_bounds,
     validate,
     write_instance,
 )
@@ -95,16 +93,17 @@ def test_matrix_is_read_only():
 
 def test_usage_lower_bounds():
     m = validate([[0.6, 0.4], [0.3, 0.7]])
-    assert np.allclose(usage_lower_bounds(m).y, [0.6, 0.7])
-    assert np.allclose(usage_lower_bounds(validate([[1.0]])).y, [1.0])
+    assert np.allclose(m.y, [0.6, 0.7])
+    assert np.allclose(validate([[1.0]]).y, [1.0])
     uni = validate(np.full((4, 5), 0.2))
-    assert np.allclose(usage_lower_bounds(uni).y, 0.2)
+    assert np.allclose(uni.y, 0.2)
+    assert validate([[0.5, 0.0, 0.5]]).y.tolist() == [0.5, 0.0, 0.5]
 
 
 def test_sparsity_stats_ordering():
     for m in instance_battery(seed=5, count=12):
-        s = sparsity_stats(m)
-        assert 1.0 <= s.alpha_force <= s.d + 1e-12 <= m.K + 1e-12
+        assert m.sparsity == int((m.u > 0.0).sum(axis=1).max())
+        assert 1.0 <= m.alpha_force <= m.sparsity + 1e-12 <= m.K + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +347,91 @@ def test_sample_edge_instances_match_single_calls(rows, scheme):
 
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)
 def test_stacked_tables_match_single_calls(scheme):
-    # the kernels broadcast per-draw tables: a block whose draws each gather
-    # their own matrix's tables from a stack draws what single calls draw
+    # a block whose draws each gather their own matrix's tables from a stack,
+    # the support tables widened to the stack's largest d, draws what single
+    # calls draw, and dilate's first-open times are the traces' row minima
     gen = np.random.default_rng(44)
-    mats = [validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]]), validate([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])]
+    mats = [validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]]), validate([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]]),
+            validate([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])]
     mats += [random_instance(gen, 2, 3, sparse=sparse) for sparse in (False, True, False)]
-    per, kernel, _ = rounding.draw_kernel(mats[0], scheme)
-    stack = [np.stack(a) for a in zip(*(rounding.draw_kernel(m, scheme)[2] for m in mats))]
+    assert {m.sparsity for m in mats} == {1, 2, 3}
+    kernel, stack = rounding.stack_kernel(mats, scheme)
+    per = rounding.uniforms_per_draw(scheme, 2, 3)
     pick = gen.integers(0, len(mats), 300)
     for stream in (RandomStream(21), UnitUniforms(0), SmallestUniforms(0)):
-        z, trace = kernel(tuple(np.take(a, pick, axis=0) for a in stack), stream.uniform((pick.size, per)))
+        z, first = kernel(tuple(np.take(a, pick, axis=0) for a in stack), stream.uniform((pick.size, per)))
         replay = type(stream)(stream.seed)
         for d, r in enumerate(pick.tolist()):
             if scheme == "independent":
                 assert _same(z[d], independent_round(mats[r], replay).z)
                 continue
             draw = dilate_round if scheme == "dilate" else force_open_round
-            out, want = draw(mats[r], replay)
+            out, trace = draw(mats[r], replay)
             assert _same(z[d], out.z)
-            for f in ("e", "x", "h", "m"):
-                got = getattr(trace, f)
-                assert _same(None if got is None else got[d], getattr(want, f)), f
+            if scheme == "dilate":
+                assert _same(first[d], trace.x.min(axis=-1))
+        assert (first is None) == (scheme != "dilate")
         assert replay.position == stream.position
+
+
+# d = K (dense rows, and q = K = 1), d = 1, tied u (identical rows, equal
+# entries), zero columns (inner and trailing), and sparse rows of mixed
+# support sizes
+_gen = np.random.default_rng(808)
+SUPPORT_INSTANCES = [
+    [[1.0]],
+    random_instance(_gen, 6, 5).u,
+    [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+    [[0.25, 0.25, 0.25, 0.25]] * 3,
+    [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]],
+    [[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]],
+    [[0.34, 0.56, 0.10, 0.0], [0.0, 0.5, 0.5, 0.0]],
+    [[0.2, 0.2, 0.2, 0.2, 0.2, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0, 0.0, 0.5]],
+] + [random_instance(_gen, 7, 6, sparse=True).u for _ in range(3)]
+
+
+def _full_width(m, scheme, u):
+    """(z, first) of the full-width kernels, which the single calls run."""
+    if scheme == "independent":
+        return rounding.inverse_cdf(m.row_cdf[0], u), None
+    if scheme == "dilate":
+        x = rounding._dilated(*m.dilation[:4], u)[1]
+        return x.argmin(axis=-1), x.min(axis=-1)
+    return rounding._force_opened(m.forced, u)[1].argmin(axis=-1), None
+
+
+@pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
+@pytest.mark.parametrize("scheme", rounding.SCHEMES)
+def test_support_kernels_match_full_width(rows, scheme):
+    # the support kernels against the full-width ones, bit for bit: on the
+    # matrix's own tables, and on a stack of it with a matrix of other
+    # support sizes (widened to the larger d), for random draws, tied clocks
+    # (U = 1) and the smallest uniform (U = 2**-53)
+    m = validate(rows)
+    other = np.zeros((m.q, m.K))
+    if m.sparsity == 1:
+        other[:] = 1.0 / m.K
+    else:
+        other[np.arange(m.q), np.arange(m.q) % m.K] = 1.0
+    other = validate(other)
+    assert other.sparsity != m.sparsity or m.K == 1
+    kernel = rounding._KERNELS[scheme]
+    kernel_s, stack = rounding.stack_kernel([m, other], scheme)
+    assert kernel_s is kernel
+    pick = np.arange(64) % 2
+    per = rounding.uniforms_per_draw(scheme, m.q, m.K)
+    for stream in (RandomStream(5), UnitUniforms(0), SmallestUniforms(0)):
+        u = stream.uniform((pick.size, per))
+        want = _full_width(m, scheme, u)
+        got = kernel(rounding._support_tables(m, scheme), u)
+        for w, g in zip(want, got):
+            assert _same(g, w)
+        z, first = kernel(tuple(np.take(a, pick, axis=0) for a in stack), u)
+        for r, mat in enumerate((m, other)):
+            w_z, w_first = _full_width(mat, scheme, u[pick == r])
+            assert _same(z[pick == r], w_z)
+            assert _same(None if first is None else first[pick == r], w_first)
+        assert np.all(m.u[np.arange(m.q), got[0]] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +479,10 @@ def oracle_round(m, scheme, rng):
 
 
 def _same(a, b):
+    """Equal arrays bit for bit (or both None)."""
     if a is None or b is None:
         return a is None and b is None
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # q=1, K=1, a y_k = 0 column, a trailing zero column, an item with u_m = 1,
@@ -506,6 +569,8 @@ def test_sample_argument_errors():
         sample(m, "dilate", RandomStream(0), -1)
     for scheme in rounding.SCHEMES:
         assert sample(m, scheme, RandomStream(0), 0).shape == (0, 1)
+        # a sparse matrix draws over its support
+        assert sample(validate([[0.5, 0.0, 0.5]] * 2), scheme, RandomStream(0), 0).shape == (0, 2)
 
 
 def test_draw_at_u_one_stays_on_support():
@@ -530,7 +595,7 @@ def test_pinned_cdf_keeps_draws_below_one():
         u = RandomStream(9).uniform((500, m.q))
         plain = _searchsorted_per_row(np.cumsum(m.u, axis=1), u)
         assert np.all(m.u[np.arange(m.q), plain] > 0.0)
-        assert np.array_equal(rounding.inverse_cdf(m.row_cdf, u), plain)
+        assert np.array_equal(rounding.inverse_cdf(m.row_cdf[0], u), plain)
         assert np.array_equal(rounding.inverse_cdf(np.cumsum(m.u, axis=1), u), plain)
 
 
