@@ -230,9 +230,10 @@ def _campaign_job(job):
     return fulfillment.simulate(*_campaign, policy, RandomStream(rep_seed))
 
 
-def _campaign_count(doc: dict, key: str) -> int:
-    """A campaign count: a JSON integer, 1 when absent; no float or boolean."""
-    value = doc.get(key, 1)
+def _campaign_int(doc: dict, key: str, default: int = 1) -> int:
+    """A campaign integer: a JSON integer, ``default`` when absent; no float
+    or boolean."""
+    value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
     return value
@@ -248,12 +249,12 @@ def cmd_simulate(args) -> int:
     if not isinstance(doc, dict):
         print(f"simulate: config must be a JSON object, got {type(doc).__name__}", file=sys.stderr)
         return EXIT_USAGE
-    base_seed = args.seed if args.seed is not None else doc.get(
-        "base_seed", _seed_from(args)
-    )
     try:
-        n_instances = _campaign_count(doc, "instances")
-        n_reps = _campaign_count(doc, "replications")
+        base_seed = args.seed if args.seed is not None else _campaign_int(
+            doc, "base_seed", _seed_from(args)
+        )
+        n_instances = _campaign_int(doc, "instances")
+        n_reps = _campaign_int(doc, "replications")
         theta = args.scale if args.scale is not None else float(doc.get("scale", 1.0))
     except (TypeError, ValueError) as exc:
         print(f"simulate: bad campaign value: {exc}", file=sys.stderr)

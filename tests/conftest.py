@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from corround.rounding import MarginalMatrix, validate
-from corround.simplex import write_lp
+from corround.simplex import EQ, GE, write_lp
 from corround.streams import RandomStream
 
 
@@ -108,6 +109,22 @@ def linprog_optimum(problem, method):
                   bounds=problem.bounds, method=method)
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def linprog_highs_ds(problem, max_pivots=10 ** 6):
+    """scipy's linprog result on an LPProblem, asked for the way
+    ``corround.simplex.solve`` asked for it before it called HiGHS
+    directly: the stored sparse rows with ``>=`` rows negated, split into
+    A_ub and A_eq, dual simplex without presolve, ``max_pivots`` as maxiter.
+    """
+    eq = problem.relations == EQ
+    sign = np.where(problem.relations == GE, -1.0, 1.0)
+    data = problem.A.data * np.repeat(sign, np.diff(problem.A.indptr))
+    A = sparse.csr_matrix((data, problem.A.indices, problem.A.indptr), shape=problem.A.shape)
+    b = problem.rhs * sign
+    return linprog(problem.c, A_ub=A[~eq], b_ub=b[~eq], A_eq=A[eq], b_eq=b[eq],
+                   bounds=problem.bounds, method="highs-ds",
+                   options={"maxiter": max_pivots, "presolve": False})
 
 
 def mps_sha256(problem) -> str:

@@ -258,6 +258,22 @@ def test_simulate_bad_campaign_values(tmp_path, capsys, override, flags):
         assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("seed", [2.5, "x", True])
+def test_simulate_base_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg = tmp_path / "camp.json"
+    out = tmp_path / "sim.csv"
+    cfg.write_text(json.dumps({
+        "instances": 1, "replications": 1, "policies": ["myopic"],
+        "generator": {"n": 4, "n_max": 1, "n_per": 1, "T": 50, "J": 2, "K": 2},
+        "base_seed": seed,
+    }))
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and err.count("\n") == 1
+    assert f"base_seed must be an integer, got {json.dumps(seed)}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [[1, 2], "camp", 3, None])
 def test_simulate_config_must_be_an_object(tmp_path, capsys, doc):
     cfg = tmp_path / "camp.json"

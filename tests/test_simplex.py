@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from corround.simplex import (
     write_lp,
 )
 
-from conftest import linprog_optimum, vertex_enumeration_optimum
+from conftest import linprog_highs_ds, linprog_optimum, random_instance, vertex_enumeration_optimum
 
 INF = float("inf")
 
@@ -314,19 +317,31 @@ def test_dual_certificate(problem):
 
 @pytest.mark.parametrize("field", ["x", "marginals"])
 def test_failed_certificate_raises(monkeypatch, field):
-    real = simplex.linprog
+    real = simplex._run_highs
 
-    def corrupted(*args, **kwargs):
-        res = real(*args, **kwargs)
+    def corrupted(c, cols, row_lo, row_hi, lo, hi, max_pivots):
+        status, x, row_dual, col_dual, nit = real(c, cols, row_lo, row_hi, lo, hi, max_pivots)
         if field == "x":
-            res.x = res.x + 1e-3
+            x = x + 1e-3
         else:
-            res.ineqlin.marginals = res.ineqlin.marginals * 1.01
-        return res
+            # the "<=" rows are the ones without a finite lower side
+            row_dual = np.where(row_lo == -INF, row_dual * 1.01, row_dual)
+        return status, x, row_dual, col_dual, nit
 
-    monkeypatch.setattr(simplex, "linprog", corrupted)
+    monkeypatch.setattr(simplex, "_run_highs", corrupted)
     with pytest.raises(SolverNumericalError):
         solve(beale_lp())
+
+
+def test_missing_bindings_name_the_scipy_floor():
+    # a scipy without scipy.optimize._highspy._core, as before 1.15
+    code = "import sys; sys.modules['scipy.optimize._highspy._core'] = None; import corround.simplex"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:") and "scipy >= 1.15" in last
 
 
 # Optima recorded from the two-phase revised simplex (Devex pricing, Bland
@@ -367,3 +382,90 @@ def test_golden_optima_of_the_replaced_solver(problem, value):
     assert s.dual_residual <= FEAS_TOL and s.duality_gap <= FEAS_TOL
     # an interior-point cross-solve, so HiGHS's simplex is not its own judge
     assert linprog_optimum(problem, "highs-ipm") == pytest.approx(value, rel=1e-6)
+
+
+DESK_DLP = dict(n=20, n_max=5, n_per=5, p_carry=0.75, z_safety=0.5, T=10_000, K=5, J=1)
+
+
+def shaped_lp(gen, shape):
+    """A seeded LP of one shape: "eq", "le" or "ge" rows only, "free" or
+    "boxed" columns under mixed rows, or an "infeasible" or "unbounded"
+    one."""
+    n = int(gen.integers(3, 8))
+    x0 = gen.uniform(0.5, 2.0, size=n)
+    bounds = None
+
+    def rows(count, rel, slack):
+        out = []
+        for _ in range(count):
+            a = np.where(gen.random(n) < 0.6, gen.uniform(0.1, 2.0, size=n), 0.0)
+            a[gen.integers(n)] = gen.uniform(0.1, 2.0)
+            out.append((a, rel, float(a @ x0) + slack * abs(gen.normal())))
+        return out
+
+    if shape == "eq":
+        cons, c = rows(int(gen.integers(1, n)), "=", 0.0), gen.uniform(0.1, 1.0, size=n)
+    elif shape == "le":
+        cons, c = rows(int(gen.integers(2, 7)), "<=", 1.0), -gen.uniform(0.1, 1.0, size=n)
+    elif shape == "ge":
+        cons, c = rows(int(gen.integers(2, 7)), ">=", -1.0), gen.uniform(0.1, 1.0, size=n)
+    elif shape in ("free", "boxed"):
+        cons = rows(2, "<=", 1.0) + rows(2, ">=", -1.0) + rows(1, "=", 0.0)
+        c = gen.normal(size=n)
+        if shape == "free":
+            # free columns, held by a box of rows rather than of bounds
+            bounds = [(-INF, INF)] * 2 + [(0.0, INF)] * (n - 2)
+            for j in range(2):
+                cons += [({j: 1.0}, "<=", 5.0), ({j: 1.0}, ">=", -5.0)]
+        else:
+            bounds = [(x - gen.uniform(0.1, 2.0), x + gen.uniform(0.1, 2.0)) for x in x0]
+    elif shape == "infeasible":
+        cons = rows(2, "<=", 1.0) + [({0: 1.0, 1: 1.0}, "<=", 1.0), ({0: 1.0, 1: 1.0}, ">=", 2.0)]
+        c = gen.normal(size=n)
+    else:
+        cons, c = rows(2, ">=", -1.0), gen.uniform(0.1, 1.0, size=n)
+        c[gen.integers(n)] = -1.0
+    return LPProblem(c=c, constraints=cons, bounds=bounds)
+
+
+SHAPES = ("eq", "le", "ge", "free", "boxed", "infeasible", "unbounded")
+
+
+def differential_battery():
+    """(label, problem, max_pivots) on which ``solve`` must match the
+    linprog path it replaced."""
+    out = [(f"vertex{t}", p, 10 ** 6) for t, (p, _, _) in enumerate(vertex_battery())]
+    out += [("beale", beale_lp(), 10 ** 6), ("redundant", redundant_equalities_lp(), 10 ** 6)]
+    out += [(f"golden{t}", p, 10 ** 6) for t, (p, _) in enumerate(golden_lps())]
+    out.append(("desk_dlp", build_dlp(build_instance(GeneratorConfig(seed=11, **DESK_DLP)))[0], 10 ** 6))
+    gen = np.random.default_rng(20260101)
+    out.append(("subset_q5_K7", build_lp(random_instance(gen, 5, 7, sparse=True))[0], 10 ** 6))
+    for shape in SHAPES:
+        out += [(f"{shape}{t}", shaped_lp(gen, shape), 10 ** 6) for t in range(5)]
+    for cap in (0, 1):
+        out += [(f"beale_cap{cap}", beale_lp(), cap),
+                (f"golden0_cap{cap}", next(golden_lps())[0], cap),
+                (f"boxed_cap{cap}", shaped_lp(gen, "boxed"), cap)]
+    return out
+
+
+DIFFERENTIAL = differential_battery()
+
+_LINPROG_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+@pytest.mark.parametrize("label,problem,max_pivots", DIFFERENTIAL, ids=[d[0] for d in DIFFERENTIAL])
+def test_same_vertex_and_pivots_as_linprog(label, problem, max_pivots):
+    s = solve(problem, max_pivots)
+    ref = linprog_highs_ds(problem, max_pivots)
+    assert s.status == _LINPROG_STATUS[ref.status]
+    assert s.iterations == ref.nit
+    if s.status == OPTIMAL:
+        assert np.array_equal(s.x, ref.x)
+    else:
+        assert s.x is None
+
+
+def test_differential_battery_reaches_every_status():
+    seen = {solve(p, cap).status for _, p, cap in DIFFERENTIAL}
+    assert seen == {OPTIMAL, ITERATION_LIMIT, INFEASIBLE, UNBOUNDED}
