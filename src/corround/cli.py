@@ -13,17 +13,22 @@ Subcommands:
 All randomness is seeded; ``--seed`` wins over the CORROUND_SEED environment
 variable. Outputs are CSV or the documented text formats. Exit codes:
 0 success, 2 usage/parse, 3 cap exceeded, 4 solver failure, 5 check failed.
+
+Commands raise; ``main`` alone maps an error to its exit code through
+``EXIT_CODES`` and prints one ``<command>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Optional
 
 import numpy as np
 
@@ -47,16 +52,18 @@ ROW_HEADER = (
 )
 
 
+class UsageError(ValueError):
+    """A flag, environment variable or campaign value the commands cannot use."""
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("CORROUND_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"CORROUND_SEED={env!r} is not an integer")
-    return 0
+    env = os.environ.get("CORROUND_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"CORROUND_SEED={env!r} is not an integer") from None
 
 
 def _positive_int(text: str) -> int:
@@ -70,18 +77,39 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _load(path, reader):
+    """``reader``'s result on the file at ``path``; a ParseError names the file."""
+    with open(path) as f:
+        try:
+            return reader(f)
+        except rounding.ParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is no path."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _usage_csv(y, usage, bound, scheme: str) -> str:
+    """The per-FC usage table that ``round`` and ``cover`` write."""
+    lines = ["fc,y,usage_empirical,bound,scheme"]
+    lines += [f"{k},{_fmt(y[k])},{_fmt(usage[k])},{_fmt(bound[k])},{scheme}" for k in range(len(y))]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # round
 # ---------------------------------------------------------------------------
 
 
 def cmd_round(args) -> int:
-    try:
-        with open(args.instance) as f:
-            m = rounding.read_instance(f)
-    except (OSError, rounding.ParseError) as exc:
-        print(f"round: {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m = _load(args.instance, rounding.read_instance)
     seed = _seed_from(args)
     rep = rounding.mc_estimate(m, args.scheme, args.samples, RandomStream(seed))
     g = rounding.scheme_guarantee(args.scheme, m)
@@ -94,18 +122,11 @@ def cmd_round(args) -> int:
     usage_bound = np.minimum(g * m.y, 1.0)
     usage_ok = bool(np.all(rep.usage <= usage_bound + usage_slack))
 
-    stem = args.out
-    with open(f"{stem}.marginals.csv", "w") as f:
-        f.write("item,fc,u,empirical,abs_err\n")
-        for i in range(m.q):
-            for k in range(m.K):
-                f.write(f"{i},{k},{_fmt(m.u[i, k])},{_fmt(rep.marginals[i, k])},"
-                        f"{_fmt(marg_err[i, k])}\n")
-    with open(f"{stem}.usage.csv", "w") as f:
-        f.write("fc,y,usage_empirical,bound,scheme\n")
-        for k in range(m.K):
-            f.write(f"{k},{_fmt(m.y[k])},{_fmt(rep.usage[k])},"
-                    f"{_fmt(usage_bound[k])},{args.scheme}\n")
+    marginals = ["item,fc,u,empirical,abs_err"]
+    marginals += [f"{i},{k},{_fmt(m.u[i, k])},{_fmt(rep.marginals[i, k])},{_fmt(marg_err[i, k])}"
+                  for i in range(m.q) for k in range(m.K)]
+    _write(f"{args.out}.marginals.csv", "\n".join(marginals) + "\n")
+    _write(f"{args.out}.usage.csv", _usage_csv(m.y, rep.usage, usage_bound, args.scheme))
 
     print(f"marginals: {'PASS' if marg_ok else 'FAIL'} "
           f"(max |err| {marg_err.max():.2e}, 4-sigma slack {marg_slack.max():.2e})")
@@ -120,20 +141,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_lp_optimal(args) -> int:
-    try:
-        with open(args.instance) as f:
-            m = rounding.read_instance(f)
-    except (OSError, rounding.ParseError) as exc:
-        print(f"lp-optimal: {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        sol = optimal.solve_optimal_alpha(m, cap=args.cap)
-    except CapExceeded as exc:
-        print(f"lp-optimal: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (optimal.SolverFailure, simplex.SolverNumericalError) as exc:
-        print(f"lp-optimal: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    m = _load(args.instance, rounding.read_instance)
+    sol = optimal.solve_optimal_alpha(m, cap=args.cap)
     gd = rounding.guarantee_dilate(m.q)
     gf = rounding.guarantee_force_open(m)
     print(f"alpha* = {sol.alpha!r}")
@@ -150,17 +159,21 @@ def cmd_lp_optimal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_weights(f) -> setcover.FractionalCover:
+    """Whitespace-separated weights; a non-number is a ParseError on its line."""
+    y = []
+    for ln, line in enumerate(f, start=1):
+        try:
+            y += [float(v) for v in line.split()]
+        except ValueError:
+            raise rounding.ParseError(ln, f"non-numeric weight in {line.strip()!r}") from None
+    return setcover.FractionalCover(y=np.array(y))
+
+
 def cmd_cover(args) -> int:
-    try:
-        with open(args.instance) as f:
-            sc = setcover.read_cover_instance(f)
-        with open(args.weights) as f:
-            y = np.array([float(v) for v in f.read().split()])
-        fc = setcover.FractionalCover(y=y)
-        m = setcover.marginals_from_fractional_cover(sc, fc)
-    except (OSError, ValueError) as exc:
-        print(f"cover: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sc = _load(args.instance, setcover.read_cover_instance)
+    fc = _load(args.weights, _read_weights)
+    m = setcover.marginals_from_fractional_cover(sc, fc)
     seed = _seed_from(args)
     usage, feasible = setcover.batch_cover_usage(
         sc, fc, args.scheme, args.samples, RandomStream(seed)
@@ -170,11 +183,7 @@ def cmd_cover(args) -> int:
     bound = np.minimum(g * fc.y, 1.0)
     ok = feasible == args.samples and bool(np.all(usage <= bound + slack))
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("fc,y,usage_empirical,bound,scheme\n")
-            for k in range(sc.K):
-                f.write(f"{k},{_fmt(fc.y[k])},{_fmt(usage[k])},"
-                        f"{_fmt(bound[k])},{args.scheme}\n")
+        _write(args.out, _usage_csv(fc.y, usage, bound, args.scheme))
     print(f"feasible: {feasible}/{args.samples}")
     print(f"usage bound ({g:.4f} x y): {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK
@@ -186,22 +195,12 @@ def cmd_cover(args) -> int:
 
 
 def cmd_gen_instance(args) -> int:
-    try:
-        with open(args.config) as f:
-            doc = json.load(f)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        cfg = instances.GeneratorConfig.from_dict(doc)
-        geo = instances.build_geography(cfg.J, cfg.K, args.regions, args.fcs)
-        inst = instances.build_instance(cfg, geo)
-    except (OSError, json.JSONDecodeError, TypeError, instances.GeneratorError) as exc:
-        print(f"gen-instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out:
-        with open(args.out, "w") as f:
-            fulfillment.write_instance_json(inst, f)
-    else:
-        fulfillment.write_instance_json(inst, sys.stdout)
+    cfg = instances.GeneratorConfig.from_dict(_load(args.config, json.load))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    geo = instances.build_geography(cfg.J, cfg.K, args.regions, args.fcs)
+    inst = instances.build_instance(cfg, geo)
+    _write(args.out, fulfillment.instance_to_json(inst) + "\n")
     print(
         f"instance: n={inst.n} K={inst.K} J={inst.J} T={inst.T} "
         f"types={len(inst.types)} seed={cfg.seed}",
@@ -213,6 +212,60 @@ def cmd_gen_instance(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Campaign:
+    """A checked ``simulate`` config; the README lists each key's rule.
+    ``generator`` has seed 0: instance i derives its seed from ``base_seed``."""
+
+    generator: instances.GeneratorConfig = instances.GeneratorConfig()
+    instances: int = 1
+    replications: int = 1
+    policies: tuple = fulfillment.POLICIES
+    scale: float = 1.0
+    base_seed: int = 0
+    regions_csv: Optional[str] = None
+    fcs_csv: Optional[str] = None
+
+    def __post_init__(self):
+        for key in ("instances", "replications", "base_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
+        if min(self.instances, self.replications) < 1:
+            raise UsageError("instance and replication counts must be >= 1")
+        if not isinstance(self.policies, (list, tuple)):
+            raise UsageError("policies must be a list")
+        for p in self.policies:
+            if p not in fulfillment.POLICIES:
+                raise UsageError(f"unknown policy {p!r}")
+        if len(set(self.policies)) < len(self.policies):
+            raise UsageError(f"policies repeat a name: {', '.join(self.policies)}")
+        scale = self.scale
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
+            raise UsageError(f"scale must be positive and finite, got {json.dumps(scale)}")
+        for key in ("regions_csv", "fcs_csv"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise UsageError(f"{key} must be a path, got {json.dumps(getattr(self, key))}")
+        object.__setattr__(self, "policies", tuple(self.policies))
+        object.__setattr__(self, "scale", float(scale))
+
+    @classmethod
+    def from_dict(cls, doc, seed: int = 0, **flags) -> "Campaign":
+        """The campaign of a JSON config. ``seed`` is the base seed when the
+        config names none; each flag that is not None wins over its key."""
+        if not isinstance(doc, dict):
+            raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+        unknown = [key for key in doc if key not in {f.name for f in dataclasses.fields(cls)}]
+        if unknown:
+            raise UsageError(f"unknown campaign key {unknown[0]!r}")
+        doc = {"base_seed": seed, **doc, **{k: v for k, v in flags.items() if v is not None}}
+        gen = doc.get("generator", {})
+        doc["generator"] = instances.GeneratorConfig.from_dict(
+            {**gen, "seed": 0} if isinstance(gen, dict) else gen
+        )
+        return cls(**doc)
 
 
 # the (instance, plan) a campaign worker simulates; set once per worker, so
@@ -230,154 +283,66 @@ def _campaign_job(job):
     return fulfillment.simulate(*_campaign, policy, RandomStream(rep_seed))
 
 
-def _campaign_int(doc: dict, key: str, default: int = 1) -> int:
-    """A campaign integer: a JSON integer, ``default`` when absent; no float
-    or boolean."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.config) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(doc, dict):
-        print(f"simulate: config must be a JSON object, got {type(doc).__name__}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        base_seed = args.seed if args.seed is not None else _campaign_int(
-            doc, "base_seed", _seed_from(args)
-        )
-        n_instances = _campaign_int(doc, "instances")
-        n_reps = _campaign_int(doc, "replications")
-        theta = args.scale if args.scale is not None else float(doc.get("scale", 1.0))
-    except (TypeError, ValueError) as exc:
-        print(f"simulate: bad campaign value: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    policies = args.policies.split(",") if args.policies else doc.get(
-        "policies", list(fulfillment.POLICIES)
+    campaign = Campaign.from_dict(
+        _load(args.config, json.load), _seed_from(args), base_seed=args.seed, scale=args.scale,
+        policies=args.policies.split(",") if args.policies else None,
     )
-    if not isinstance(policies, list):
-        print("simulate: policies must be a list", file=sys.stderr)
-        return EXIT_USAGE
-    for p in policies:
-        if p not in fulfillment.POLICIES:
-            print(f"simulate: unknown policy {p!r}", file=sys.stderr)
-            return EXIT_USAGE
-    if n_instances < 1 or n_reps < 1:
-        print("simulate: instance and replication counts must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not (theta > 0.0 and math.isfinite(theta)):
-        print(f"simulate: scale must be positive and finite, got {theta}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        gen_doc = dict(doc.get("generator", {}))
-        gen_doc.pop("seed", None)
-        geo = instances.build_geography(
-            gen_doc.get("J", 10), gen_doc.get("K", 5),
-            doc.get("regions_csv"), doc.get("fcs_csv"),
-        )
-    except instances.GeneratorError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    policies, n_reps = campaign.policies, campaign.replications
+    gen = campaign.generator
+    geo = instances.build_geography(gen.J, gen.K, campaign.regions_csv, campaign.fcs_csv)
 
-    rows = []
-    aggregates = {p: [] for p in policies}
-    for idx in range(n_instances):
-        inst_seed = derive_seed(base_seed, INSTANCE_STRIDE + idx)
-        try:
-            cfg = instances.GeneratorConfig.from_dict({**gen_doc, "seed": inst_seed})
-            inst = instances.build_instance(cfg, geo)
-        except (TypeError, instances.GeneratorError) as exc:
-            print(f"simulate: generator config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if theta != 1.0:
-            try:
-                inst = fulfillment.scale(inst, theta)
-            except fulfillment.FulfillmentError as exc:
-                print(f"simulate: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        try:
-            plan = fulfillment.solve_dlp(inst)
-        except (fulfillment.DLPSolveError, simplex.SolverNumericalError) as exc:
-            print(f"simulate: instance {idx}: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        jobs = []
-        for rep in range(n_reps):
-            rep_seed = derive_seed(inst_seed, REPLICATION_STRIDE + rep)
-            for policy in policies:
-                jobs.append((policy, rep_seed))
+    rows = [ROW_HEADER]
+    # loss_pct, fcs_per_order and wall_ms of each (policy, instance,
+    # replication); with replications on the contiguous last axis, each mean
+    # over them is numpy's pairwise sum of one row, bit for bit the 1-D mean
+    stats = np.empty((3, len(policies), campaign.instances, n_reps))
+    for idx in range(campaign.instances):
+        inst_seed = derive_seed(campaign.base_seed, INSTANCE_STRIDE + idx)
+        inst = instances.build_instance(dataclasses.replace(gen, seed=inst_seed), geo)
+        inst = fulfillment.scale(inst, campaign.scale)
+        plan = fulfillment.solve_dlp(inst)
+        jobs = [(policy, derive_seed(inst_seed, REPLICATION_STRIDE + rep))
+                for rep in range(n_reps) for policy in policies]
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers, initializer=_campaign_init,
                                      initargs=(inst, plan)) as pool:
                 reports = list(pool.map(_campaign_job, jobs))
         else:
             reports = [fulfillment.simulate(inst, plan, p, RandomStream(s)) for p, s in jobs]
-        per_policy = {p: [] for p in policies}
-        for (policy, _), rpt in zip(jobs, reports):
-            per_policy[policy].append(rpt)
         # instance_id carries the base and instance seeds; together with the
         # seed column every row names the full (base, instance, replication)
         # triple needed to replay it
-        inst_id = f"b{base_seed}-i{idx:02d}-s{inst_seed}"
-        for rep in range(n_reps):
-            for p_pos, policy in enumerate(policies):
-                rpt = reports[rep * len(policies) + p_pos]
-                wall = 0.0 if args.stable_timing else rpt.wall_ms
-                rows.append(
-                    f"{inst_id},{rep},{rpt.policy},{rpt.scheme},"
-                    f"{_fmt(rpt.total_cost)},{_fmt(rpt.fixed_cost)},"
-                    f"{_fmt(rpt.unit_cost)},{_fmt(rpt.shortage_cost)},"
-                    f"{_fmt(rpt.dlp_value)},{_fmt(rpt.loss_pct)},"
-                    f"{_fmt(rpt.fcs_per_order)},{_fmt(wall)},{rpt.seed}"
-                )
-        for policy in policies:
-            reps = per_policy[policy]
-            aggregates[policy].append((
-                float(np.mean([r.loss_pct for r in reps])),
-                float(np.mean([r.fcs_per_order for r in reps])),
-                float(np.mean([r.wall_ms for r in reps])),
-            ))
+        inst_id = f"b{campaign.base_seed}-i{idx:02d}-s{inst_seed}"
+        for r, rpt in enumerate(reports):
+            rep, p_pos = divmod(r, len(policies))
+            wall_ms = 0.0 if args.stable_timing else rpt.wall_ms
+            stats[:, p_pos, idx, rep] = rpt.loss_pct, rpt.fcs_per_order, wall_ms
+            rows.append(
+                f"{inst_id},{rep},{rpt.policy},{rpt.scheme},"
+                f"{_fmt(rpt.total_cost)},{_fmt(rpt.fixed_cost)},"
+                f"{_fmt(rpt.unit_cost)},{_fmt(rpt.shortage_cost)},"
+                f"{_fmt(rpt.dlp_value)},{_fmt(rpt.loss_pct)},"
+                f"{_fmt(rpt.fcs_per_order)},{_fmt(wall_ms)},{rpt.seed}"
+            )
+    _write(args.out, "\n".join(rows) + "\n")
 
-    out = "\n".join([ROW_HEADER, *rows]) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
-    else:
-        sys.stdout.write(out)
-
-    # aggregate table in the orientation of the experiment write-ups:
-    # one column per policy, means and standard errors taken across instances
-    cols = {}
-    for policy in policies:
-        loss = np.array([a[0] for a in aggregates[policy]])
-        fcs = np.array([a[1] for a in aggregates[policy]])
-        wall = np.array([a[2] for a in aggregates[policy]])
-        se = float(loss.std(ddof=1) / math.sqrt(len(loss))) if len(loss) > 1 else 0.0
-        cols[policy] = {
-            "mean_loss_pct": float(loss.mean()),
-            "se_loss_pct": se,
-            "mean_fcs_per_order": float(fcs.mean()),
-            "mean_wall_ms": 0.0 if args.stable_timing else float(wall.mean()),
-            "instances": float(n_instances),
-            "replications": float(n_reps),
-        }
-    metrics = ("mean_loss_pct", "se_loss_pct", "mean_fcs_per_order",
-               "mean_wall_ms", "instances", "replications")
-    agg_lines = ["metric," + ",".join(policies)]
-    for metric in metrics:
-        agg_lines.append(metric + "," + ",".join(_fmt(cols[p][metric]) for p in policies))
-    agg = "\n".join(agg_lines) + "\n"
-    if args.agg_out:
-        with open(args.agg_out, "w") as f:
-            f.write(agg)
-    else:
-        sys.stdout.write(agg)
+    # aggregate table in the orientation of the experiment write-ups: one
+    # column per policy, means and standard errors taken across instances of
+    # each instance's mean over its replications
+    loss, fcs, wall = stats.mean(axis=3)
+    n = campaign.instances
+    table = {
+        "mean_loss_pct": loss.mean(axis=1),
+        "se_loss_pct": loss.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(policies)),
+        "mean_fcs_per_order": fcs.mean(axis=1),
+        "mean_wall_ms": wall.mean(axis=1),
+        "instances": np.full(len(policies), n),
+        "replications": np.full(len(policies), n_reps),
+    }
+    agg = ["metric," + ",".join(policies)]
+    agg += [metric + "," + ",".join(map(_fmt, values)) for metric, values in table.items()]
+    _write(args.agg_out, "\n".join(agg) + "\n")
     return EXIT_OK
 
 
@@ -400,24 +365,22 @@ def cmd_bench(args) -> int:
     gen = np.random.default_rng(seed)
     K = 16
     qs = [10 * 2 ** p for p in range(8)]  # 10 .. 1280
+    schemes = (("dilate", rounding.dilate_round), ("force_open", rounding.force_open_round))
     lines = ["scheme,q,K,us_per_call"]
-    results = {"dilate": [], "force_open": []}
+    results = {scheme: [] for scheme, _ in schemes}
     for q in qs:
         m = rounding.validate(gen.dirichlet(np.ones(K), size=q))
         rng = RandomStream(derive_seed(seed, q))
         repeats = max(9, min(200, 20000 // q))
-        for scheme, fn in (
-            ("dilate", lambda mm, rr: rounding.dilate_round(mm, rr)),
-            ("force_open", lambda mm, rr: rounding.force_open_round(mm, rr)),
-        ):
+        for scheme, fn in schemes:
             us = _time_calls(m, fn, rng, repeats)
-            results[scheme].append((q * K, us))
+            results[scheme].append(us)
             lines.append(f"{scheme},{q},{K},{us:.3f}")
+    x = K * np.array(qs)
+    A = np.vstack([np.ones_like(x, dtype=float), x]).T
     worst = 0.0
-    for scheme, pts in results.items():
-        x = np.array([p[0] for p in pts])
-        t = np.array([p[1] for p in pts])
-        A = np.vstack([np.ones_like(x, dtype=float), x]).T
+    for scheme, t in results.items():
+        t = np.array(t)
         coef, *_ = np.linalg.lstsq(A, t, rcond=None)
         fit = A @ coef
         ratio = float(np.max(np.maximum(t / fit, fit / t)))
@@ -425,12 +388,11 @@ def cmd_bench(args) -> int:
         print(f"{scheme}: fit {coef[0]:.1f} + {coef[1]:.5f}*qK us, max ratio {ratio:.2f}")
     m_big = rounding.validate(gen.dirichlet(np.ones(100), size=1000))
     rng = RandomStream(seed)
-    one_ms = _time_calls(m_big, lambda mm, rr: rounding.dilate_round(mm, rr), rng, 15) / 1e3
-    fo_ms = _time_calls(m_big, lambda mm, rr: rounding.force_open_round(mm, rr), rng, 15) / 1e3
+    one_ms = _time_calls(m_big, rounding.dilate_round, rng, 15) / 1e3
+    fo_ms = _time_calls(m_big, rounding.force_open_round, rng, 15) / 1e3
     print(f"q=1000, K=100: dilate {one_ms:.3f} ms, force_open {fo_ms:.3f} ms")
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     if args.check and (worst > 2.0 or one_ms > 10.0 or fo_ms > 10.0):
         return EXIT_CHECK
     return EXIT_OK
@@ -497,9 +459,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (error kinds, exit code); the first row that matches wins. Any other
+# exception is a bug and keeps its traceback, which is why no bare
+# TypeError or ValueError is listed.
+EXIT_CODES = (
+    (CapExceeded, EXIT_CAP),
+    ((optimal.SolverFailure, simplex.SolverNumericalError, fulfillment.DLPSolveError), EXIT_SOLVER),
+    ((OSError, json.JSONDecodeError, UsageError, rounding.ParseError, rounding.RoundingError,
+      setcover.SetCoverError, instances.GeneratorError, fulfillment.FulfillmentError), EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        code = next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,8 +17,11 @@ an instance byte-for-byte.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional
 
@@ -150,6 +153,12 @@ def build_geography(J: int, K: int, regions_path=None, fcs_path=None) -> Geograp
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Generator parameters, checked on construction.
+
+    The counts and the seed are integers (``operator.index``, no bool);
+    ``p_carry`` and ``z_safety`` are finite numbers.
+    """
+
     n: int = 20
     n_max: int = 5
     n_per: int = 5
@@ -161,6 +170,15 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_max", "n_per", "T", "J", "K", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise GeneratorError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        for name in ("p_carry", "z_safety"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise GeneratorError(f"{name} must be a finite number, got {value!r}")
         if not 1 <= self.n_max <= self.n:
             raise SizeImpossible(f"need 1 <= n_max <= n, got n_max={self.n_max}, n={self.n}")
         if self.n_per < 1:
@@ -174,6 +192,13 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
+        """The config of a JSON object; a non-object or an unknown key is a
+        GeneratorError."""
+        if not isinstance(doc, dict):
+            raise GeneratorError(f"generator config must be a JSON object, got {type(doc).__name__}")
+        unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise GeneratorError(f"unknown generator config key {unknown[0]!r}")
         return cls(**doc)
 
 

@@ -71,7 +71,7 @@ class FractionalCover:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if np.any(y < 0.0) or np.any(y > 1.0):
+        if not np.all((y >= 0.0) & (y <= 1.0)):
             raise SetCoverError("fractional weights must lie in [0, 1]")
         object.__setattr__(self, "y", y)
 

@@ -77,6 +77,20 @@ def test_config_validation():
         GeneratorConfig(n_per=0)
     with pytest.raises(GeneratorError):
         GeneratorConfig(z_safety=-1.0)
+    # counts and seed are integers, the two rates finite numbers; the
+    # message names the field
+    for name, value in [("T", 2.5), ("J", 2.0), ("seed", 1.5), ("K", True), ("n_per", "3"),
+                        ("n", None), ("p_carry", math.nan), ("p_carry", True),
+                        ("z_safety", math.inf), ("z_safety", "0.5")]:
+        with pytest.raises(GeneratorError, match=f"^{name} must be"):
+            GeneratorConfig(**{name: value})
+    cfg = GeneratorConfig(n=np.int64(8), seed=np.uint32(3))
+    assert type(cfg.n) is int and type(cfg.seed) is int
+    for doc in ([1], "cfg", None):
+        with pytest.raises(GeneratorError, match="must be a JSON object"):
+            GeneratorConfig.from_dict(doc)
+    with pytest.raises(GeneratorError, match="unknown generator config key 'bogus'"):
+        GeneratorConfig.from_dict({"n": 4, "bogus": 1})
 
 
 def test_gen_order_types_counts_and_distinctness():

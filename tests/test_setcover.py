@@ -46,6 +46,8 @@ def test_fractional_weights_validated():
         FractionalCover(y=np.array([1.2]))
     with pytest.raises(SetCoverError):
         FractionalCover(y=np.array([-0.1]))
+    with pytest.raises(SetCoverError):
+        FractionalCover(y=np.array([np.nan, 0.5, 0.5]))
 
 
 def test_uncovered_element_rejected():
