@@ -83,7 +83,7 @@ def _load(path, reader):
         try:
             return reader(f)
         except rounding.ParseError as exc:
-            exc.args = (f"{path}: {exc}",)
+            exc.path = path
             raise
 
 

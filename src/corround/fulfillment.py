@@ -176,40 +176,51 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     budgets per non-null (k, i), one assignment equality per item slot,
     and the linking rows y >= u. The null FC has no inventory rows, and
     neither has a (k, i) with infinite stock, whose budget never binds.
+
+    The arrays are computed from the layout: item slot s (slots numbered
+    in pair order) owns the u columns s*(K+1) .. s*(K+1) + K.
     """
-    K1, T = inst.K + 1, inst.T
-    pairs = tuple(
-        (t, j)
-        for t in range(len(inst.types))
-        for j in range(inst.J)
-        if inst.rates[t, j] > 0.0
-    )
-    u_off = tuple(itertools.accumulate((len(inst.types[t]) * K1 for t, _ in pairs), initial=0))
-    n_u = u_off[-1]
-    y_off = tuple(range(n_u, n_u + K1 * len(pairs), K1))
-    c = np.empty(n_u + K1 * len(pairs))
-    slots = []      # (first u column, first y column) per item slot
-    by_item = {}    # item -> [(first u column of a slot, its weight)]
-    for p, (t, j) in enumerate(pairs):
-        w = T * inst.rates[t, j]
-        a = list(inst.types[t])
-        c[u_off[p]:u_off[p + 1]] = (w * inst.unit_cost[:, a, j].T).ravel()
-        c[y_off[p]:y_off[p] + K1] = w * inst.fixed_cost[:, j]
-        for pos, i in enumerate(a):
-            slots.append((u_off[p] + pos * K1, y_off[p]))
-            by_item.setdefault(i, []).append((u_off[p] + pos * K1, w))
+    K1 = inst.K + 1
+    pt, pj = np.nonzero(inst.rates > 0.0)
+    pairs = tuple(zip(pt.tolist(), pj.tolist()))
+    q = np.array([len(inst.types[t]) for t in pt.tolist()], dtype=np.intp)
+    u_off = (np.cumsum(q) - q) * K1
+    # per item slot: its pair, its item and its order's weight T * rate
+    pair = np.repeat(np.arange(len(pairs)), q)
+    item = np.fromiter(itertools.chain.from_iterable(inst.types[t] for t in pt.tolist()),
+                       dtype=np.intp, count=int(q.sum()))
+    w = inst.T * inst.rates[pt, pj]
+    n_s = item.size
+    n_u = n_s * K1
+    c = np.concatenate((
+        (w[pair, None] * inst.unit_cost[:, item, pj[pair]].T).ravel(),
+        (w[:, None] * inst.fixed_cost[:, pj].T).ravel(),
+    ))
 
-    stock = inst.inventory.tolist()
-    rows = [
-        ({u + k: w for u, w in by_item.get(i, ())}, "<=", stock[k][i])
-        for k in range(1, K1)
-        for i in range(inst.n)
-        if stock[k][i] < math.inf
-    ]
-    rows += [(dict.fromkeys(range(u, u + K1), 1.0), "=", 1.0) for u, _ in slots]
-    rows += [({u + k: 1.0, y + k: -1.0}, "<=", 0.0) for u, y in slots for k in range(K1)]
-
-    return simplex.LPProblem(c=c, constraints=rows), DLPIndex(pairs, u_off[:-1])
+    # inventory row (k, i): column s*(K+1) + k of each slot s of item i,
+    # slots in order; by_item lists the slots item by item, item i's from
+    # start[i] on
+    rk, ri = np.nonzero(inst.inventory[1:] < math.inf)
+    by_item = np.argsort(item, kind="stable")
+    count = np.bincount(item, minlength=inst.n)
+    start = np.cumsum(count) - count
+    size = count[ri]
+    ptr = np.cumsum(size) - size
+    slot = by_item[np.arange(size.sum()) + np.repeat(start[ri] - ptr, size)]
+    u_col = np.arange(n_u)
+    indices = np.concatenate((
+        slot * K1 + np.repeat(rk + 1, size),
+        u_col,   # the assignment rows, K+1 entries each
+        np.column_stack((u_col, n_u + np.repeat(pair * K1, K1) + u_col % K1)).ravel(),
+    ))
+    data = np.concatenate((w[pair[slot]], np.ones(n_u), np.tile([1.0, -1.0], n_u)))
+    lengths = np.concatenate((size, np.full(n_s, K1), np.full(n_u, 2)))
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    relations = np.repeat(np.array([simplex.LE, simplex.EQ, simplex.LE], dtype=np.int8), (ri.size, n_s, n_u))
+    rhs = np.concatenate((inst.inventory[1:][rk, ri], np.ones(n_s), np.zeros(n_u)))
+    problem = simplex.LPProblem.from_arrays(c, (data, indices, indptr), relations, rhs)
+    return problem, DLPIndex(pairs, tuple(u_off.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ import csv
 import math
 import numbers
 import operator
+import os
 import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -89,18 +90,36 @@ class Geography:
 
 
 def _read_csv(path_or_file, columns):
+    """A geography CSV's rows as tuples, each value cast by ``columns``
+    (name, type). A missing column, a short row, a value that is not of
+    its type and a NaN or infinite number raise GeneratorError naming the
+    file, the line and the column."""
     if hasattr(path_or_file, "read"):
-        reader = csv.DictReader(path_or_file)
-        rows = list(reader)
-    else:
-        with open(path_or_file, newline="") as f:
-            rows = list(csv.DictReader(f))
+        return _parse_csv(path_or_file, getattr(path_or_file, "name", "<stream>"), columns)
+    with open(path_or_file, newline="") as f:
+        return _parse_csv(f, os.fspath(path_or_file), columns)
+
+
+def _parse_csv(f, name, columns):
+    reader = csv.DictReader(f)
+    missing = [col for col, _ in columns if col not in (reader.fieldnames or ())]
+    if missing:
+        raise GeneratorError(f"{name}: line 1: no {missing[0]!r} column")
     out = []
-    for ln, row in enumerate(rows, start=2):
-        try:
-            out.append(tuple(cast(row[name]) for name, cast in columns))
-        except (KeyError, ValueError) as exc:
-            raise GeneratorError(f"line {ln}: {exc}") from exc
+    for row in reader:
+        values = []
+        for col, cast in columns:
+            text = row[col]
+            try:
+                value = cast(text)
+            except (TypeError, ValueError):
+                # a short row holds None past its last field
+                what = "no value" if text is None else f"{text!r} is not a {cast.__name__}"
+                raise GeneratorError(f"{name}: line {reader.line_num}: {col}: {what}") from None
+            if cast is float and not math.isfinite(value):
+                raise GeneratorError(f"{name}: line {reader.line_num}: {col}: {text!r} is not finite")
+            values.append(value)
+        out.append(tuple(values))
     return out
 
 

@@ -65,34 +65,40 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
     q, K = m.q, m.K
-    inside = (np.arange(2 ** K)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
+    n_sub, half = 2 ** K, 2 ** (K - 1)
+    inside = (np.arange(n_sub)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
     cells = np.argwhere(inside[:, None, :] & (m.u > 0.0))
     S, I, F = cells.T
-    rows = []
     # each item is served from exactly one FC of the realized subset: row
-    # (S, i) holds z(S) and the run of cells keyed S*q + i
-    ends = (2 ** K + np.searchsorted(S * q + I, np.arange(q, 2 ** K * q + 1))).tolist()
-    for key, (lo, hi) in enumerate(zip(ends, ends[1:]), start=q):
-        coef = {key // q: -1.0}
-        for col in range(lo, hi):
-            coef[col] = 1.0
-        rows.append((coef, "=", 0.0))
+    # (S, i), S >= 1, holds z(S) and the run of cells keyed S*q + i
+    runs = np.bincount(S * q + I, minlength=n_sub * q)[q:]
+    head = np.cumsum(runs + 1) - (runs + 1)   # where each row's z(S) goes
+    is_cell = np.ones(runs.sum() + runs.size, dtype=bool)
+    is_cell[head] = False
+    cover_cols = np.empty(is_cell.size, dtype=np.int64)
+    cover_cols[head] = np.arange(q, n_sub * q) // q
+    cover_cols[is_cell] = n_sub + np.arange(len(cells))
     # conditional masses add up to the marginals: in (k, i, S) order each
     # positive u_ki owns 2^(K-1) cells, one per subset containing k
-    by_fc = (2 ** K + np.lexsort((S, I, F))).reshape(-1, 2 ** (K - 1)).tolist()
-    for cols, u in zip(by_fc, m.u.T[m.u.T > 0.0].tolist()):
-        rows.append((dict.fromkeys(cols, 1.0), "=", u))
-    # usage of each FC stays below alpha * y_k
-    for k in range(K):
-        coef = dict.fromkeys(np.flatnonzero(inside[:, k]).tolist(), 1.0)
-        coef[0] = -float(m.y[k])
-        rows.append((coef, "<=", 0.0))
-    # exactly one subset happens
-    rows.append((dict.fromkeys(range(1, 2 ** K), 1.0), "=", 1.0))
+    marginals = m.u.T[m.u.T > 0.0]
+    # usage of each FC stays below alpha * y_k: alpha, then every subset with k
+    usage_cols = np.column_stack((np.zeros(K, dtype=np.int64), np.nonzero(inside.T)[1].reshape(K, half)))
+    usage = np.column_stack((-m.y, np.ones((K, half))))
+    indices = np.concatenate((cover_cols, n_sub + np.lexsort((S, I, F)), usage_cols.ravel(),
+                              np.arange(1, n_sub)))   # exactly one subset happens
+    data = np.concatenate((np.where(is_cell, 1.0, -1.0), np.ones(len(cells)), usage.ravel(),
+                           np.ones(n_sub - 1)))
+    lengths = np.concatenate((runs + 1, np.full(marginals.size, half), np.full(K, half + 1), [n_sub - 1]))
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    EQ, LE = simplex.EQ, simplex.LE
+    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (runs.size, marginals.size, K, 1))
+    rhs = np.concatenate((np.zeros(runs.size), marginals, np.zeros(K), [1.0]))
 
-    c = np.zeros(2 ** K + len(cells))
+    c = np.zeros(n_sub + len(cells))
     c[0] = 1.0
-    return simplex.LPProblem(c=c, constraints=rows), SubsetVarIndex(K=K, q=q, cells=cells)
+    problem = simplex.LPProblem.from_arrays(c, (data, indices, indptr), relations, rhs)
+    return problem, SubsetVarIndex(K=K, q=q, cells=cells)
 
 
 @dataclass(frozen=True, eq=False)

@@ -677,11 +677,17 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
 
 
 class ParseError(ValueError):
-    """Malformed instance text; carries a 1-based line number."""
+    """Malformed instance text; carries a 1-based line number and, once a
+    caller that opened the file sets it, the file's ``path``, which then
+    leads the message."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, line: int, message: str, path=None):
+        super().__init__(line, message)
+        self.line, self.message, self.path = line, message, path
+
+    def __str__(self) -> str:
+        where = f"line {self.line}: {self.message}"
+        return where if self.path is None else f"{self.path}: {where}"
 
 
 def write_instance(m: MarginalMatrix, f: TextIO) -> None:

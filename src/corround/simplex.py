@@ -1,19 +1,23 @@
 """Linear programs of the package, solved by HiGHS and certified here.
 
-Problems are stated as `min c.x` over rows `(coefficients, relation, rhs)`
-with per-variable bounds; coefficients may be dense vectors or {index: value}
-dicts (the builders in this package pass dicts). `LPProblem` validates the
-rows and converts them into one sparse matrix in a single pass when it is
-constructed; `solve` hands that matrix to the dual revised simplex of HiGHS
-(Huangfu & Hall, "Parallelizing the dual revised simplex method", Math.
-Prog. Comp. 10, 2018) through the HiGHS bindings that scipy ships
-(`scipy.optimize._highspy._core`, scipy >= 1.15), and `write_lp` dumps it
-as MPS text. HiGHS gets the model and options that scipy's own LP front
-end (method "highs-ds", presolve off) would give it, without that front
-end's per-call option checks and matrix stacking: ``<=`` rows (``>=`` rows
-negated) before ``=`` rows, stored by column, dual simplex, presolve off,
-the pivot cap as its simplex iteration limit. So it returns the same vertex
-after the same number of pivots as scipy's front end would.
+Problems are `min c.x` over rows with a relation and a rhs each, and with
+per-variable bounds, held as arrays: the rows as one CSR matrix. The
+builders in this package compute those arrays and pass them to
+`LPProblem.from_arrays`; `LPProblem(c, constraints, bounds)` takes rows as
+(coefficients, relation, rhs) tuples, coefficients as dense vectors or
+{index: value} dicts, and turns them into the same arrays. Both run one
+set of checks. `solve` hands the arrays to the dual revised simplex of
+HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
+Math. Prog. Comp. 10, 2018) as numpy buffers, through the array
+``passModel`` of the HiGHS bindings that scipy ships
+(`scipy.optimize._highspy._core`, scipy >= 1.15), and `write_lp` dumps a
+problem as MPS text. HiGHS gets the model and options that scipy's own LP
+front end (method "highs-ds", presolve off) would give it, without that
+front end's per-call option checks and matrix stacking: ``<=`` rows
+(``>=`` rows negated) before ``=`` rows, stored by column, dual simplex,
+presolve off, the pivot cap as its simplex iteration limit. So it returns
+the same vertex after the same number of pivots as scipy's front end
+would.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -23,7 +27,7 @@ residual and duality gap); a failed check raises SolverNumericalError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
@@ -53,6 +57,8 @@ INF = float("inf")
 # HiGHS rejects reads as infeasible); any other status (numerical trouble,
 # or HiGHS could not tell infeasible from unbounded) raises instead
 _MS = _highs.HighsModelStatus
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 _STATUS = {
     _MS.kOptimal: OPTIMAL,
     _MS.kIterationLimit: ITERATION_LIMIT,
@@ -74,41 +80,30 @@ _REL_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
 LE, EQ, GE = range(3)
 
 
-@dataclass(frozen=True, eq=False)
 class LPProblem:
     """min c.x subject to rows (coef, rel, rhs) and per-variable bounds.
 
     ``bounds[j]`` is (lower, upper) with +-inf allowed; the default for every
-    variable is (0, +inf). rhs values must be finite. Construction validates
-    everything and converts it once: ``c`` and ``bounds`` (an (n, 2) array)
-    become float arrays, and the rows one CSR matrix ``A`` with ascending
-    column indices per row (explicit zeros of dict rows kept), a relation
-    code per row in ``relations`` (an index into RELATIONS) and ``rhs``.
-    ``constraints`` keeps the rows as given.
+    variable is (0, +inf). rhs values must be finite. A problem is held as
+    arrays: ``c`` and ``bounds`` (an (n, 2) array) as floats, the rows as
+    one CSR matrix ``A`` with strictly ascending column indices per row, a
+    relation code per row in ``relations`` (an index into RELATIONS) and
+    ``rhs``. `from_arrays` takes those arrays as they are; ``LPProblem(c,
+    constraints, bounds)`` first turns rows given as dense vectors or
+    {index: value} dicts into them (explicit zeros of dict rows kept,
+    columns sorted). Either way the same checks run once, and a failure
+    raises DimensionMismatch naming the row.
+
+    ``constraints`` is the list of rows as given or, for a problem built
+    from arrays, the rows of ``A`` as {index: value} dicts (explicit zeros
+    included), made on first access; `solve` never reads it.
     """
 
-    c: np.ndarray
-    constraints: list = field(default_factory=list)
-    bounds: Optional[np.ndarray] = None
-    A: sparse.csr_matrix = field(init=False, repr=False)
-    relations: np.ndarray = field(init=False, repr=False)
-    rhs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        n = c.size
-        if not np.all(np.isfinite(c)):
-            raise DimensionMismatch("objective has a non-finite coefficient")
-        if self.bounds is None:
-            bounds = np.column_stack((np.zeros(n), np.full(n, INF)))
-        else:
-            bounds = np.asarray(self.bounds, dtype=float)
-            if bounds.shape != (n, 2):
-                raise DimensionMismatch("bounds length != objective width")
-            if np.isnan(bounds).any():
-                raise DimensionMismatch("bounds contain NaN")
+    def __init__(self, c, constraints=(), bounds=None):
+        rows = list(constraints)
+        n = np.asarray(c).size
         cols, vals, counts, codes, rhs = [], [], [], [], []
-        for pos, (coef, rel, b) in enumerate(self.constraints):
+        for pos, (coef, rel, b) in enumerate(rows):
             if isinstance(coef, dict):
                 cols += coef
                 vals += coef.values()
@@ -125,36 +120,92 @@ class LPProblem:
                 counts.append(idx.size)
             codes.append(_REL_CODE.get(rel, -1))
             rhs.append(b)
-        relations = np.array(codes, dtype=np.int8)
-        rhs = np.array(rhs, dtype=float)
-        bad = (relations < 0) | ~np.isfinite(rhs)
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # each row's entries by ascending column
+        keys = np.asarray(cols)
+        perm = np.lexsort((keys, np.repeat(np.arange(len(counts)), counts)))
+        self._constraints = rows
+        self._set(c, (np.asarray(vals, dtype=float)[perm], keys[perm], indptr), codes, rhs, bounds)
+
+    @classmethod
+    def from_arrays(cls, c, A, relations, rhs, bounds=None) -> LPProblem:
+        """The problem with ``A`` = (data, indices, indptr), the arrays of a
+        CSR matrix whose column indices ascend strictly in each row, a
+        relation code per row (an index into RELATIONS) and a rhs per row.
+        """
+        self = cls.__new__(cls)
+        self._constraints = None
+        self._set(c, A, relations, rhs, bounds)
+        return self
+
+    def _set(self, c, A, relations, rhs, bounds):
+        """Check a problem's arrays and store them: the checks of both
+        entry points."""
+        c = np.asarray(c, dtype=float)
+        n = c.size
+        if not np.all(np.isfinite(c)):
+            raise DimensionMismatch("objective has a non-finite coefficient")
+        if bounds is None:
+            bounds = np.zeros((n, 2))
+            bounds[:, 1] = INF
+        else:
+            bounds = np.asarray(bounds, dtype=float)
+            if bounds.shape != (n, 2):
+                raise DimensionMismatch("bounds length != objective width")
+            if np.isnan(bounds).any():
+                raise DimensionMismatch("bounds contain NaN")
+        codes = np.asarray(relations)
+        rhs = np.asarray(rhs, dtype=float)
+        m = rhs.size
+        if codes.shape != (m,) or rhs.shape != (m,):
+            raise DimensionMismatch(f"{codes.size} relations for {rhs.size} right-hand sides")
+        known = (codes == LE) | (codes == EQ) | (codes == GE)
+        bad = ~known | ~np.isfinite(rhs)
         if bad.any():
             pos = int(np.argmax(bad))
-            _, rel, b = self.constraints[pos]
-            raise DimensionMismatch(
-                f"row {pos}: unknown relation {rel!r}" if relations[pos] < 0
-                else f"row {pos}: rhs must be finite, got {b}"
-            )
-        m = len(counts)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        keys = np.asarray(cols)
-        data = np.asarray(vals, dtype=float)
-        ok = (keys >= 0) & (keys < n) & (np.trunc(keys) == keys) & np.isfinite(data)
+            if known[pos]:
+                raise DimensionMismatch(f"row {pos}: rhs must be finite, got {rhs[pos]}")
+            rel = codes[pos].item() if self._constraints is None else self._constraints[pos][1]
+            raise DimensionMismatch(f"row {pos}: unknown relation {rel!r}")
+        data, keys, indptr = A
+        data, keys, indptr = np.asarray(data, dtype=float), np.asarray(keys), np.asarray(indptr)
+        shaped = (indptr.shape == (m + 1,) and indptr.dtype.kind in "iu"
+                  and keys.shape == data.shape == (data.size,))
+        if (not shaped or indptr[0] != 0 or indptr[-1] != data.size
+                or (indptr[1:] < indptr[:-1]).any()):
+            raise DimensionMismatch(f"A is not the CSR form of {m} rows")
+        # column indices ascend strictly within each row. A row's first
+        # entry, at indptr[r], has no predecessor to exceed; an empty row's
+        # mark falls on the next row's first entry or on the spare end slot
+        ok = np.empty(data.size + 1, dtype=bool)
+        ok[1:-1] = keys[1:] > keys[:-1]
+        ok[indptr[:-1]] = True
+        ok = ok[:-1] & (keys >= 0) & (keys < n) & (np.trunc(keys) == keys) & np.isfinite(data)
         if not ok.all():
             pos = int(np.searchsorted(indptr, np.argmin(ok), side="right")) - 1
             raise DimensionMismatch(
-                f"row {pos}: column index out of range or not whole, or coefficient not finite"
+                f"row {pos}: column index out of range, not whole or not above the "
+                "previous one, or coefficient not finite"
             )
-        A = sparse.csr_matrix((data, keys.astype(np.int64), indptr), shape=(m, n))
-        A.sort_indices()
-        for name, value in (("c", c), ("bounds", bounds), ("A", A),
-                            ("relations", relations), ("rhs", rhs)):
-            object.__setattr__(self, name, value)
+        self.c, self.bounds, self.relations, self.rhs = c, bounds, codes.astype(np.int8), rhs
+        self.A = sparse.csr_matrix((data, keys.astype(np.int64), indptr), shape=(m, n))
 
     @property
     def n(self) -> int:
         return self.c.size
+
+    @property
+    def constraints(self) -> list:
+        """The rows as (coef, relation, rhs) tuples."""
+        if self._constraints is None:
+            A = self.A
+            ptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+            self._constraints = [
+                (dict(zip(cols[s:e], vals[s:e])), RELATIONS[code], b)
+                for s, e, code, b in zip(ptr, ptr[1:], self.relations.tolist(), self.rhs.tolist())
+            ]
+        return self._constraints
 
     def row_arrays(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored (indices, values) of a constraint row, indices ascending."""
@@ -212,10 +263,15 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         if viol > FEAS_TOL:
             return LPSolution(INFEASIBLE, None, None)
         return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol)
+    # the row of every stored entry: it lays A out by column for HiGHS and
+    # takes the products A x and A^T y of the certificate below
+    A = problem.A
+    (m, n), cols, vals = A.shape, A.indices, A.data
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
     # HiGHS reads row_lo <= A x <= row_hi; the "<=" rows go first
     order = np.concatenate((np.flatnonzero(ub), np.flatnonzero(eq)))
     status, x, row_dual, col_dual, nit = _run_highs(
-        problem.c, _colwise(problem.A, sign, order), np.where(eq, b, -INF)[order], b[order],
+        problem.c, _colwise(A, row, sign, order), np.where(eq, b, -INF)[order], b[order],
         lo, hi, max_pivots,
     )
     if status not in _STATUS:
@@ -225,7 +281,8 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         return LPSolution(status, None, None, nit)
 
     obj = float(problem.c @ x)
-    r = (problem.A @ x) * sign - b
+    # A x, each row added up in the order of its entries
+    r = np.bincount(row, weights=vals * x[cols], minlength=m) * sign - b
     viol = max(
         float(r[ub].max(initial=0.0)),
         float(np.abs(r[eq]).max(initial=0.0)),
@@ -235,9 +292,9 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     # written so that a NaN fails the checks too
     if not viol <= FEAS_TOL:
         raise SolverNumericalError(f"residual check failed: violation {viol:.3e}")
-    y = np.empty(b.size)
+    y = np.empty(m)
     y[order] = row_dual
-    dual_res, gap = _dual_certificate(problem, obj, sign, y, col_dual)
+    dual_res, gap = _dual_certificate(problem, row, obj, sign, y, col_dual)
     if not (dual_res <= FEAS_TOL and gap <= FEAS_TOL):
         raise SolverNumericalError(
             f"dual certificate failed: residual {dual_res:.3e}, gap {gap:.3e}"
@@ -245,22 +302,22 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     return LPSolution(OPTIMAL, obj, x, nit, viol, dual_res, gap)
 
 
-def _colwise(A: sparse.csr_matrix, sign: np.ndarray, order: np.ndarray):
+def _colwise(A: sparse.csr_matrix, row: np.ndarray, sign: np.ndarray, order: np.ndarray):
     """(start, index, value) of the rows ``sign * A``, taken in ``order``
-    and stored by column.
+    and stored by column, ``row`` being the row of each entry of ``A``.
 
     The arrays ``(sign * A)[order].tocsc()`` would hold, row indices
-    ascending in each column, from one stable sort of the entries by
-    (column, new row).
+    ascending in each column, from one sort of the entries by (column, new
+    row); start and index are int32, as HiGHS takes them.
     """
     m, n = A.shape
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    row = np.repeat(np.arange(m), np.diff(A.indptr))
-    perm = np.argsort(A.indices.astype(np.int64) * m + rank[row], kind="stable")
-    start = np.zeros(n + 1, dtype=np.int64)
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    new_row = rank[row]
+    perm = np.argsort(A.indices.astype(np.int64) * m + new_row, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(A.indices, minlength=n), out=start[1:])
-    return start, rank[row[perm]], (A.data * sign[row])[perm]
+    return start, new_row[perm], (A.data * sign[row])[perm]
 
 
 # the options scipy's LP front end sets for method "highs-ds" with presolve
@@ -277,46 +334,38 @@ _OPTIONS.presolve = "off"
 
 
 def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
-    """One dual-simplex run of HiGHS on min c.x subject to
+    """One dual-simplex run of a fresh HiGHS on min c.x subject to
     row_lo <= A x <= row_hi and lo <= x <= hi, with A given by column as
     ``cols`` = (start, index, value).
 
+    The arrays go to HiGHS as they are, through its array ``passModel``.
     Returns (model status, x, row duals, column duals, simplex iterations);
     the three arrays are None unless the status is optimal.
     """
     start, index, value = cols
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = row_hi.size
-    # lists: pybind11 copies a list into a std::vector faster than an array
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = lo.tolist()
-    lp.col_upper_ = hi.tolist()
-    lp.row_lower_ = row_lo.tolist()
-    lp.row_upper_ = row_hi.tolist()
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = value.tolist()
     h = _highs._Highs()
     h.passOptions(_OPTIONS)
     h.setOptionValue("simplex_iteration_limit", int(max_pivots))
-    if h.passModel(lp) == _highs.HighsStatus.kError:
+    # every column continuous (an empty integrality array is not taken)
+    if h.passModel(c.size, row_hi.size, value.size, _COLWISE, _MINIMIZE, 0.0, c, lo, hi,
+                   row_lo, row_hi, start, index, value,
+                   np.zeros(c.size, dtype=np.int32)) == _highs.HighsStatus.kError:
         return _MS.kModelError, None, None, None, 0
     h.run()
     status = h.getModelStatus()
-    nit = h.getInfo().simplex_iteration_count
+    nit = h.getInfoValue("simplex_iteration_count")[1]
     if status != _MS.kOptimal:
         return status, None, None, None, nit
     sol = h.getSolution()
     return status, np.array(sol.col_value), np.array(sol.row_dual), np.array(sol.col_dual), nit
 
 
-def _dual_certificate(problem, obj, sign, y, col_dual) -> tuple[float, float]:
+def _dual_certificate(problem, row, obj, sign, y, col_dual) -> tuple[float, float]:
     """Relative stationarity residual and duality gap of HiGHS's duals.
 
     ``y`` holds HiGHS's row duals in row order, on the rows with ``>=``
-    negated (``sign``); ``col_dual`` holds its reduced costs. Both are
+    negated (``sign``); ``col_dual`` holds its reduced costs; ``row`` is
+    the row of each entry of ``problem.A``. Both duals are
     d(objective)/d(rhs): at most 0 on ``<=`` rows and upper bounds, at
     least 0 on lower bounds, free on equalities, and 0 on infinite bounds;
     a column's dual is its lower-bound multiplier where it is >= 0 and its
@@ -324,13 +373,15 @@ def _dual_certificate(problem, obj, sign, y, col_dual) -> tuple[float, float]:
     first, so a sign error shows up as a stationarity error rather than
     passing unseen.
     """
-    c, (lo, hi) = problem.c, problem.bounds.T
+    c, (lo, hi), A = problem.c, problem.bounds.T, problem.A
     # projected, then signed back onto the rows as stated
     y = sign * np.where(problem.relations == EQ, y, np.minimum(y, 0.0))
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
     w_lo = np.where(fin_lo, np.maximum(col_dual, 0.0), 0.0)
     w_hi = np.where(fin_hi, np.minimum(col_dual, 0.0), 0.0)
-    stat = c - problem.A.T @ y - w_lo - w_hi
+    # A^T y, each column added up in row order
+    aty = np.bincount(A.indices, weights=A.data * y[row], minlength=c.size)
+    stat = c - aty - w_lo - w_hi
     dual_res = float(np.abs(stat).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0)))
     dual_obj = float(problem.rhs @ y + lo[fin_lo] @ w_lo[fin_lo] + hi[fin_hi] @ w_hi[fin_hi])
     return dual_res, abs(obj - dual_obj) / max(1.0, abs(obj))

@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from corround.rounding import MarginalMatrix, validate
-from corround.simplex import EQ, GE, write_lp
+from corround.simplex import EQ, GE, LPProblem, write_lp
 from corround.streams import RandomStream
 
 
@@ -125,6 +125,22 @@ def linprog_highs_ds(problem, max_pivots=10 ** 6):
     return linprog(problem.c, A_ub=A[~eq], b_ub=b[~eq], A_eq=A[eq], b_eq=b[eq],
                    bounds=problem.bounds, method="highs-ds",
                    options={"maxiter": max_pivots, "presolve": False})
+
+
+def lp_arrays(problem) -> list:
+    """A problem's arrays as (name, dtype, bytes), so that equal lists mean
+    equal bit for bit, the sign of a zero included."""
+    arrays = {"c": problem.c, "indptr": problem.A.indptr, "indices": problem.A.indices,
+              "data": problem.A.data, "relations": problem.relations, "rhs": problem.rhs,
+              "bounds": problem.bounds}
+    return [(name, a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()]
+
+
+def assert_same_lp(got, want):
+    """``got`` holds ``want``'s arrays bit for bit, and rebuilding it from
+    its ``constraints`` rows gives them again."""
+    assert lp_arrays(got) == lp_arrays(want)
+    assert lp_arrays(LPProblem(got.c, got.constraints, got.bounds)) == lp_arrays(want)
 
 
 def mps_sha256(problem) -> str:

@@ -51,6 +51,18 @@ def test_round_non_finite_entry_is_a_parse_error(tmp_path, capsys, value):
     assert not (tmp_path / "x.marginals.csv").exists()
 
 
+def test_load_sets_the_parse_error_path(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\n0.5 0.5\nx 1.0\n")
+    with pytest.raises(rounding.ParseError) as err:
+        cli._load(str(bad), rounding.read_instance)
+    assert (err.value.path, err.value.line) == (str(bad), 3)
+    assert str(err.value) == f"{bad}: line 3: non-numeric value in 'x 1.0'"
+    # the printed line is the message, path first
+    assert run(["round", str(bad), "--out", str(tmp_path / "x"), "--samples", "10"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"round: {err.value}\n"
+
+
 def test_round_unknown_scheme_usage_error(tmp_path):
     inst = tmp_path / "i.txt"
     inst.write_text(DET_INSTANCE)

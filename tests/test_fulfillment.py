@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import pickle
@@ -32,10 +33,10 @@ from corround.fulfillment import (
     theoretical_beta,
 )
 from corround.instances import GeneratorConfig, build_instance
-from corround.simplex import EQ, LE
+from corround.simplex import EQ, LE, LPProblem
 from corround.streams import RandomStream
 
-from conftest import mps_sha256
+from conftest import assert_same_lp, mps_sha256
 
 INF = float("inf")
 
@@ -546,6 +547,63 @@ def hand_case():
         y={(0, 0): np.array([0.2, 0.5, 0.3, 0.6]), (1, 0): np.array([0.1, 0.9, 0.0, 0.0])},
     )
     return hand, hand_plan
+
+
+def rows_dlp(inst):
+    """The DLP as {index: value} rows, built one dict per row: the builder
+    that the array builder replaced, kept as its reference."""
+    K1, T = inst.K + 1, inst.T
+    pairs = [(t, j) for t in range(len(inst.types)) for j in range(inst.J) if inst.rates[t, j] > 0.0]
+    u_off = list(itertools.accumulate((len(inst.types[t]) * K1 for t, _ in pairs), initial=0))
+    n_u = u_off[-1]
+    c = np.empty(n_u + K1 * len(pairs))
+    slots, by_item = [], {}
+    for p, (t, j) in enumerate(pairs):
+        w, y = T * inst.rates[t, j], n_u + p * K1
+        a = list(inst.types[t])
+        c[u_off[p]:u_off[p + 1]] = (w * inst.unit_cost[:, a, j].T).ravel()
+        c[y:y + K1] = w * inst.fixed_cost[:, j]
+        for pos, i in enumerate(a):
+            slots.append((u_off[p] + pos * K1, y))
+            by_item.setdefault(i, []).append((u_off[p] + pos * K1, w))
+    stock = inst.inventory.tolist()
+    rows = [({u + k: w for u, w in by_item.get(i, ())}, "<=", stock[k][i])
+            for k in range(1, K1) for i in range(inst.n) if stock[k][i] < math.inf]
+    rows += [(dict.fromkeys(range(u, u + K1), 1.0), "=", 1.0) for u, _ in slots]
+    rows += [({u + k: 1.0, y + k: -1.0}, "<=", 0.0) for u, y in slots for k in range(K1)]
+    return LPProblem(c=c, constraints=rows), pairs, u_off[:-1]
+
+
+def dlp_battery():
+    """Seeded generated networks and hand-made edge cases: +inf stock on
+    real FCs, zero-rate orders, one-item types only, a T = 0 horizon (all
+    weights 0) and an instance with no order of positive rate."""
+    out = [(f"gen{seed}", build_instance(GeneratorConfig(n=n, n_max=3, n_per=n_per, T=1000, J=J, K=K, seed=seed)))
+           for seed, n, J, K, n_per in ((0, 6, 1, 1, 4), (1, 6, 2, 2, 3), (2, 6, 3, 3, 3), (3, 8, 2, 4, 4),
+                                        (4, 4, 1, 2, 3), (6, 9, 2, 3, 6), (7, 7, 1, 4, 3))]
+    base = out[0][1]
+    inv = base.inventory.copy()
+    inv[1, :] = INF
+    inv[2:, 0] = INF
+    rates = base.rates.copy()
+    rates[::2, 0] = 0.0
+    out += [("inf_stock", dataclasses.replace(base, inventory=inv)),
+            ("zero_rates", dataclasses.replace(base, rates=rates)),
+            ("no_orders", dataclasses.replace(base, rates=np.zeros_like(rates))),
+            ("no_horizon", dataclasses.replace(base, T=0)),
+            ("one_item_types", two_fc_instance()), ("tiny", tiny_instance(b=0.0)), ("hand", hand_case()[0])]
+    return out
+
+
+DLP_BATTERY = dlp_battery()
+
+
+@pytest.mark.parametrize("name,inst", DLP_BATTERY, ids=[name for name, _ in DLP_BATTERY])
+def test_dlp_arrays_match_the_row_builder(name, inst):
+    problem, idx = build_dlp(inst)
+    ref, pairs, u_off = rows_dlp(inst)
+    assert_same_lp(problem, ref)
+    assert idx.pairs == tuple(pairs) and idx.u_off == tuple(u_off)
 
 
 def edge_cases():

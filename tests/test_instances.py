@@ -68,6 +68,41 @@ def test_geography_selection():
         build_geography(J=10, K=50)
 
 
+REGIONS_HEADER = "name,lat,lon,population\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("name,lat,lon\nA,40.7,-74.0\n", "line 1: no 'population' column"),
+    ("", "line 1: no 'name' column"),
+    (REGIONS_HEADER + "A,40.7,-74.0,5\nB,nan,-87.6,3\n", "line 3: lat: 'nan' is not finite"),
+    (REGIONS_HEADER + "A,40.7,inf,5\n", "line 2: lon: 'inf' is not finite"),
+    (REGIONS_HEADER + "A,40.7,-74.0,-inf\n", "line 2: population: '-inf' is not finite"),
+    (REGIONS_HEADER + "A,40.7,-74.0,NaN\n", "line 2: population: 'NaN' is not finite"),
+    (REGIONS_HEADER + "A,40.7,-74.0,many\n", "line 2: population: 'many' is not a float"),
+    # a blank line still counts
+    (REGIONS_HEADER + "A,40.7,-74.0,5\n\nB,41.9\n", "line 4: lon: no value"),
+])
+def test_bad_regions_csv_names_file_line_and_column(tmp_path, text, where):
+    path = tmp_path / "regions.csv"
+    path.write_text(text)
+    with pytest.raises(GeneratorError) as err:
+        build_geography(1, 1, regions_path=path)
+    assert str(err.value) == f"{path}: {where}"
+
+
+def test_bad_fcs_csv_names_file_line_and_column(tmp_path):
+    path = tmp_path / "fcs.csv"
+    path.write_text("name,lat\nA,40.7\n")
+    with pytest.raises(GeneratorError, match="fcs.csv: line 1: no 'lon' column"):
+        build_geography(1, 1, fcs_path=path)
+    with open(path) as f:
+        with pytest.raises(GeneratorError, match="fcs.csv: line 1"):
+            load_fcs(f)
+    path.write_text("name,lat,lon\nA,40.7,-inf\n")
+    with pytest.raises(GeneratorError, match="fcs.csv: line 2: lon: '-inf' is not finite"):
+        load_fcs(str(path))
+
+
 def test_config_validation():
     with pytest.raises(SizeImpossible):
         GeneratorConfig(n=3, n_max=4)

@@ -17,9 +17,10 @@ from corround.optimal import (
     write_solution,
 )
 from corround.rounding import ParseError, guarantee_dilate, guarantee_force_open, validate
+from corround.simplex import LPProblem
 from corround.streams import RandomStream
 
-from conftest import UnitUniforms, mps_sha256, random_instance
+from conftest import UnitUniforms, assert_same_lp, mps_sha256, random_instance
 
 
 def test_build_counts_q1_k2():
@@ -41,6 +42,62 @@ def test_build_counts_q2_k2_dense():
     assert len(problem.constraints) == coverage + marginal + usage + total
     u_vars = m.q * (1 + 1 + 2)    # per item: one per subset membership
     assert idx.n_vars == 1 + masks + u_vars
+
+
+def rows_subset_lp(m):
+    """The subset LP as {index: value} rows, built one dict per row: the
+    builder that the array builder replaced, kept as its reference."""
+    q, K = m.q, m.K
+    inside = (np.arange(2 ** K)[:, None] >> np.arange(K) & 1).astype(bool)
+    cells = np.argwhere(inside[:, None, :] & (m.u > 0.0))
+    S, I, F = cells.T
+    rows = []
+    ends = (2 ** K + np.searchsorted(S * q + I, np.arange(q, 2 ** K * q + 1))).tolist()
+    for key, (lo, hi) in enumerate(zip(ends, ends[1:]), start=q):
+        coef = {key // q: -1.0}
+        for col in range(lo, hi):
+            coef[col] = 1.0
+        rows.append((coef, "=", 0.0))
+    by_fc = (2 ** K + np.lexsort((S, I, F))).reshape(-1, 2 ** (K - 1)).tolist()
+    for cols, u in zip(by_fc, m.u.T[m.u.T > 0.0].tolist()):
+        rows.append((dict.fromkeys(cols, 1.0), "=", u))
+    for k in range(K):
+        coef = dict.fromkeys(np.flatnonzero(inside[:, k]).tolist(), 1.0)
+        coef[0] = -float(m.y[k])
+        rows.append((coef, "<=", 0.0))
+    rows.append((dict.fromkeys(range(1, 2 ** K), 1.0), "=", 1.0))
+    c = np.zeros(2 ** K + len(cells))
+    c[0] = 1.0
+    return LPProblem(c=c, constraints=rows), cells
+
+
+def subset_battery():
+    """Seeded dense and sparse matrices, and edge cases: q = 1, K = 1, a
+    one-hot matrix, and zero columns (y_k = 0, whose -0.0 alpha
+    coefficient must survive)."""
+    gen = np.random.default_rng(20260105)
+    out = [(f"{'sparse' if sp else 'dense'}_q{q}_k{K}", random_instance(gen, q, K, sparse=sp))
+           for q, K, sp in ((1, 2, False), (3, 3, True), (4, 5, True), (5, 4, False), (2, 6, True), (6, 7, True))]
+    out += [("q1_k1", validate([[1.0]])), ("q3_k1", validate([[1.0], [1.0], [1.0]])),
+            ("one_hot", validate([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+            ("zero_column", validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]])),
+            ("zero_columns", validate([[0.0, 0.3, 0.0, 0.7]]))]
+    return out
+
+
+SUBSET_BATTERY = subset_battery()
+
+
+@pytest.mark.parametrize("name,m", SUBSET_BATTERY, ids=[name for name, _ in SUBSET_BATTERY])
+def test_subset_lp_arrays_match_the_row_builder(name, m):
+    problem, idx = build_lp(m)
+    ref, cells = rows_subset_lp(m)
+    assert_same_lp(problem, ref)
+    assert np.array_equal(idx.cells, cells)
+    if not m.y.all():
+        # the alpha coefficient of a closed FC's usage row is -0.0, kept
+        alpha = problem.A.tocsc()[:, 0]
+        assert np.signbit(alpha.data).sum() == m.K
 
 
 def digest_subset_instances():

@@ -121,6 +121,47 @@ def test_dimension_mismatch():
     assert idx.tolist() == [0, 2] and val.tolist() == [1.0, 1.0]
 
 
+def test_array_entry_point_runs_the_same_checks():
+    # min -x0 - x1: x0 + 2 x1 <= 4, x1 >= 1 (row 1 also holds an explicit 0)
+    c, rel, rhs = np.array([-1.0, -1.0]), np.array([0, 2], dtype=np.int8), np.array([4.0, 1.0])
+    A = (np.array([1.0, 2.0, 0.0, 1.0]), np.array([0, 1, 0, 1]), np.array([0, 2, 4]))
+    p = LPProblem.from_arrays(c, A, rel, rhs)
+    rows = LPProblem(c, [({0: 1.0, 1: 2.0}, "<=", 4.0), ({1: 1.0, 0: 0.0}, ">=", 1.0)])
+    assert p.A.nnz == 4 and solve(p).objective == pytest.approx(solve(rows).objective) == -3.0
+    # constraints is read off A, explicit zeros included
+    assert p.constraints == [({0: 1.0, 1: 2.0}, "<=", 4.0), ({0: 0.0, 1: 1.0}, ">=", 1.0)]
+    data, indices, indptr = A
+    bad = [
+        ((data, np.array([0, 2, 0, 1]), indptr), rel, rhs, "row 0: column index"),    # out of range
+        ((data, np.array([0, 0.5, 0, 1]), indptr), rel, rhs, "row 0"),                # not whole
+        ((data, np.array([1, 0, 0, 1]), indptr), rel, rhs, "row 0"),                  # descending
+        ((data, np.array([0, 1, 1, 1]), indptr), rel, rhs, "row 1"),                  # repeated
+        ((np.array([1.0, 2.0, math.nan, 1.0]), indices, indptr), rel, rhs, "row 1"),  # NaN entry
+        ((data, indices, np.array([0, 2, 3])), rel, rhs, "CSR"),                      # short of nnz
+        ((data, indices, np.array([0, 4, 2, 4])), np.zeros(3), np.zeros(3), "CSR"),   # decreasing
+        ((data, indices, np.array([0, 2])), rel, rhs, "CSR"),                         # too few rows
+        ((data, indices, np.array([0.0, 2.0, 4.0])), rel, rhs, "CSR"),                # float indptr
+        (A, np.array([0, 3]), rhs, "row 1: unknown relation 3"),
+        (A, np.array([0, 1.5]), rhs, "row 1: unknown relation 1.5"),
+        (A, rel, np.array([4.0, INF]), "row 1: rhs must be finite"),
+        (A, rel, np.array([4.0]), "relations for 1"),
+    ]
+    for arrays, codes, b, match in bad:
+        with pytest.raises(DimensionMismatch, match=match):
+            LPProblem.from_arrays(c, arrays, codes, b)
+    with pytest.raises(DimensionMismatch, match="bounds length"):
+        LPProblem.from_arrays(c, A, rel, rhs, bounds=[(0.0, 1.0)])
+    with pytest.raises(DimensionMismatch, match="objective"):
+        LPProblem.from_arrays(np.array([-1.0, INF]), A, rel, rhs)
+
+
+def test_solve_does_not_build_rows():
+    problem, _ = build_dlp(build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1)))
+    assert solve(problem).status == OPTIMAL
+    assert problem._constraints is None
+    assert len(problem.constraints) == problem.A.shape[0]
+
+
 def test_iteration_limit_status():
     p = LPProblem(
         c=np.array([1.0, 1.0]),
