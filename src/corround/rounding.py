@@ -29,12 +29,15 @@ draw axis (`stack_kernel`) give each draw its own matrix, which is how
 dispatch rounds every order of one scheme and item count in one call.
 Monte Carlo, set cover and dispatch all draw through `sample` or these
 kernels, and `draw_kernel` is the one place a scheme name turns into draw
-code. The single-call ``*_round`` functions draw over all K columns, and
-only they build a `RoundingTrace` of the clocks. No draw multiplies 0 by
-inf, so the draw path needs no floating-point error state. `mc_estimate`
-verifies marginals, usage bounds, support and the waiting-time tail
-empirically. Every path consumes uniforms in the exact per-call order, so
-batched and one-call-at-a-time sampling produce identical assignments.
+code. Every draw computes its opening times with one clock kernel. The
+single-call ``*_round`` functions run the dense kernels on one draw, over
+all K columns, and return light records: a `RoundingOutcome` and, for
+dilate and force_open, a `RoundingTrace` of the clocks, both named tuples.
+No draw multiplies 0 by inf, so the draw path needs no floating-point
+error state. `mc_estimate` verifies marginals, usage bounds, support and
+the waiting-time tail empirically. Every path consumes uniforms in the
+exact per-call order, so batched and one-call-at-a-time sampling produce
+identical assignments.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -59,7 +62,12 @@ CHUNK_ELEMS = 2_000_000
 
 
 class RoundingError(ValueError):
-    """Base class for invalid rounding instances or arguments."""
+    """Base class for invalid rounding instances or arguments; ``row`` is
+    the 0-based matrix row at fault, where one is."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NegativeEntry(RoundingError):
@@ -93,11 +101,11 @@ class MarginalMatrix:
 
     u: np.ndarray
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.u.shape[0]
 
-    @property
+    @cached_property
     def K(self) -> int:
         return self.u.shape[1]
 
@@ -133,23 +141,28 @@ class MarginalMatrix:
 
     @cached_property
     def dilation(self) -> tuple[np.ndarray, ...]:
-        """The tables of a dilated-clock draw: (divisor, floor, usable,
+        """The tables of a dilated-clock draw: (divisor, floor, columns,
         ratios, support, support ratios).
 
         Opening times are E_k = max(ln(U_k) / divisor_k, floor_k), with
         divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
         = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
-        makes no 0/0, and its floor of +inf keeps it closed. ``usable`` is
-        the mask u_ki > 0 and ``ratios`` holds y_k / u_ki where usable and
-        +inf elsewhere; the support ratios are those at the `support`
-        layout's cells.
+        makes no 0/0, and its floor of +inf keeps it closed. A draw lays
+        its clocks out as E followed by one +inf; ``columns`` gives cell
+        (i, k) the clock it sees, k where u_ki > 0 and the +inf at K
+        elsewhere, and ``ratios`` holds y_k / u_ki where u_ki > 0 and +inf
+        elsewhere, so a cell's observed time is its ratio times its clock
+        and an unusable cell's is +inf * +inf. The support ratios are the
+        ratios at the `support` layout's cells. The columns stay writeable,
+        because `ndarray.take` copies a read-only index array on every
+        call; no draw writes to them.
         """
         closed = self.y == 0.0
         usable = self.u > 0.0
         ratios = np.divide(self.y[None, :], self.u, out=np.full(self.u.shape, np.inf), where=usable)
-        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf), usable, ratios,
-               self.support, self._on_support(ratios))
-        for a in out:
+        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf),
+               np.where(usable, np.arange(self.K), self.K), ratios, self.support, self._on_support(ratios))
+        for a in out[:2] + out[3:]:
             a.flags.writeable = False
         return out
 
@@ -179,22 +192,28 @@ class MarginalMatrix:
 
     @cached_property
     def forced(self) -> tuple[np.ndarray, ...]:
-        """The tables of a force_open draw: the first four dilation tables,
-        then per item the flat index i*K + m(i) of its favorite FC m(i), the
-        time item i sees it forced open, (y_m(i) / u_m(i)i) * (1 / y_m(i)),
-        its hiding probability, m(i) and y_m(i) / u_m(i)i; then the
-        `support` layout with each favorite's cell moved to column K + i and
-        its ratio to 1, where a support draw puts the time item i sees its
-        favorite."""
+        """The tables of a force_open draw: the dilation's divisor and
+        floor, the columns, the ratios, then per item its favorite FC m(i),
+        the cap 1/y_m(i) (the favorite's forced opening time) and its
+        hiding probability; then the `support` layout with each favorite's
+        cell moved to column K + i.
+
+        A draw lays its clocks out as E, then per item i the clock by which
+        it sees its favorite, min(E_m(i), 1/y_m(i)) or, if hidden, 1/y_m(i)
+        alone, then one +inf. ``columns`` sends each favorite's cell to
+        column K + i, every other cell with u_ki > 0 to column k and the
+        rest to the +inf at K + q. The columns and the favorites are
+        writeable copies, as in `dilation`."""
         fav = self.favorite
-        flat = np.arange(0, self.u.size, self.K) + fav
-        um, yf = self.u.ravel()[flat], self.y[fav]
-        at_fav = self.support == fav
-        out = (flat, (yf / um) * (1.0 / yf), _hiding_probability_vec(um), fav, self.ratios.ravel()[flat],
-               np.where(at_fav, self.K + np.arange(self.q), self.support), np.where(at_fav, 1.0, self.dilation[5]))
+        q, K = self.u.shape
+        cols = np.where(self.u > 0.0, np.arange(K), K + q)
+        cols[np.arange(q), fav] = K + np.arange(q)
+        divisor, floor, _, ratios = self.dilation[:4]
+        out = (1.0 / self.y[fav], _hiding_probability_vec(self.u[np.arange(q), fav]),
+               np.where(self.support == fav, K + np.arange(q), self.support))
         for a in out:
             a.flags.writeable = False
-        return self.dilation[:4] + out
+        return (divisor, floor, cols, ratios, fav.copy()) + out
 
     @property
     def hide_prob(self) -> np.ndarray:
@@ -212,21 +231,22 @@ class MarginalMatrix:
         return float(1.0 / self.u.max(axis=1).min())
 
 
-@dataclass(frozen=True)
-class RoundingOutcome:
+class RoundingOutcome(NamedTuple):
     """Assignment vector: z[i] is the 0-based FC index for item i."""
 
     z: np.ndarray
 
 
-@dataclass(frozen=True)
-class RoundingTrace:
+class RoundingTrace(NamedTuple):
     """Internal clocks of a dilate or force-open draw, for auditing.
 
     ``e`` holds the FC opening times, ``x`` the per-item observed opening
     times (inf where an item cannot use an FC). ``h`` (hide flags) and
-    ``m`` (per-item forced-open target) are populated by force_open only.
-    Only the single calls build one; the batched kernels return arrays.
+    ``m`` (per-item forced-open target) are populated by force_open only;
+    ``m`` is the matrix's cached, read-only `MarginalMatrix.favorite`,
+    shared by every trace of that matrix. Only the single calls build one;
+    the batched kernels return arrays. Both records are named tuples: their
+    fields cannot be reassigned, and ``outcome[0]`` is ``outcome.z``.
     """
 
     e: np.ndarray
@@ -268,14 +288,14 @@ def validate(matrix) -> MarginalMatrix:
     # a NaN or infinite entry makes its row's sum NaN or infinite
     if not np.isfinite(sums).all() and not np.isfinite(u).all():
         i, k = np.argwhere(~np.isfinite(u))[0]
-        raise NonFiniteEntry(f"u[{i},{k}] = {u[i, k]} is not finite")
+        raise NonFiniteEntry(f"u[{i},{k}] = {u[i, k]} is not finite", int(i))
     if np.any(u < 0.0):
         i, k = np.argwhere(u < 0.0)[0]
-        raise NegativeEntry(f"u[{i},{k}] = {u[i, k]} is negative")
+        raise NegativeEntry(f"u[{i},{k}] = {u[i, k]} is negative", int(i))
     bad = np.abs(sums - 1.0) >= ROW_SUM_TOL
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise RowSumMismatch(f"row {i} sums to {float(sums[i])!r}, not 1")
+        raise RowSumMismatch(f"row {i} sums to {float(sums[i])!r}, not 1", i)
     u /= sums[:, None]
     u.flags.writeable = False
     return MarginalMatrix(u=u)
@@ -372,7 +392,7 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 def independent_round(m: MarginalMatrix, rng: RandomStream) -> RoundingOutcome:
     """Draw each item's FC independently from its marginal row."""
-    return RoundingOutcome(z=inverse_cdf(m.row_cdf[0], rng.uniform(m.q)))
+    return RoundingOutcome(inverse_cdf(m.row_cdf[0], rng.uniform(m.q)))
 
 
 def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -382,8 +402,8 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    e, x = _dilated(*m.dilation[:4], rng.uniform(m.K))
-    return RoundingOutcome(z=x.argmin(axis=-1)), RoundingTrace(e=e, x=x)
+    e, x = _dilated(m.dilation, rng.uniform(m.K))
+    return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x)
 
 
 def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -395,7 +415,7 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     exact. All items are assigned by time alpha_force with probability 1.
     """
     e, x, h = _force_opened(m.forced, rng.uniform(m.K + m.q))
-    return RoundingOutcome(z=x.argmin(axis=-1)), RoundingTrace(e=e, x=x, h=h, m=m.favorite.copy())
+    return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x, h, m.favorite)
 
 
 def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndarray:
@@ -481,8 +501,8 @@ def _support_tables(m: MarginalMatrix, scheme: str) -> tuple:
     divisor, floor, _, _, fcs, ratios = m.dilation
     if scheme == "dilate":
         return divisor, floor, fcs, ratios
-    forced, hide, fav, fav_ratio, cols, fav_ratios = m.forced[5:]
-    return divisor, floor, fcs, cols, fav_ratios, fav, fav_ratio, forced, hide
+    fav, cap, hide, cols = m.forced[4:]
+    return divisor, floor, fcs, cols, ratios, fav, cap, hide
 
 
 def _fc_at(fcs, pos):
@@ -508,25 +528,16 @@ def _independent(tables, u):
 
 def _dilate(tables, u):
     divisor, floor, fcs, ratios = tables
-    return _scan(np.maximum(np.log(u) / divisor, floor), fcs, ratios, fcs)
+    return _scan(_open(divisor, floor, u), fcs, ratios, fcs)
 
 
 def _force_open(tables, u):
-    """Item i sees its favorite m(i) at y/u_m(i) times the earlier of E_m(i)
-    and the forced time 1/y, or at the forced time alone if hidden (H_i =
-    U_K+i <= hide_i), as in `_force_opened`; the scan reads that time from
-    column K + i of the clocks."""
-    divisor, floor, fcs, cols, ratios, fav, fav_ratio, forced, hide = tables
-    n, K = u.shape[0], divisor.shape[-1]
-    ext = np.empty((n, K + forced.shape[-1]))
-    e, seen = ext[:, :K], ext[:, K:]
-    np.log(u[:, :K], out=e)
-    np.divide(e, divisor, out=e)
-    np.maximum(e, floor, out=e)
-    np.multiply(fav_ratio, ext.ravel().take(fav + np.arange(0, ext.size, ext.shape[1])[:, None]), out=seen)
-    np.minimum(seen, forced, out=seen)
-    np.copyto(seen, forced, where=u[:, K:] <= hide)
-    return _scan(ext, cols, ratios, fcs)[0], None
+    """Item i sees its favorite m(i) by the clock in column K + i, as in
+    `_force_opened`, at the favorite's own ratio."""
+    divisor, floor, fcs, cols, ratios, fav, cap, hide = tables
+    c = _clocks(divisor, floor, u, cap.shape[-1])[0]
+    _hide(c, c.ravel().take(fav + np.arange(0, c.size, c.shape[1])[:, None]), cap, u, hide)
+    return _scan(c, cols, ratios, fcs)[0], None
 
 
 def _scan(clocks, cols, ratios, fcs):
@@ -566,7 +577,7 @@ def _independent_full(tables, u):
 
 
 def _dilate_full(tables, u):
-    e, x = _dilated(*tables[:4], u)
+    e, x = _dilated(tables, u)
     z = x.argmin(axis=-1)
     return z, np.take_along_axis(x, z[..., None], -1)[..., 0]
 
@@ -575,36 +586,62 @@ def _force_open_full(tables, u):
     return _force_opened(tables, u)[1].argmin(axis=-1), None
 
 
-def _force_opened(tables, u):
-    """(e, x, h) of force_open draws over all K columns. Hide flags H_i =
-    U_K+i <= hide_i. Item i sees its favorite at the earlier of its dilated
-    natural opening and its forced time, or at the forced time alone if
-    hidden; the factor y/u_m(i) > 0 commutes with the min, so this is
-    (y/u_m(i)) * min(E_m(i), 1/y) bit for bit."""
-    divisor, floor, usable, ratios, flat, forced, hide = tables[:7]
+def _open(divisor, floor, u, out=None):
+    """Opening times E_k = max(ln(U_k) / divisor_k, floor_k) of uniforms
+    (..., K), written to ``out`` if given."""
+    e = np.log(u, out=out)
+    e /= divisor
+    np.maximum(e, floor, out=e)
+    return e
+
+
+def _clocks(divisor, floor, u, q=0):
+    """(c, e): a fresh row of clocks per draw, (..., K + q + 1), and its
+    first K columns e, the opening times of the first K uniforms of each
+    row of ``u``. The last column is +inf; the q columns before it are the
+    caller's."""
     K = divisor.shape[-1]
-    e, x = _dilated(divisor, floor, usable, ratios, u[..., :K])
+    c = np.empty(u.shape[:-1] + (K + q + 1,))
+    c[..., -1] = np.inf
+    return c, _open(divisor, floor, u[..., :K], c[..., :K])
+
+
+def _hide(c, seen, cap, u, hide):
+    """Column K + i of the clocks c: the earlier of ``seen`` (E_m(i)) and
+    the cap 1/y_m(i), or the cap alone where hidden (H_i = U_K+i <=
+    hide_i); returns H."""
+    K = u.shape[-1] - cap.shape[-1]
+    s = c[..., K:-1]
+    np.minimum(seen, cap, out=s)
     h = u[..., K:] <= hide
-    # index the leading axis of the transpose, rather than [..., flat], which
-    # keeps numpy on its fast path for one draw and for a block alike
-    xt = x.reshape(x.shape[:-2] + (x.shape[-2] * K,)).T
-    seen = np.minimum(xt[flat].T, forced)
-    np.copyto(seen, forced, where=h)
-    xt[flat] = seen.T
-    return e, x, h
+    np.copyto(s, cap, where=h)
+    return h
 
 
-def _dilated(divisor, floor, usable, ratios, u):
-    """Opening times e (..., K) from uniforms (..., K), E_k = -ln(U_k)/y_k
-    (inf for y_k = 0), and the observed times x (..., q, K), (y_k/u_ki) E_k
-    where u_ki > 0 and inf elsewhere. x starts as a copy of the ratios,
-    +inf where unusable, and is multiplied only where usable, so no 0 * inf
-    is ever formed."""
-    e = np.maximum(np.log(u) / divisor, floor)
-    x = np.empty(e.shape[:-1] + ratios.shape[-2:])
-    x[...] = ratios
-    np.multiply(ratios, e[..., None, :], out=x, where=usable)
+def _dilated(tables, u):
+    """(e, x) of dilate draws over all K columns: x (..., q, K) is each
+    cell's ratio times the clock its column names, y_k/u_ki E_k where u_ki
+    > 0 and +inf elsewhere. No 0 * inf is ever formed: an unusable cell
+    multiplies +inf by +inf."""
+    divisor, floor, cols, ratios = tables[:4]
+    c, e = _clocks(divisor, floor, u)
+    x = c.take(cols, axis=-1)
+    x *= ratios
     return e, x
+
+
+def _force_opened(tables, u):
+    """(e, x, h) of force_open draws over all K columns. Item i sees its
+    favorite at y/u_m(i) times min(E_m(i), 1/y), or y/u_m(i) times 1/y
+    alone if hidden; the factor y/u_m(i) > 0 is monotone, so this is the
+    earlier of its dilated natural opening and its forced time bit for
+    bit."""
+    divisor, floor, cols, ratios, fav, cap, hide = tables[:7]
+    c, e = _clocks(divisor, floor, u, cap.shape[-1])
+    h = _hide(c, e.take(fav, axis=-1), cap, u, hide)
+    x = c.take(cols, axis=-1)
+    x *= ratios
+    return e, x, h
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +744,8 @@ def read_instance(f: TextIO) -> MarginalMatrix:
         q, K = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(1, f"non-integer header {lines[0]!r}") from None
+    if q < 1 or K < 1:
+        raise ParseError(1, f"header needs q >= 1 and K >= 1, got {lines[0]!r}")
     rows = []
     for idx in range(q):
         ln = idx + 2
@@ -722,7 +761,11 @@ def read_instance(f: TextIO) -> MarginalMatrix:
         if not all(map(math.isfinite, row)):
             raise ParseError(ln, f"non-finite value in {lines[ln - 1]!r}")
         rows.append(row)
+    for ln, line in enumerate(lines[q + 1:], start=q + 2):
+        if line.strip():
+            raise ParseError(ln, f"the header gives {q} rows, found another: {line!r}")
     try:
         return validate(rows)
     except RoundingError as exc:
-        raise ParseError(2, str(exc)) from exc
+        # the header's checks leave validate only row errors to raise
+        raise ParseError(exc.row + 2, str(exc)) from exc

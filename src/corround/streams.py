@@ -14,6 +14,11 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# 1.0 as a 0-d array: a ufunc converts a Python float operand anew on
+# every call, which costs more than subtracting a short draw
+_ONE = np.ones(())
+_ONE.flags.writeable = False
+
 
 def derive_seed(base: int, index: int) -> int:
     """Derive a child seed as base XOR index (both reduced mod 2**64)."""
@@ -42,8 +47,8 @@ class RandomStream:
             self.position += 1
             return 1.0 - self._gen.random()
         u = self._gen.random(size)
-        np.subtract(1.0, u, out=u)
-        self.position += int(u.size)
+        np.subtract(_ONE, u, out=u)
+        self.position += u.size
         return u
 
     def __repr__(self):

@@ -41,6 +41,19 @@ def test_round_parse_error_exit_code(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("text,line", [
+    ("2 2\n0.5 0.5\n0.6 0.3\n", 3),
+    ("1 2\n0.5 0.5\n0.1 0.9\n", 3),
+    ("-1 2\n", 1),
+])
+def test_round_bad_rows_and_header_name_their_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = run(["round", str(bad), "--out", str(tmp_path / "x"), "--samples", "10"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"round: {bad}: line {line}: ")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_round_non_finite_entry_is_a_parse_error(tmp_path, capsys, value):
     bad = tmp_path / "bad.txt"
@@ -418,3 +431,16 @@ def test_simulate_aggregates_match_the_rows(tmp_path):
     assert lines[0] == "metric,myopic,dilate"
     for pos, line in enumerate(lines[1:]):
         assert line.split(",")[1:] == [repr(float(expected[p][pos])) for p in ("myopic", "dilate")]
+
+
+def test_bench_writes_one_row_per_scheme_and_size(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "scheme,q,K,us_per_call"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == 16
+    assert sorted({r[0] for r in rows}) == ["dilate", "force_open"]
+    assert sorted({int(r[1]) for r in rows}) == [10 * 2 ** p for p in range(8)]
+    assert all(r[2] == "16" and float(r[3]) > 0.0 for r in rows)
+    assert "q=1000, K=100" in capsys.readouterr().out

@@ -27,6 +27,8 @@ from corround.rounding import (
     validate,
     write_instance,
 )
+from corround.fulfillment import solve_dlp
+from corround.instances import GeneratorConfig, build_instance
 from corround.optimal import sample_optimal, solve_optimal_alpha
 from corround.streams import RandomStream
 
@@ -270,6 +272,20 @@ def test_force_open_termination_and_trace():
             assert np.all(tr.x[nontarget] >= e_mat[nontarget] - 1e-12)
 
 
+def test_records_are_immutable():
+    m = validate([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+    out, tr = force_open_round(m, RandomStream(4))
+    single = independent_round(m, RandomStream(4))
+    for record, field in ((out, "z"), (single, "z"), (tr, "x"), (tr, "m")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, np.zeros(1))
+    assert out[0] is out.z and tr[1] is tr.x
+    # the trace hands out the matrix's own favorites, which nobody may write
+    assert tr.m is m.favorite and not tr.m.flags.writeable
+    with pytest.raises(ValueError):
+        tr.m[0] = 1
+
+
 def test_scheme_determinism():
     m = validate([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
     for fn in (dilate_round, force_open_round):
@@ -395,9 +411,8 @@ def _full_width(m, scheme, u):
     if scheme == "independent":
         return rounding.inverse_cdf(m.row_cdf[0], u), None
     if scheme == "dilate":
-        x = rounding._dilated(*m.dilation[:4], u)[1]
-        return x.argmin(axis=-1), x.min(axis=-1)
-    return rounding._force_opened(m.forced, u)[1].argmin(axis=-1), None
+        return rounding._dilate_full(m.dilation, u)
+    return rounding._force_open_full(m.forced, u)
 
 
 @pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
@@ -493,6 +508,28 @@ ORACLE_INSTANCES = EDGE_INSTANCES + [
 _gen = np.random.default_rng(606)
 ORACLE_INSTANCES += [random_instance(_gen, 6, 5).u for _ in range(3)]
 ORACLE_INSTANCES += [random_instance(_gen, 7, 6, sparse=True).u for _ in range(3)]
+
+
+def _plan_rows():
+    """Rows of a small seeded two-region DLP plan, as dispatch validates
+    them, one per (item count, sparsity): the shapes a decision draws on."""
+    inst = build_instance(GeneratorConfig(n=8, n_max=4, n_per=2, T=400, J=2, K=4, seed=3))
+    picked = {}
+    for _, a in sorted(solve_dlp(inst).u.items()):
+        m = validate(a / a.sum(axis=1)[:, None])
+        picked.setdefault((m.q, m.sparsity), m.u)
+    return list(picked.values())
+
+
+PLAN_ROWS = _plan_rows()
+ORACLE_INSTANCES += PLAN_ROWS
+
+
+def test_plan_rows_have_the_decision_shapes():
+    shapes = [validate(u) for u in PLAN_ROWS]
+    assert {m.sparsity for m in shapes} == {1, 2}
+    assert max(m.q for m in shapes) <= 5 and len({m.q for m in shapes}) >= 3
+    assert all(np.any(m.y == 0.0) for m in shapes)
 
 
 @pytest.mark.parametrize("rows", ORACLE_INSTANCES)
@@ -650,9 +687,11 @@ def test_instance_round_trip():
     m = validate([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
     buf = io.StringIO()
     write_instance(m, buf)
-    buf.seek(0)
-    m2 = read_instance(buf)
+    m2 = read_instance(io.StringIO(buf.getvalue()))
     assert np.array_equal(m.u, m2.u)
+    # trailing blank lines are not rows
+    m3 = read_instance(io.StringIO(buf.getvalue() + "\n  \n\n"))
+    assert np.array_equal(m.u, m3.u)
 
 
 @pytest.mark.parametrize(
@@ -667,6 +706,15 @@ def test_instance_round_trip():
         ("2 2\n0.5 0.5\nnan 1.0\n", 3),
         ("2 2\ninf 0.0\n0.5 0.5\n", 2),
         ("1 2\n-inf 1.0\n", 2),
+        # validate's row errors name the row's own line
+        ("2 2\n0.5 0.5\n0.6 0.3\n", 3),
+        ("3 2\n0.5 0.5\n0.5 0.5\n-0.5 1.5\n", 4),
+        # rows past the header's q, and a header with q or K below 1
+        ("1 2\n0.5 0.5\n0.1 0.9\n", 3),
+        ("1 2\n0.5 0.5\n\n  \n0.1 0.9\n", 5),
+        ("-1 2\n", 1),
+        ("0 2\n0.5 0.5\n", 1),
+        ("1 0\n\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
