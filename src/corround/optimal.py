@@ -1,13 +1,20 @@
 """Instance-optimal rounding via an LP over FC subsets.
 
 For a given marginal matrix, the smallest achievable usage factor alpha is
-the optimum of an LP with one probability z(S) per nonempty FC subset S and
-conditional masses u_ki(S) splitting each marginal across the subsets that
-contain k. The LP has O(q K 2^K) size, so K is capped (default 12).
+the optimum of an LP with one probability z(S) per live FC subset S and
+conditional masses u_ki(S) splitting each marginal across the live subsets
+that contain k. A subset is live if it meets every item's support; any
+other subset leaves some item unserved, so its z(S) could only be 0. For L
+live subsets the LP has O(q K L) size, which is O(q K 2^K) on a dense
+instance, where every nonempty subset is live. The 2^K masks are still
+enumerated, so K is capped (default 12).
 
-One table lays the LP out: ``cells`` holds a row (S, i, k) per u column,
-for every k in S with u_ki > 0, in lexicographic order. The builder, the
-solution, its checks, its sampler and its text all read it.
+The LP's columns are alpha, then z of each live subset in ascending mask
+order, then the u columns. One table lays the u columns out: ``cells``
+holds a row (S, i, k) per u column, for every live S and k in S with
+u_ki > 0, in lexicographic order. The builder, the solution, its checks,
+its sampler and its text all read it; the solution's z stays indexed by
+bitmask, 0 off the live subsets.
 
 The solved distribution is itself a runnable rounding scheme: draw a subset
 S proportional to z, then give each item an FC inside S proportional to its
@@ -42,63 +49,79 @@ class DegenerateSubset(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SubsetVarIndex:
-    """Column layout of the subset LP: alpha in column 0, z(S) in column S
-    for every nonempty subset bitmask S, and u_ki(S) in column 2^K + r for
-    row r = (S, i, k) of ``cells``."""
+    """Column layout of the subset LP over its L live subsets: alpha in
+    column 0, z(live[j]) in column 1 + j, and u_ki(S) in column 1 + L + r
+    for row r = (S, i, k) of ``cells``. On a dense instance every nonempty
+    subset is live, so z(S) sits in column S."""
 
     K: int
     q: int
+    live: np.ndarray   # (L,) int: bitmasks of the live subsets, ascending
     cells: np.ndarray  # (n, 3) int: (mask, item, FC), lexicographic
 
     @property
     def n_vars(self) -> int:
-        return 2 ** self.K + len(self.cells)
+        return 1 + self.live.size + len(self.cells)
 
 
 def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProblem, SubsetVarIndex]:
     """Assemble the subset LP (min alpha) for an instance.
 
     The empty subset carries no variable: rows sum to 1, so some FC is
-    always used. u_ki(S) variables exist only where u_ki > 0. Subsets that
-    cannot cover every item get their z forced to 0 by the coverage rows.
+    always used. u_ki(S) variables exist only where u_ki > 0. A subset that
+    misses some item's support could only carry z(S) = 0, so it gets no
+    variable either: the LP runs over the live subsets, which meet every
+    item's support.
     """
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
     q, K = m.q, m.K
-    n_sub, half = 2 ** K, 2 ** (K - 1)
-    inside = (np.arange(n_sub)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
-    cells = np.argwhere(inside[:, None, :] & (m.u > 0.0))
-    S, I, F = cells.T
+    inside = (np.arange(2 ** K)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
+    on = m.u > 0.0
+    live = np.flatnonzero((inside @ on.T).all(axis=1))
+    inside = inside[live]
+    n_live = live.size
+    cells = np.argwhere(inside[:, None, :] & on)   # (j, i, k) for S = live[j]
+    J, I, F = cells.T
+    first = 1 + n_live  # column of the first cell
     # each item is served from exactly one FC of the realized subset: row
-    # (S, i), S >= 1, holds z(S) and the run of cells keyed S*q + i
-    runs = np.bincount(S * q + I, minlength=n_sub * q)[q:]
+    # (S, i) holds z(S) and the run of cells keyed j*q + i
+    runs = np.bincount(J * q + I, minlength=n_live * q)
     head = np.cumsum(runs + 1) - (runs + 1)   # where each row's z(S) goes
     is_cell = np.ones(runs.sum() + runs.size, dtype=bool)
     is_cell[head] = False
     cover_cols = np.empty(is_cell.size, dtype=np.int64)
-    cover_cols[head] = np.arange(q, n_sub * q) // q
-    cover_cols[is_cell] = n_sub + np.arange(len(cells))
+    cover_cols[head] = 1 + np.arange(n_live * q) // q
+    cover_cols[is_cell] = first + np.arange(len(cells))
     # conditional masses add up to the marginals: in (k, i, S) order each
-    # positive u_ki owns 2^(K-1) cells, one per subset containing k
-    marginals = m.u.T[m.u.T > 0.0]
-    # usage of each FC stays below alpha * y_k: alpha, then every subset with k
-    usage_cols = np.column_stack((np.zeros(K, dtype=np.int64), np.nonzero(inside.T)[1].reshape(K, half)))
-    usage = np.column_stack((-m.y, np.ones((K, half))))
-    indices = np.concatenate((cover_cols, n_sub + np.lexsort((S, I, F)), usage_cols.ravel(),
-                              np.arange(1, n_sub)))   # exactly one subset happens
-    data = np.concatenate((np.where(is_cell, 1.0, -1.0), np.ones(len(cells)), usage.ravel(),
-                           np.ones(n_sub - 1)))
-    lengths = np.concatenate((runs + 1, np.full(marginals.size, half), np.full(K, half + 1), [n_sub - 1]))
+    # positive u_ki owns one cell per live subset containing k
+    marginals = m.u.T[on.T]
+    per_marginal = np.bincount(F * q + I, minlength=K * q)[on.T.ravel()]
+    # usage of each FC stays below alpha * y_k: alpha, then every live subset with k
+    fc, j = np.nonzero(inside.T)
+    per_fc = np.bincount(fc, minlength=K) + 1
+    is_z = np.ones(j.size + K, dtype=bool)
+    is_z[np.cumsum(per_fc) - per_fc] = False
+    usage_cols = np.zeros(is_z.size, dtype=np.int64)
+    usage_cols[is_z] = 1 + j
+    usage = np.ones(is_z.size)
+    usage[~is_z] = -m.y
+    indices = np.concatenate((cover_cols, first + np.lexsort((J, I, F)), usage_cols,
+                              np.arange(1, first)))   # exactly one subset happens
+    data = np.concatenate((np.where(is_cell, 1.0, -1.0), np.ones(len(cells)), usage,
+                           np.ones(n_live)))
+    lengths = np.concatenate((runs + 1, per_marginal, per_fc, [n_live]))
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     EQ, LE = simplex.EQ, simplex.LE
     relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (runs.size, marginals.size, K, 1))
     rhs = np.concatenate((np.zeros(runs.size), marginals, np.zeros(K), [1.0]))
 
-    c = np.zeros(n_sub + len(cells))
+    c = np.zeros(first + len(cells))
     c[0] = 1.0
+    cells[:, 0] = live[J]   # J is a view of this column: its last read was above
     problem = simplex.LPProblem.from_arrays(c, (data, indices, indptr), relations, rhs)
-    return problem, SubsetVarIndex(K=K, q=q, cells=cells)
+    return problem, SubsetVarIndex(K=K, q=q, live=live, cells=cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +221,16 @@ def solve_optimal_alpha(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> OptimalSch
     sol = simplex.solve(problem)
     if sol.status != simplex.OPTIMAL:
         raise SolverFailure(f"subset LP ended with status {sol.status}")
-    n = 2 ** index.K
-    z = sol.x[:n].copy()
-    z[0] = 0.0
+    first = 1 + index.live.size
+    z = np.zeros(2 ** index.K)
+    z[index.live] = sol.x[1:first]
     low = np.flatnonzero(z < CLAMP_TOL)
     if low.size:
         raise SolverFailure(f"z({low[0]:b}) = {float(z[low[0]])} below clamp tolerance")
     # np.where rather than np.maximum keeps a solver's -0.0 as written
     out = OptimalSchemeSolution(
         alpha=float(sol.x[0]), q=index.q, z=np.where(z < 0.0, 0.0, z),
-        cells=index.cells, mass=np.where(sol.x[n:] < 0.0, 0.0, sol.x[n:]),
+        cells=index.cells, mass=np.where(sol.x[first:] < 0.0, 0.0, sol.x[first:]),
     )
     out.verify(m)
     return out
@@ -225,7 +248,8 @@ def sample_optimal(s: OptimalSchemeSolution, rng: RandomStream) -> RoundingOutco
 
 # ---------------------------------------------------------------------------
 # Text format: first line alpha, then "mask z" lines for every subset in
-# ascending mask order, then "k i mask value" lines sorted by (mask, i, k).
+# ascending mask order, then "k i mask value" lines sorted by (mask, i, k),
+# one per cell of a live subset.
 # Indices are 0-based; bit k of a mask marks FC k.
 # ---------------------------------------------------------------------------
 

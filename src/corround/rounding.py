@@ -437,13 +437,13 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``u`` is (q,) or (n, q). ``cdf`` is (q, K) with nondecreasing rows,
     shared by every draw, or (n, q, K), one table per draw. The count of a
-    row's entries below its draw is that leftmost position; a draw above
-    the whole row picks its last entry. The count runs over FC columns,
-    which is fastest where each table is column-major (as `pinned_cdf`
-    returns).
+    row's first K - 1 entries below its draw is that leftmost position, and
+    a draw above them all picks the last entry. The count runs over FC
+    columns, which is fastest where each table is column-major (as
+    `pinned_cdf` returns).
     """
     cols = (cdf if cdf.ndim > u.ndim else cdf[None]).T
-    return np.minimum(np.add.reduce(cols < u.T, axis=0), cdf.shape[-1] - 1).T
+    return np.add.reduce(cols[:-1] < u.T, axis=0).T
 
 
 def draw_kernel(m: MarginalMatrix, scheme: str):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from corround import simplex
 from corround.errors import CapExceeded
 from corround.optimal import (
     DegenerateSubset,
@@ -88,12 +89,41 @@ def subset_battery():
 SUBSET_BATTERY = subset_battery()
 
 
+def live_subsets(m):
+    """The nonempty subsets that meet every item's support, tested one
+    subset, item and FC at a time."""
+    return [S for S in range(1, 2 ** m.K)
+            if all(any(S >> k & 1 and m.u[i, k] > 0.0 for k in range(m.K)) for i in range(m.q))]
+
+
+def live_rows_subset_lp(m):
+    """rows_subset_lp over the live subsets only: the coverage rows and the
+    z and u columns of every other subset dropped, the columns left
+    renumbered in order. Returns the problem, the live masks and the kept
+    rows of the full LP's cells."""
+    full, cells = rows_subset_lp(m)
+    live = live_subsets(m)
+    n_sub, is_live = 2 ** m.K, set(live)
+    kept = [r for r, S in enumerate(cells[:, 0].tolist()) if S in is_live]
+    col = {0: 0, **{S: 1 + j for j, S in enumerate(live)},
+           **{n_sub + r: 1 + len(live) + j for j, r in enumerate(kept)}}
+    # the first (2^K - 1) q rows cover item t % q on subset t // q + 1
+    rows = [({col[k]: v for k, v in coef.items() if k in col}, rel, rhs)
+            for t, (coef, rel, rhs) in enumerate(full.constraints)
+            if t >= (n_sub - 1) * m.q or t // m.q + 1 in is_live]
+    c = np.zeros(len(col))
+    c[0] = 1.0
+    return LPProblem(c=c, constraints=rows), np.array(live, dtype=np.int64), cells[kept]
+
+
 @pytest.mark.parametrize("name,m", SUBSET_BATTERY, ids=[name for name, _ in SUBSET_BATTERY])
 def test_subset_lp_arrays_match_the_row_builder(name, m):
     problem, idx = build_lp(m)
-    ref, cells = rows_subset_lp(m)
+    ref, live, cells = live_rows_subset_lp(m)
     assert_same_lp(problem, ref)
+    assert np.array_equal(idx.live, live)
     assert np.array_equal(idx.cells, cells)
+    assert idx.n_vars == problem.n
     if not m.y.all():
         # the alpha coefficient of a closed FC's usage row is -0.0, kept
         alpha = problem.A.tocsc()[:, 0]
@@ -111,14 +141,16 @@ def digest_subset_instances():
     yield "zero_column", validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]])
 
 
-# SHA-256 of write_lp's text for each subset LP above, recorded before the
-# subset LP builder and LPProblem's conversion were rewritten
+# SHA-256 of write_lp's text for each subset LP above. dense_q2_k3 was
+# recorded before the subset LP builder and LPProblem's conversion were
+# rewritten; the others, whose LPs drop the subsets that miss some item's
+# support, when the builder moved onto the live subsets
 SUBSET_MPS_SHA256 = {
-    "sparse_q3_k3": "724dac1be3f6fcd0387f36e8e61a8eefc5a45497ff6ef19d0f4db8759b3193db",
-    "sparse_q5_k4": "0c82c53d1da60ea151df513e0673f6a5cf0c70ba4f5fd773d2a0235a04c9af14",
-    "sparse_q4_k5": "2522ec2835d44b30a5dfd5ff8ef294d216cc9ec5ed757a4682b6c84e8cddf62f",
+    "sparse_q3_k3": "bd3411bec64787ef4a4ddaf18184e53ce380924da441593a1714fbf7f4f88c1f",
+    "sparse_q5_k4": "57b149f87c07dc781c533a68665f3b94983b51053a73e7faf752af5f158d8960",
+    "sparse_q4_k5": "7c270ee69d858f9921fdc6dfcf287cdef4c5287360cfc9a5816e58153bf25f76",
     "dense_q2_k3": "c10a4bc513e18620233a15f003d6c81a14a02e4bb84c7a61f1589ec23676528c",
-    "zero_column": "6e873eb1d6670a615e75674bf7713739fb59106460d289fafbf340694157e651",
+    "zero_column": "a08128a41b186e1cd419e113f9708e5de7a04fd02094ce9d7d6789e1e1e892c7",
 }
 
 
@@ -145,17 +177,19 @@ def solution_text_instances():
     yield "triangle", validate(TRIANGLE)
 
 
-# SHA-256 of write_solution's text for each instance above, recorded before
-# the subset LP moved onto one column table; the zero_column text holds -0.0
+# SHA-256 of write_solution's text for each instance above. The dense ones
+# were recorded before the subset LP moved onto one column table; the
+# sparse ones, whose LPs reach another optimal vertex over the live
+# subsets, when the builder moved onto them. The zero_column text holds -0.0
 SOLUTION_TEXT_SHA256 = {
-    "sparse_q3_k3": "d930592b87146633b709673b82745532b6797f5f72a7a27762e2683c1ea4881b",
-    "sparse_q5_k4": "4d00fdc35c2774c9f0305ac2e284985d3347bf519e4738563636f2f8ece49263",
-    "sparse_q4_k5": "7df5c5b91a9ea27525e864554d6a3bbc44321abfda29c26c164093c16588ab64",
+    "sparse_q3_k3": "e6ae2363301362867a113f568228661ba83c1392b5262afd90616d8554d8c6fb",
+    "sparse_q5_k4": "5c6fc37ff370f860f9c2a13cb3fe29f6a78604e4638985f969079390a0281d8f",
+    "sparse_q4_k5": "ae6d04d408084db5c515eb255aca2d340f3d7c0a0a8474ce8337e0de3a62aae6",
     "dense_q2_k3": "eb39287f19dc09032a296a79ac44f224e2a8cbddc6e38addaa99018dde09d28d",
-    "zero_column": "60cefb005d3b3c31876455408613e25b09039f7e283ece457d4fbbfed4032855",
+    "zero_column": "55f4673737315ca03c6f2fbfaf0c50fe7f75dbfc94ca553ef31d3e623ce63596",
     "q1_k1": "ee9f9e9cb89f7aae6481c8e4343403e225dfe925b9d7ae9b5d86fbb76c7fa300",
     "alpha_one": "881e42eb60375b49fff0ec438a5be51b723e16e319f89a21ee903ea67b3f41b9",
-    "triangle": "99d6e3c2b04ab943f4777fa9a6a14e9ff60e534d7e5a5975c55873cee8e306e2",
+    "triangle": "d1b7d6f565b17b334ff94f42283216568c193fb4d68555402babe7fa3c3433b2",
 }
 
 
@@ -170,6 +204,91 @@ def test_solution_text_is_pinned():
     assert got == SOLUTION_TEXT_SHA256
     assert alphas["alpha_one"] == pytest.approx(1.0, abs=1e-9)
     assert alphas["triangle"] > 1.1
+
+
+def triangle_instance(gen, q, K, d):
+    """A perfbench-style subset-LP instance: items 0-2 pairwise share one of
+    three random FCs, an odd cycle, and every other item sits on d random FCs."""
+    u = np.zeros((q, K))
+    a, b, c = gen.choice(K, size=3, replace=False)
+    for i, (x, y) in enumerate(((a, b), (b, c), (a, c))):
+        w = gen.uniform(0.3, 0.7)
+        u[i, x], u[i, y] = w, 1.0 - w
+    for i in range(3, q):
+        u[i, gen.choice(K, size=d, replace=False)] = gen.dirichlet(np.ones(d))
+    return validate(u)
+
+
+def oracle_battery():
+    """SUBSET_BATTERY, TRIANGLE, perfbench-style triangles whose alpha* > 1
+    (q = 5, K = 7 and K = 5, d = 2) and seeded dense and sparse instances
+    with q = 1-6 and K = 1-8."""
+    out = SUBSET_BATTERY + [("triangle", validate(TRIANGLE))]
+    gen = np.random.default_rng(20261019)
+    for K, count in ((7, 4), (5, 2)):
+        found = 0
+        while found < count:
+            m = triangle_instance(gen, 5, K, 2)
+            if simplex.solve(rows_subset_lp(m)[0]).x[0] > 1.0 + 1e-6:
+                out.append((f"triangle_q5_k{K}_{found}", m))
+                found += 1
+    for t in range(32):
+        q, K, sp = int(gen.integers(1, 7)), int(gen.integers(1, 9)), bool(t % 2)
+        out.append((f"random{t}_{'sparse' if sp else 'dense'}_q{q}_k{K}", random_instance(gen, q, K, sparse=sp)))
+    return out
+
+
+ORACLE_BATTERY = oracle_battery()
+
+
+@pytest.mark.parametrize("name,m", ORACLE_BATTERY, ids=[name for name, _ in ORACLE_BATTERY])
+def test_alpha_matches_the_full_lp(name, m):
+    # the LP over every nonempty subset is the oracle: the live LP reaches
+    # its optimum, and the oracle's optimum is 0 on every column the live
+    # LP drops; on a dense instance the two LPs are the same arrays
+    full, cells = rows_subset_lp(m)
+    ref = simplex.solve(full)
+    assert ref.status == simplex.OPTIMAL
+    assert solve_optimal_alpha(m).alpha == pytest.approx(ref.x[0], rel=1e-9)
+    is_live = set(live_subsets(m))
+    dead = [S for S in range(1, 2 ** m.K) if S not in is_live]
+    dead += [2 ** m.K + r for r, S in enumerate(cells[:, 0].tolist()) if S not in is_live]
+    assert np.abs(ref.x[dead]).max(initial=0.0) <= 1e-12
+    if m.u.all():
+        assert not dead
+        assert_same_lp(build_lp(m)[0], full)
+
+
+def test_solution_text_lists_live_cells_and_reads_the_full_layout():
+    m = validate(TRIANGLE)
+    sol = solve_optimal_alpha(m)
+    full_cells = rows_subset_lp(m)[1]
+    assert len(sol.cells) < len(full_cells)
+    buf = io.StringIO()
+    write_solution(sol, buf)
+    assert len(buf.getvalue().splitlines()) == 1 + (2 ** m.K - 1) + len(sol.cells)
+    buf.seek(0)
+    back = read_solution(buf)
+    assert back.alpha == sol.alpha
+    assert np.array_equal(back.z, sol.z)
+    assert np.array_equal(back.cells, sol.cells)
+    assert np.array_equal(back.mass, sol.mass)
+    # the full layout, with a zero-mass line for each cell of a subset
+    # that misses some item's support, reads, checks out and draws the same
+    mass = dict(zip(map(tuple, sol.cells.tolist()), sol.mass.tolist()))
+    full = OptimalSchemeSolution(alpha=sol.alpha, q=sol.q, z=sol.z, cells=full_cells,
+                                 mass=np.array([mass.get(c, 0.0) for c in map(tuple, full_cells.tolist())]))
+    buf = io.StringIO()
+    write_solution(full, buf)
+    assert len(buf.getvalue().splitlines()) == 1 + (2 ** m.K - 1) + len(full_cells)
+    buf.seek(0)
+    old = read_solution(buf)
+    old.verify(m)
+    assert np.array_equal(old.cells, full_cells)
+    assert np.array_equal(old.mass, full.mass)
+    r1, r2 = RandomStream(7), RandomStream(7)
+    for _ in range(200):
+        assert np.array_equal(sample_optimal(old, r1).z, sample_optimal(sol, r2).z)
 
 
 def test_array_sums_match_loop_reference():

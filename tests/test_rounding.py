@@ -636,6 +636,30 @@ def test_pinned_cdf_keeps_draws_below_one():
         assert np.array_equal(rounding.inverse_cdf(np.cumsum(m.u, axis=1), u), plain)
 
 
+def _clipped_inverse_cdf(cdf, u):
+    """The count over all K columns clipped to K - 1, the form inverse_cdf
+    had before it counted over the first K - 1 columns only."""
+    cols = (cdf if cdf.ndim > u.ndim else cdf[None]).T
+    return np.minimum(np.add.reduce(cols < u.T, axis=0), cdf.shape[-1] - 1).T
+
+
+def test_inverse_cdf_matches_the_clipped_count():
+    # same values, dtype and shape on pinned and plain cumulative sums, one
+    # shared table or one per draw, U = 1 and K = 1
+    gen = np.random.default_rng(20261019)
+    for t in range(600):
+        q, K, n = int(gen.integers(1, 7)), int(gen.integers(1, 9)), int(gen.integers(1, 5))
+        w = gen.random((n, q, K)) * (gen.random((n, q, K)) < 0.6)
+        w[..., gen.integers(K)] += 0.01
+        w /= w.sum(axis=-1, keepdims=True)
+        cdf = rounding.pinned_cdf(w) if t % 2 else np.cumsum(w, axis=-1)
+        u = np.ones((n, q)) if t % 5 == 0 else gen.random((n, q))
+        for table, draws in ((cdf, u), (cdf[0], u), (cdf[0], u[0])):
+            got, want = rounding.inverse_cdf(table, draws), _clipped_inverse_cdf(table, draws)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want)
+
+
 def test_mc_dilate_tail_bound():
     m = validate(np.full((4, 4), 0.25))
     rep = mc_estimate(m, "dilate", N_MC, RandomStream(40))
