@@ -174,17 +174,15 @@ def cmd_cover(args) -> int:
     sc = _load(args.instance, setcover.read_cover_instance)
     fc = _load(args.weights, _read_weights)
     m = setcover.marginals_from_fractional_cover(sc, fc)
-    seed = _seed_from(args)
-    usage, feasible = setcover.batch_cover_usage(
-        sc, fc, args.scheme, args.samples, RandomStream(seed)
-    )
+    # setcover.batch_cover_usage's report, without water-filling a second time
+    rep = rounding.mc_estimate(m, args.scheme, args.samples, RandomStream(_seed_from(args)))
     g = rounding.scheme_guarantee(args.scheme, m)
     slack = 4.0 * math.sqrt(0.25 / args.samples)
     bound = np.minimum(g * fc.y, 1.0)
-    ok = feasible == args.samples and bool(np.all(usage <= bound + slack))
+    ok = rep.in_support == args.samples and bool(np.all(rep.usage <= bound + slack))
     if args.out:
-        _write(args.out, _usage_csv(fc.y, usage, bound, args.scheme))
-    print(f"feasible: {feasible}/{args.samples}")
+        _write(args.out, _usage_csv(fc.y, rep.usage, bound, args.scheme))
+    print(f"feasible: {rep.in_support}/{args.samples}")
     print(f"usage bound ({g:.4f} x y): {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK
 

@@ -18,20 +18,23 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-Each scheme has a batched kernel, which maps the scheme's tables and a
+Each scheme has two batched kernels, which map the scheme's tables and a
 block of uniforms, one row per draw, to arrays: the assignments and, for
-dilate, each item's first-open time. The kernels draw over each item's
-support (the FCs it has mass on, at most the sparsity d of them), so a
-draw costs O(K + q*d) rather than O(q*K). The tables are cached on
-`MarginalMatrix`, and the kernels broadcast them against the draws: one
-matrix's tables serve a whole block, and tables stacked along a leading
-draw axis (`stack_kernel`) give each draw its own matrix, which is how
-dispatch rounds every order of one scheme and item count in one call.
-Monte Carlo, set cover and dispatch all draw through `sample` or these
-kernels, and `draw_kernel` is the one place a scheme name turns into draw
-code. Every draw computes its opening times with one clock kernel. The
-single-call ``*_round`` functions run the dense kernels on one draw, over
-all K columns, and return light records: a `RoundingOutcome` and, for
+dilate, each item's first-open time. The support kernel draws over each
+item's support (the FCs it has mass on, at most the sparsity d of them),
+so a draw costs O(K + q*d) rather than O(q*K); the dense kernel draws
+over all K columns, which is faster where d = K. Each kernel reads its
+own tables, which `MarginalMatrix.tables` builds on first use and caches
+per scheme and family, so a matrix holds only the tables of the kernels
+that drew from it. The kernels broadcast the tables against the draws:
+one matrix's tables serve a whole block, and support tables stacked
+along a leading draw axis (`stack_kernel`) give each draw its own matrix,
+which is how dispatch rounds every order of one scheme and item count in
+one call. Monte Carlo, set cover and dispatch all draw through `sample`
+or these kernels, and `draw_kernel` is the one place a scheme name turns
+into draw code. Every draw computes its opening times with one clock
+kernel. The single-call ``*_round`` functions run the dense kernels on
+one draw and return light records: a `RoundingOutcome` and, for
 dilate and force_open, a `RoundingTrace` of the clocks, both named tuples.
 No draw multiplies 0 by inf, so the draw path needs no floating-point
 error state. `mc_estimate` verifies marginals, usage bounds, support and
@@ -43,7 +46,7 @@ identical assignments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, TextIO
 
@@ -95,11 +98,13 @@ class MarginalMatrix:
     """Validated rounding instance; create through :func:`validate`.
 
     ``u`` is the q x K probability matrix, row-major by item, read-only.
-    Derived quantities used on every draw are cached on first access; the
-    instance itself is immutable and safe to share across threads.
+    Derived quantities, such as each kernel's `tables`, are cached on first
+    access; the instance itself is immutable and safe to share across
+    threads (two threads that build the same tables build equal ones).
     """
 
     u: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def q(self) -> int:
@@ -140,48 +145,18 @@ class MarginalMatrix:
         return a.take(self.support + np.arange(0, self.u.size, self.K))
 
     @cached_property
-    def dilation(self) -> tuple[np.ndarray, ...]:
-        """The tables of a dilated-clock draw: (divisor, floor, columns,
-        ratios, support, support ratios).
-
-        Opening times are E_k = max(ln(U_k) / divisor_k, floor_k), with
-        divisor_k = -y_k, which gives -ln(U_k)/y_k bit for bit, and floor_k
-        = -inf; a y_k = 0 column divides by -inf instead, so that U_k = 1
-        makes no 0/0, and its floor of +inf keeps it closed. A draw lays
-        its clocks out as E followed by one +inf; ``columns`` gives cell
-        (i, k) the clock it sees, k where u_ki > 0 and the +inf at K
-        elsewhere, and ``ratios`` holds y_k / u_ki where u_ki > 0 and +inf
-        elsewhere, so a cell's observed time is its ratio times its clock
-        and an unusable cell's is +inf * +inf. The support ratios are the
-        ratios at the `support` layout's cells. The columns stay writeable,
-        because `ndarray.take` copies a read-only index array on every
-        call; no draw writes to them.
-        """
-        closed = self.y == 0.0
-        usable = self.u > 0.0
-        ratios = np.divide(self.y[None, :], self.u, out=np.full(self.u.shape, np.inf), where=usable)
-        out = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf),
-               np.where(usable, np.arange(self.K), self.K), ratios, self.support, self._on_support(ratios))
-        for a in out[:2] + out[3:]:
-            a.flags.writeable = False
-        return out
-
-    @property
     def ratios(self) -> np.ndarray:
-        """Dilation factors y_k / u_ki, +inf where u_ki = 0."""
-        return self.dilation[3]
+        """Dilation factors y_k / u_ki, +inf where u_ki = 0, read-only (q, K)."""
+        r = np.divide(self.y[None, :], self.u, out=np.full(self.u.shape, np.inf), where=self.u > 0.0)
+        r.flags.writeable = False
+        return r
 
     @cached_property
-    def row_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """The tables of an inverse-CDF draw: the per-item cumulative
-        marginals (q, K), column-major, and the same at the `support`
-        layout's cells, (d, q). A zero entry adds nothing to a cumulative
-        sum, so both tables stop a draw at the same FC."""
+    def row_cdf(self) -> np.ndarray:
+        """The per-item cumulative marginals (q, K), column-major, read-only."""
         c = pinned_cdf(self.u)
-        out = c, self._on_support(c)
-        for a in out:
-            a.flags.writeable = False
-        return out
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def favorite(self) -> np.ndarray:
@@ -191,39 +166,74 @@ class MarginalMatrix:
         return f
 
     @cached_property
-    def forced(self) -> tuple[np.ndarray, ...]:
-        """The tables of a force_open draw: the dilation's divisor and
-        floor, the columns, the ratios, then per item its favorite FC m(i),
-        the cap 1/y_m(i) (the favorite's forced opening time) and its
-        hiding probability; then the `support` layout with each favorite's
-        cell moved to column K + i.
-
-        A draw lays its clocks out as E, then per item i the clock by which
-        it sees its favorite, min(E_m(i), 1/y_m(i)) or, if hidden, 1/y_m(i)
-        alone, then one +inf. ``columns`` sends each favorite's cell to
-        column K + i, every other cell with u_ki > 0 to column k and the
-        rest to the +inf at K + q. The columns and the favorites are
-        writeable copies, as in `dilation`."""
-        fav = self.favorite
-        q, K = self.u.shape
-        cols = np.where(self.u > 0.0, np.arange(K), K + q)
-        cols[np.arange(q), fav] = K + np.arange(q)
-        divisor, floor, _, ratios = self.dilation[:4]
-        out = (1.0 / self.y[fav], _hiding_probability_vec(self.u[np.arange(q), fav]),
-               np.where(self.support == fav, K + np.arange(q), self.support))
-        for a in out:
-            a.flags.writeable = False
-        return (divisor, floor, cols, ratios, fav.copy()) + out
-
-    @property
     def hide_prob(self) -> np.ndarray:
         """Per-item hiding probability evaluated at u_{favorite(i), i}."""
-        return self.forced[6]
+        h = _hiding_probability_vec(self.u[np.arange(self.q), self.favorite])
+        h.flags.writeable = False
+        return h
 
-    @property
+    def tables(self, scheme: str, support: bool) -> tuple:
+        """The tables of a scheme's support kernel (``support``) or dense
+        kernel, built on the first call and cached per (scheme, support).
+
+        Dense: independent (cdf,), the `row_cdf`; dilate (divisor, floor,
+        columns, ratios); force_open (divisor, floor, columns, ratios,
+        favorites, cap, hide), with cap 1/y_m(i) at each item's favorite
+        FC m(i) and hide its `hide_prob`. Opening times are E_k =
+        max(ln(U_k) / divisor_k, floor_k), with divisor_k = -y_k, which
+        gives -ln(U_k)/y_k bit for bit, and floor_k = -inf; a y_k = 0
+        column divides by -inf instead, so that U_k = 1 makes no 0/0, and
+        its floor of +inf keeps it closed. A draw lays its clocks out as E,
+        then for force_open per item i the clock by which it sees its
+        favorite, min(E_m(i), 1/y_m(i)) or, if hidden, 1/y_m(i) alone, then
+        one +inf. ``columns`` gives cell (i, k) the clock it sees: K + i
+        for a force_open favorite, else k where u_ki > 0 and the +inf
+        elsewhere, so a cell's observed time is its ratio times its clock
+        and an unusable cell's is +inf * +inf.
+
+        Support: the same at the `support` layout's cells, (d, q), with the
+        layout itself as the FCs: independent (cdf, support); dilate
+        (divisor, floor, support, ratios); force_open (divisor, floor,
+        support, columns, ratios, favorite, cap, hide). A zero entry adds
+        nothing to a cumulative sum, so both cdf tables stop a draw at the
+        same FC.
+
+        Every table is read-only but the dense columns and favorites, which
+        `ndarray.take` would copy on every call if they were; no draw
+        writes to them.
+        """
+        got = self._tables.get((scheme, support))
+        if got is not None:
+            return got
+        q, K = self.u.shape
+        closed = self.y == 0.0
+        clock = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
+        if scheme == "independent":
+            got = (self._on_support(self.row_cdf), self.support) if support else (self.row_cdf,)
+        elif scheme == "dilate" and support:
+            got = clock + (self.support, self._on_support(self.ratios))
+        elif scheme == "dilate":
+            got = clock + (np.where(self.u > 0.0, np.arange(K), K), self.ratios)
+        elif support:
+            fav = self.favorite
+            cols = np.where(self.support == fav, K + np.arange(q), self.support)
+            got = clock + (self.support, cols, self._on_support(self.ratios), fav, 1.0 / self.y[fav],
+                           self.hide_prob)
+        else:
+            fav = self.favorite
+            cols = np.where(self.u > 0.0, np.arange(K), K + q)
+            cols[np.arange(q), fav] = K + np.arange(q)
+            got = clock + (cols, self.ratios, fav.copy(), 1.0 / self.y[fav], self.hide_prob)
+        for a in got:
+            if support or a.dtype.kind == "f":
+                a.flags.writeable = False
+        self._tables[scheme, support] = got
+        return got
+
+    @cached_property
     def sparsity(self) -> int:
-        """d = max_i |{k : u_ki > 0}|."""
-        return self.support.shape[0]
+        """d = max_i |{k : u_ki > 0}|, counted without building `support`."""
+        return int(np.count_nonzero(self.u > 0.0, axis=1).max())
 
     @cached_property
     def alpha_force(self) -> float:
@@ -381,18 +391,16 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 # ---------------------------------------------------------------------------
 # The schemes. Each draw spends a fixed number of uniforms: independent q,
-# dilate K, force_open K + q. A scheme's kernel takes its tables and the
-# uniforms, (n, per) for n draws, and returns (z, first): the (n, q)
+# dilate K, force_open K + q. A scheme's kernels take their tables and the
+# uniforms, (n, per) for n draws, and return (z, first): the (n, q)
 # assignments and, for dilate, each item's first-open time (None
-# otherwise). The kernels draw over the `support` layout, O(K + q*d) per
-# draw; a dense matrix (d = K) draws over all K columns instead, the way
-# the single calls do, which saves the layout's gathers there.
+# otherwise). Both kernels of a scheme draw the same assignments.
 # ---------------------------------------------------------------------------
 
 
 def independent_round(m: MarginalMatrix, rng: RandomStream) -> RoundingOutcome:
     """Draw each item's FC independently from its marginal row."""
-    return RoundingOutcome(inverse_cdf(m.row_cdf[0], rng.uniform(m.q)))
+    return RoundingOutcome(inverse_cdf(m.row_cdf, rng.uniform(m.q)))
 
 
 def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome, RoundingTrace]:
@@ -402,7 +410,7 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    e, x = _dilated(m.dilation, rng.uniform(m.K))
+    e, x = _dilated(m.tables("dilate", False), rng.uniform(m.K))
     return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x)
 
 
@@ -414,7 +422,7 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     item i's view with the calibrated probability that keeps the marginals
     exact. All items are assigned by time alpha_force with probability 1.
     """
-    e, x, h = _force_opened(m.forced, rng.uniform(m.K + m.q))
+    e, x, h = _force_opened(m.tables("force_open", False), rng.uniform(m.K + m.q))
     return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x, h, m.favorite)
 
 
@@ -447,20 +455,13 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def draw_kernel(m: MarginalMatrix, scheme: str):
-    """(uniforms per draw, kernel, tables) of a scheme on an instance.
-
-    The kernel maps the tables and an (n, per) block of uniforms to (z,
-    first), as the schemes' section says; one set of tables serves the
-    whole block.
+    """(uniforms per draw, kernel, tables) of a scheme on an instance: the
+    support kernel where d < K, else the dense one, which saves the support
+    layout's gathers. One set of tables serves a whole block of draws.
     """
     per = uniforms_per_draw(scheme, m.q, m.K)
-    if m.sparsity < m.K:
-        return per, _KERNELS[scheme], _support_tables(m, scheme)
-    if scheme == "independent":
-        return per, _independent_full, m.row_cdf[:1]
-    if scheme == "dilate":
-        return per, _dilate_full, m.dilation
-    return per, _force_open_full, m.forced
+    support = m.sparsity < m.K
+    return per, (_KERNELS if support else _DENSE_KERNELS)[scheme], m.tables(scheme, support)
 
 
 def stack_kernel(mats, scheme: str):
@@ -473,7 +474,7 @@ def stack_kernel(mats, scheme: str):
     that axis) draws what single calls draw.
     """
     width = max(m.sparsity for m in mats)
-    rows = [_support_tables(m, scheme) for m in mats]
+    rows = [m.tables(scheme, True) for m in mats]
     tables = tuple(
         np.stack([a[np.minimum(np.arange(width), len(a) - 1)] if a.ndim == 2 else a for a in col])
         for col in zip(*rows)
@@ -492,17 +493,6 @@ def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
     if scheme == "force_open":
         return K + q
     raise DomainError(f"unknown scheme {scheme!r}")
-
-
-def _support_tables(m: MarginalMatrix, scheme: str) -> tuple:
-    """The tables of a scheme's support kernel, from the matrix's caches."""
-    if scheme == "independent":
-        return m.row_cdf[1], m.support
-    divisor, floor, _, _, fcs, ratios = m.dilation
-    if scheme == "dilate":
-        return divisor, floor, fcs, ratios
-    fav, cap, hide, cols = m.forced[4:]
-    return divisor, floor, fcs, cols, ratios, fav, cap, hide
 
 
 def _fc_at(fcs, pos):
@@ -573,7 +563,7 @@ _KERNELS = {"independent": _independent, "dilate": _dilate, "force_open": _force
 
 
 def _independent_full(tables, u):
-    return inverse_cdf(tables[0], u), None
+    return inverse_cdf(*tables, u), None
 
 
 def _dilate_full(tables, u):
@@ -584,6 +574,9 @@ def _dilate_full(tables, u):
 
 def _force_open_full(tables, u):
     return _force_opened(tables, u)[1].argmin(axis=-1), None
+
+
+_DENSE_KERNELS = {"independent": _independent_full, "dilate": _dilate_full, "force_open": _force_open_full}
 
 
 def _open(divisor, floor, u, out=None):
@@ -623,7 +616,7 @@ def _dilated(tables, u):
     cell's ratio times the clock its column names, y_k/u_ki E_k where u_ki
     > 0 and +inf elsewhere. No 0 * inf is ever formed: an unusable cell
     multiplies +inf by +inf."""
-    divisor, floor, cols, ratios = tables[:4]
+    divisor, floor, cols, ratios = tables
     c, e = _clocks(divisor, floor, u)
     x = c.take(cols, axis=-1)
     x *= ratios
@@ -636,7 +629,7 @@ def _force_opened(tables, u):
     alone if hidden; the factor y/u_m(i) > 0 is monotone, so this is the
     earlier of its dilated natural opening and its forced time bit for
     bit."""
-    divisor, floor, cols, ratios, fav, cap, hide = tables[:7]
+    divisor, floor, cols, ratios, fav, cap, hide = tables
     c, e = _clocks(divisor, floor, u, cap.shape[-1])
     h = _hide(c, e.take(fav, axis=-1), cap, u, hide)
     x = c.take(cols, axis=-1)

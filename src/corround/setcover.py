@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Optional, TextIO
 
 import numpy as np
@@ -46,6 +46,8 @@ class SetCoverInstance:
     costs: Optional[np.ndarray] = None     # optional, for weighted reporting
 
     def __post_init__(self):
+        if self.q < 1:
+            raise SetCoverError(f"need at least one element, got q={self.q}")
         covered = np.zeros(self.q, dtype=bool)
         for k, elems in enumerate(self.members):
             for e in elems:
@@ -191,6 +193,8 @@ def read_cover_instance(f: TextIO) -> SetCoverInstance:
         q, K = int(head[0]), int(head[1])
     except ValueError:
         raise rounding.ParseError(1, f"non-integer header {lines[0]!r}") from None
+    if q < 1 or K < 1:
+        raise rounding.ParseError(1, f"header needs q >= 1 and K >= 1, got {lines[0]!r}")
     members, costs = [], []
     for k in range(K):
         ln = k + 2
@@ -205,10 +209,15 @@ def read_cover_instance(f: TextIO) -> SetCoverInstance:
             elems = [int(p) - 1 for p in parts[2:]]
         except ValueError:
             raise rounding.ParseError(ln, f"non-numeric entry in {lines[ln - 1]!r}") from None
+        if not isfinite(cost):
+            raise rounding.ParseError(ln, f"non-finite cost in {lines[ln - 1]!r}")
         if len(elems) != nk:
             raise rounding.ParseError(ln, f"set lists {len(elems)} elements, header says {nk}")
         members.append(tuple(elems))
         costs.append(cost)
+    for ln, line in enumerate(lines[K + 1:], start=K + 2):
+        if line.strip():
+            raise rounding.ParseError(ln, f"the header gives {K} sets, found another: {line!r}")
     try:
         return SetCoverInstance(q=q, members=tuple(members), costs=np.asarray(costs))
     except SetCoverError as exc:

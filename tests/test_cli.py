@@ -150,6 +150,38 @@ def test_cover_command(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "fc,y,usage_empirical,bound,scheme"
 
 
+# SHA-256 of the `cover` usage CSV per scheme (the instance above, 5000
+# samples, seed 2); the CSV is a file format, so a change in its draws or
+# rows must show here
+COVER_CSV_SHA256 = {
+    "independent": "7255bf27027fbf9988fdcfbd9d2ee729dadc2fe905a9987df63fb8758e1b1cff",
+    "dilate": "0dd76d93795c982063c14a90eecad228de1991e3e09c58e9161fd9cc060fa535",
+    "force_open": "ca92e88dd6011f06bfe16fa075a606c777c34dd52d95aeba1cd5cfe8cfa9510c",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(COVER_CSV_SHA256))
+def test_cover_output_is_pinned(tmp_path, scheme):
+    sc = tmp_path / "sc.txt"
+    sc.write_text("3 3\n1.0 2 1 2\n1.0 2 1 3\n1.0 2 2 3\n")
+    y = tmp_path / "y.txt"
+    y.write_text("0.5 0.5 0.5\n")
+    out = tmp_path / "cover.csv"
+    assert run(["cover", str(sc), str(y), "--scheme", scheme,
+                "--samples", "5000", "--seed", "2", "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COVER_CSV_SHA256[scheme]
+
+
+def test_cover_bad_instance_is_a_usage_error(tmp_path, capsys):
+    sc = tmp_path / "sc.txt"
+    sc.write_text("3 1\n1.0 3 1 2 3\n1.0 1 1\n")
+    y = tmp_path / "y.txt"
+    y.write_text("1.0\n")
+    assert run(["cover", str(sc), str(y), "--samples", "10"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"cover: {sc}: line 3: the header gives 1 sets, found another: '1.0 1 1'\n")
+
+
 @pytest.mark.parametrize("weights,message", [
     ("0.5 0.5\n0.5 x\n", "{}: line 2: non-numeric weight in '0.5 x'"),
     ("nan 0.5 0.5\n", "fractional weights must lie in [0, 1]"),

@@ -408,11 +408,67 @@ SUPPORT_INSTANCES = [
 
 def _full_width(m, scheme, u):
     """(z, first) of the full-width kernels, which the single calls run."""
+    return rounding._DENSE_KERNELS[scheme](m.tables(scheme, False), u)
+
+
+def _table_oracle(m, scheme, support):
+    """The tables of `MarginalMatrix.tables`, built one cell at a time."""
+    q, K = m.q, m.K
+    y = [max(m.u[i, k] for i in range(q)) for k in range(K)]
+    fav = [max(range(K), key=lambda k: (m.u[i, k], -k)) for i in range(q)]
+    fcs = [[k for k in range(K) if m.u[i, k] > 0.0] for i in range(q)]
+    d = max(len(f) for f in fcs)
+    layout = np.array([[fcs[i][min(p, len(fcs[i]) - 1)] for i in range(q)] for p in range(d)])
+    clock = (np.array([-yk if yk > 0.0 else -np.inf for yk in y]),
+             np.array([-np.inf if yk > 0.0 else np.inf for yk in y]))
+    forced = (np.array([1.0 / y[fav[i]] for i in range(q)]),
+              np.array([hiding_probability(m.u[i, fav[i]]) for i in range(q)]))
+    closed = K + q if scheme == "force_open" else K
+
+    def column(i, k):
+        if scheme == "force_open" and k == fav[i]:
+            return K + i
+        return k if m.u[i, k] > 0.0 else closed
+
+    if support:
+        at = [(i, int(layout[p, i])) for p in range(d) for i in range(q)]
+        cells = lambda f: np.array([f(i, k) for i, k in at]).reshape(d, q)
+        ratios = cells(lambda i, k: y[k] / m.u[i, k])
+        if scheme == "independent":
+            return cells(lambda i, k: m.row_cdf[i, k]), layout
+        if scheme == "dilate":
+            return clock + (layout, ratios)
+        return clock + (layout, cells(column), ratios, np.array(fav)) + forced
     if scheme == "independent":
-        return rounding.inverse_cdf(m.row_cdf[0], u), None
+        return (rounding.pinned_cdf(m.u),)
+    cols = np.array([[column(i, k) for k in range(K)] for i in range(q)])
+    ratios = np.array([[y[k] / m.u[i, k] if m.u[i, k] > 0.0 else np.inf for k in range(K)] for i in range(q)])
     if scheme == "dilate":
-        return rounding._dilate_full(m.dilation, u)
-    return rounding._force_open_full(m.forced, u)
+        return clock + (cols, ratios)
+    return clock + (cols, ratios, np.array(fav)) + forced
+
+
+@pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
+@pytest.mark.parametrize("scheme", rounding.SCHEMES)
+def test_tables_are_built_per_family(rows, scheme):
+    # each family's tables against a per-cell oracle, bit for bit; only the
+    # dense kernels' index tables (columns, favorites) are writeable; and a
+    # draw builds only the family it reads
+    m = validate(rows)
+    for support in (False, True):
+        got = m.tables(scheme, support)
+        assert m.tables(scheme, support) is got
+        want = _table_oracle(m, scheme, support)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and _same(g, w)
+            assert g.flags.writeable == (not support and g.dtype.kind == "i")
+    sampled, single = validate(rows), validate(rows)
+    sample(sampled, scheme, RandomStream(1), 3)
+    assert set(sampled._tables) == {(scheme, sampled.sparsity < sampled.K)}
+    draw = {"independent": independent_round, "dilate": dilate_round, "force_open": force_open_round}[scheme]
+    draw(single, RandomStream(1))
+    assert (scheme, True) not in single._tables
 
 
 @pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
@@ -438,7 +494,7 @@ def test_support_kernels_match_full_width(rows, scheme):
     for stream in (RandomStream(5), UnitUniforms(0), SmallestUniforms(0)):
         u = stream.uniform((pick.size, per))
         want = _full_width(m, scheme, u)
-        got = kernel(rounding._support_tables(m, scheme), u)
+        got = kernel(m.tables(scheme, True), u)
         for w, g in zip(want, got):
             assert _same(g, w)
         z, first = kernel(tuple(np.take(a, pick, axis=0) for a in stack), u)
@@ -632,7 +688,7 @@ def test_pinned_cdf_keeps_draws_below_one():
         u = RandomStream(9).uniform((500, m.q))
         plain = _searchsorted_per_row(np.cumsum(m.u, axis=1), u)
         assert np.all(m.u[np.arange(m.q), plain] > 0.0)
-        assert np.array_equal(rounding.inverse_cdf(m.row_cdf[0], u), plain)
+        assert np.array_equal(rounding.inverse_cdf(m.tables("independent", False)[0], u), plain)
         assert np.array_equal(rounding.inverse_cdf(np.cumsum(m.u, axis=1), u), plain)
 
 

@@ -55,6 +55,12 @@ def test_uncovered_element_rejected():
         SetCoverInstance(q=2, members=((0,),))
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_instance_without_elements_rejected(q):
+    with pytest.raises(SetCoverError, match="at least one element"):
+        SetCoverInstance(q=q, members=())
+
+
 def test_reduction_never_increases_sparsity():
     gen = np.random.default_rng(9)
     for _ in range(10):
@@ -164,6 +170,14 @@ def test_cover_file_round_trip():
         ("2 1\n1.0 x 1\n", 2),
         ("2 1\n1.0 2 1\n", 2),
         ("3 1\n1.0 2 1 2\n", 2),
+        ("-1 0\n", 1),
+        ("0 1\n1.0 0\n", 1),
+        ("2 0\n", 1),
+        ("2 1\n1.0 2 1 2\nextra\n", 3),
+        ("2 1\n1.0 2 1 2\n\n \n1.0 1 1\n", 5),
+        ("2 2\n1.0 1 1\nnan 1 2\n", 3),
+        ("2 1\ninf 2 1 2\n", 2),
+        ("2 1\n-inf 2 1 2\n", 2),
     ],
 )
 def test_cover_parse_errors_carry_line_numbers(text, line):
