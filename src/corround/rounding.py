@@ -140,9 +140,21 @@ class MarginalMatrix:
         s.flags.writeable = False
         return s
 
-    def _on_support(self, a: np.ndarray) -> np.ndarray:
-        """A (q, K) table's entries at the support layout's cells, (d, q)."""
-        return a.take(self.support + np.arange(0, self.u.size, self.K))
+    def _support_ratios_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """`ratios` and `row_cdf` at the support layout's cells, (d, q),
+        computed there without the dense tables.
+
+        The cumulative sum runs over the support's entries only: the zeros
+        the dense sum adds in between leave it unchanged bit for bit. Like
+        `row_cdf` it is pinned to 1 at an item's last positive entry, the
+        layout's positions that hold its last FC (its repeats included).
+        """
+        s = self.support
+        w = self.u.take(s + np.arange(0, self.u.size, self.K))
+        cdf = np.cumsum(w, axis=0)
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf[s == s[-1]] = 1.0
+        return self.y.take(s) / w, cdf
 
     @cached_property
     def ratios(self) -> np.ndarray:
@@ -194,9 +206,10 @@ class MarginalMatrix:
         Support: the same at the `support` layout's cells, (d, q), with the
         layout itself as the FCs: independent (cdf, support); dilate
         (divisor, floor, support, ratios); force_open (divisor, floor,
-        support, columns, ratios, favorite, cap, hide). A zero entry adds
-        nothing to a cumulative sum, so both cdf tables stop a draw at the
-        same FC.
+        support, columns, ratios, favorite, cap, hide). Its ratios and cdf
+        are computed at those cells, without building `ratios` or
+        `row_cdf`. A zero entry adds nothing to a cumulative sum, so both
+        cdf tables stop a draw at the same FC.
 
         Every table is read-only but the dense columns and favorites, which
         `ndarray.take` would copy on every call if they were; no draw
@@ -208,17 +221,18 @@ class MarginalMatrix:
         q, K = self.u.shape
         closed = self.y == 0.0
         clock = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
+        if support:
+            ratios, cdf = self._support_ratios_cdf()
         if scheme == "independent":
-            got = (self._on_support(self.row_cdf), self.support) if support else (self.row_cdf,)
+            got = (cdf, self.support) if support else (self.row_cdf,)
         elif scheme == "dilate" and support:
-            got = clock + (self.support, self._on_support(self.ratios))
+            got = clock + (self.support, ratios)
         elif scheme == "dilate":
             got = clock + (np.where(self.u > 0.0, np.arange(K), K), self.ratios)
         elif support:
             fav = self.favorite
             cols = np.where(self.support == fav, K + np.arange(q), self.support)
-            got = clock + (self.support, cols, self._on_support(self.ratios), fav, 1.0 / self.y[fav],
-                           self.hide_prob)
+            got = clock + (self.support, cols, ratios, fav, 1.0 / self.y[fav], self.hide_prob)
         else:
             fav = self.favorite
             cols = np.where(self.u > 0.0, np.arange(K), K + q)

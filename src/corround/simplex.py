@@ -17,16 +17,22 @@ front end's per-call option checks and matrix stacking: ``<=`` rows
 (``>=`` rows negated) before ``=`` rows, stored by column, dual simplex,
 presolve off, the pivot cap as its simplex iteration limit. So it returns
 the same vertex after the same number of pivots as scipy's front end
-would.
+would. Each thread keeps one HiGHS solver, made on its first solve and
+cleared before every run, so no basis or solution carries over from one
+solve to the next; a forked child process makes its own.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
 against a dual certificate built from HiGHS's marginals (stationarity
-residual and duality gap); a failed check raises SolverNumericalError.
+residual and duality gap); a failed check raises SolverNumericalError. An
+optimum carries those multipliers, projected onto their feasible signs, as
+its row and column duals.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -218,11 +224,18 @@ class LPSolution:
     """Status of a solve, and on an optimum its point and certificate.
 
     ``max_violation`` is the largest absolute residual of ``x`` over the
-    rows and bounds. ``dual_residual`` is the largest stationarity error of
-    HiGHS's multipliers after projecting them onto their feasible signs,
-    relative to max(1, |c|_inf); ``duality_gap`` is the gap between the
-    primal objective and the objective of those multipliers, relative to
-    max(1, |c.x|). All three are at most FEAS_TOL on a returned optimum.
+    rows and bounds. ``row_dual`` (one per row, on the rows as stated) and
+    ``col_dual`` (one per column, its bound multiplier) are HiGHS's
+    multipliers projected onto their feasible signs, as d(objective)/d(rhs)
+    and d(objective)/d(bound): at most 0 on ``<=`` rows, at least 0 on
+    ``>=`` rows, free on ``=`` rows; at least 0 at a finite lower bound,
+    at most 0 at a finite upper bound, 0 toward an infinite one. So
+    c - A^T row_dual - col_dual is the stationarity error: relative to
+    max(1, |c|_inf), its largest entry is ``dual_residual``.
+    ``duality_gap`` is the gap between the primal objective and the
+    objective of those multipliers, relative to max(1, |c.x|). All three
+    are at most FEAS_TOL on a returned optimum; the duals are None unless
+    the status is optimal.
     """
 
     status: str
@@ -232,6 +245,8 @@ class LPSolution:
     max_violation: float = 0.0
     dual_residual: float = 0.0
     duality_gap: float = 0.0
+    row_dual: Optional[np.ndarray] = None
+    col_dual: Optional[np.ndarray] = None
 
 
 def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
@@ -262,7 +277,9 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         viol = max(float((-b[ub]).max(initial=0.0)), float(np.abs(b[eq]).max(initial=0.0)))
         if viol > FEAS_TOL:
             return LPSolution(INFEASIBLE, None, None)
-        return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol)
+        # every multiplier 0 certifies it: the dual objective is 0 too
+        return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol, row_dual=np.zeros(b.size),
+                          col_dual=np.empty(0))
     # the row of every stored entry: it lays A out by column for HiGHS and
     # takes the products A x and A^T y of the certificate below
     A = problem.A
@@ -294,12 +311,12 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         raise SolverNumericalError(f"residual check failed: violation {viol:.3e}")
     y = np.empty(m)
     y[order] = row_dual
-    dual_res, gap = _dual_certificate(problem, row, obj, sign, y, col_dual)
+    y, w, dual_res, gap = _dual_certificate(problem, row, obj, sign, y, col_dual)
     if not (dual_res <= FEAS_TOL and gap <= FEAS_TOL):
         raise SolverNumericalError(
             f"dual certificate failed: residual {dual_res:.3e}, gap {gap:.3e}"
         )
-    return LPSolution(OPTIMAL, obj, x, nit, viol, dual_res, gap)
+    return LPSolution(OPTIMAL, obj, x, nit, viol, dual_res, gap, y, w)
 
 
 def _colwise(A: sparse.csr_matrix, row: np.ndarray, sign: np.ndarray, order: np.ndarray):
@@ -333,18 +350,46 @@ _OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStr
 _OPTIONS.presolve = "off"
 
 
+# one HiGHS per thread, made with _OPTIONS on its first solve and kept:
+# building and destroying one costs about 0.1 ms, a sizeable share of a
+# small solve. A forked child (a `simulate --workers` process) drops the
+# parent's and makes its own
+_solvers = threading.local()
+
+
+def _drop_solvers():
+    global _solvers
+    _solvers = threading.local()
+
+
+os.register_at_fork(after_in_child=_drop_solvers)
+
+
+def _solver():
+    """This thread's HiGHS, made on the first call."""
+    h = getattr(_solvers, "highs", None)
+    if h is None:
+        h = _solvers.highs = _highs._Highs()
+        h.passOptions(_OPTIONS)
+    return h
+
+
 def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
-    """One dual-simplex run of a fresh HiGHS on min c.x subject to
+    """One dual-simplex run of this thread's HiGHS on min c.x subject to
     row_lo <= A x <= row_hi and lo <= x <= hi, with A given by column as
     ``cols`` = (start, index, value).
 
+    The run starts from a cleared solver (no basis or solution of an
+    earlier run is kept), with the options every run gets and the pivot
+    cap as its iteration limit, so its result does not depend on the runs
+    before it.
     The arrays go to HiGHS as they are, through its array ``passModel``.
     Returns (model status, x, row duals, column duals, simplex iterations);
     the three arrays are None unless the status is optimal.
     """
     start, index, value = cols
-    h = _highs._Highs()
-    h.passOptions(_OPTIONS)
+    h = _solver()
+    h.clearSolver()
     h.setOptionValue("simplex_iteration_limit", int(max_pivots))
     # every column continuous (an empty integrality array is not taken)
     if h.passModel(c.size, row_hi.size, value.size, _COLWISE, _MINIMIZE, 0.0, c, lo, hi,
@@ -360,8 +405,10 @@ def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
     return status, np.array(sol.col_value), np.array(sol.row_dual), np.array(sol.col_dual), nit
 
 
-def _dual_certificate(problem, row, obj, sign, y, col_dual) -> tuple[float, float]:
-    """Relative stationarity residual and duality gap of HiGHS's duals.
+def _dual_certificate(problem, row, obj, sign, y, col_dual):
+    """(row duals, column duals, relative stationarity residual, relative
+    duality gap) of HiGHS's duals, the duals projected and on the rows as
+    stated.
 
     ``y`` holds HiGHS's row duals in row order, on the rows with ``>=``
     negated (``sign``); ``col_dual`` holds its reduced costs; ``row`` is
@@ -384,7 +431,7 @@ def _dual_certificate(problem, row, obj, sign, y, col_dual) -> tuple[float, floa
     stat = c - aty - w_lo - w_hi
     dual_res = float(np.abs(stat).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0)))
     dual_obj = float(problem.rhs @ y + lo[fin_lo] @ w_lo[fin_lo] + hi[fin_hi] @ w_hi[fin_hi])
-    return dual_res, abs(obj - dual_obj) / max(1.0, abs(obj))
+    return y, w_lo + w_hi, dual_res, abs(obj - dual_obj) / max(1.0, abs(obj))
 
 
 def write_lp(problem: LPProblem, f: TextIO, name: str = "CORROUND") -> None:

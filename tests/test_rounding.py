@@ -471,6 +471,39 @@ def test_tables_are_built_per_family(rows, scheme):
     assert (scheme, True) not in single._tables
 
 
+def _sparse_battery(seed, count):
+    """Seeded sparse matrices whose rows hold 1 to K - 1 positive entries
+    at random FCs, so that most items repeat their last support position."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q, K = int(gen.integers(1, 30)), int(gen.integers(2, 12))
+        u = np.zeros((q, K))
+        for row in u:
+            cells = gen.choice(K, size=int(gen.integers(1, K)), replace=False)
+            row[cells] = gen.dirichlet(np.ones(cells.size))
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("rows", SUPPORT_INSTANCES + _sparse_battery(1019, 12))
+def test_support_tables_skip_the_dense_tables(rows):
+    # the support family's ratios and cdf, computed at the support cells,
+    # are the dense tables' entries there bit for bit, and neither a
+    # support table nor a support-only sample builds the dense ones
+    m, sampled = validate(rows), validate(rows)
+    got = {scheme: m.tables(scheme, True) for scheme in rounding.SCHEMES}
+    assert "ratios" not in vars(m) and "row_cdf" not in vars(m)
+    cells = m.support + np.arange(0, m.u.size, m.K)
+    assert _same(got["independent"][0], m.row_cdf.take(cells))
+    assert _same(got["dilate"][3], m.ratios.take(cells))
+    assert _same(got["force_open"][4], m.ratios.take(cells))
+    if sampled.sparsity < sampled.K:
+        for scheme in rounding.SCHEMES:
+            sample(sampled, scheme, RandomStream(1), 3)
+        assert "ratios" not in vars(sampled) and "row_cdf" not in vars(sampled)
+
+
 @pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)
 def test_support_kernels_match_full_width(rows, scheme):

@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -354,10 +357,32 @@ def test_dual_certificate(problem):
     assert s.max_violation <= FEAS_TOL
     assert s.dual_residual <= FEAS_TOL
     assert s.duality_gap <= FEAS_TOL
+    # the returned duals are the certificate: c - A^T row_dual - col_dual = 0
+    # and c.x = rhs.row_dual + the bound multipliers times their bounds, in
+    # the signs d(objective)/d(rhs) and d(objective)/d(bound) take
+    y, w = s.row_dual, s.col_dual
+    assert y.shape == problem.rhs.shape and w.shape == problem.c.shape
+    scale = max(1.0, float(np.abs(problem.c).max()))
+    assert np.abs(problem.c - problem.A.T @ y - w).max() <= FEAS_TOL * scale
+    rel = problem.relations
+    assert (y[rel == 0] <= 0.0).all() and (y[rel == 2] >= 0.0).all()
+    lo, hi = problem.bounds.T
+    assert (w[~np.isfinite(lo)] <= 0.0).all() and (w[~np.isfinite(hi)] >= 0.0).all()
+    dual_obj = problem.rhs @ y + w[w > 0.0] @ lo[w > 0.0] + w[w < 0.0] @ hi[w < 0.0]
+    assert dual_obj == pytest.approx(s.objective, abs=FEAS_TOL * max(1.0, abs(s.objective)))
 
 
-@pytest.mark.parametrize("field", ["x", "marginals"])
-def test_failed_certificate_raises(monkeypatch, field):
+def test_duals_only_on_an_optimum():
+    for _, problem, cap in DIFFERENTIAL:
+        s = solve(problem, cap)
+        assert (s.row_dual is None and s.col_dual is None) == (s.status != OPTIMAL)
+    s = solve(LPProblem(c=np.empty(0), constraints=[({}, "<=", 1.0), ({}, "=", 0.0)]))
+    assert s.row_dual.tolist() == [0.0, 0.0] and s.col_dual.size == 0
+
+
+def corrupted_run(field):
+    """`simplex._run_highs` with its optimum's x, or its "<=" rows'
+    duals, pushed off, so that the certificate fails."""
     real = simplex._run_highs
 
     def corrupted(c, cols, row_lo, row_hi, lo, hi, max_pivots):
@@ -369,7 +394,12 @@ def test_failed_certificate_raises(monkeypatch, field):
             row_dual = np.where(row_lo == -INF, row_dual * 1.01, row_dual)
         return status, x, row_dual, col_dual, nit
 
-    monkeypatch.setattr(simplex, "_run_highs", corrupted)
+    return corrupted
+
+
+@pytest.mark.parametrize("field", ["x", "marginals"])
+def test_failed_certificate_raises(monkeypatch, field):
+    monkeypatch.setattr(simplex, "_run_highs", corrupted_run(field))
     with pytest.raises(SolverNumericalError):
         solve(beale_lp())
 
@@ -510,3 +540,122 @@ def test_same_vertex_and_pivots_as_linprog(label, problem, max_pivots):
 def test_differential_battery_reaches_every_status():
     seen = {solve(p, cap).status for _, p, cap in DIFFERENTIAL}
     assert seen == {OPTIMAL, ITERATION_LIMIT, INFEASIBLE, UNBOUNDED}
+
+
+# ---------------------------------------------------------------------------
+# solver reuse: each thread keeps one HiGHS and clears it before every run;
+# these pin what it returns against a HiGHS built for each solve alone
+# ---------------------------------------------------------------------------
+
+
+def reuse_battery():
+    """(problem, max_pivots): the differential battery and a few more DLPs
+    and subset LPs, capped and not, in one seeded interleaved order that
+    mixes every status."""
+    out = [(p, cap) for _, p, cap in DIFFERENTIAL]
+    gen = np.random.default_rng(20261019)
+    for seed in (21, 22):
+        dlp = build_dlp(build_instance(GeneratorConfig(n=10, n_max=3, n_per=3, T=500, J=3, K=4, seed=seed)))[0]
+        subset = build_lp(random_instance(gen, 4, 6, sparse=True))[0]
+        out += [(dlp, 10 ** 6), (dlp, 5), (subset, 10 ** 6), (subset, 3)]
+    return [out[i] for i in gen.permutation(len(out))]
+
+
+REUSE = reuse_battery()
+
+
+def fresh_solver():
+    """A HiGHS made and set up for one solve, as `simplex._solver` makes
+    each thread's."""
+    h = simplex._highs._Highs()
+    h.passOptions(simplex._OPTIONS)
+    return h
+
+
+def bits(s):
+    """Every field of a solution, each array and float as its bits."""
+    out = []
+    for f in dataclasses.fields(s):
+        v = getattr(s, f.name)
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.str, v.shape, v.tobytes())
+        elif isinstance(v, float):
+            v = v.hex()
+        out.append(v)
+    return tuple(out)
+
+
+def solve_all(battery):
+    return [bits(solve(p, cap)) for p, cap in battery]
+
+
+@pytest.fixture(scope="module")
+def fresh_solves():
+    """`REUSE` solved with a fresh HiGHS per solve."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_solver", fresh_solver)
+        return solve_all(REUSE)
+
+
+def test_reused_solver_matches_a_fresh_one(fresh_solves, monkeypatch):
+    # status, x, duals, iterations and the certificate, bit for bit, with
+    # every problem following others of every status
+    assert {s[0] for s in fresh_solves} == {OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT}
+    assert solve_all(REUSE) == fresh_solves
+    assert solve_all(REUSE[::-1]) == fresh_solves[::-1]
+    # and each right after a solve whose certificate failed and raised
+    for (p, cap), want in zip(REUSE, fresh_solves):
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "_run_highs", corrupted_run("marginals"))
+            with pytest.raises(SolverNumericalError):
+                solve(beale_lp())
+        assert bits(solve(p, cap)) == want
+
+
+def test_reused_solver_in_other_threads(fresh_solves, monkeypatch):
+    # four threads, switching often: each makes one solver of its own on
+    # its first solve and returns what a fresh solver would
+    solve(beale_lp())
+    made, got = [], {}
+    real = simplex._highs._Highs
+
+    def counted():
+        made.append(threading.current_thread())
+        return real()
+
+    def work():
+        had_one = hasattr(simplex._solvers, "highs")
+        got[threading.current_thread()] = had_one, solve_all(REUSE), simplex._solver()
+
+    monkeypatch.setattr(simplex._highs, "_Highs", counted)
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == len(threads) and set(made) == set(got) == set(threads)
+    solvers = {id(h) for _, _, h in got.values()} | {id(simplex._solver())}
+    assert len(solvers) == len(threads) + 1
+    for had_one, solves, _ in got.values():
+        assert not had_one and solves == fresh_solves
+
+
+def child_solves():
+    return hasattr(simplex._solvers, "highs"), solve_all(REUSE)
+
+
+def test_reused_solver_in_a_forked_child(fresh_solves):
+    # the child is forked after the parent has solved, so the parent's
+    # solver exists when it forks; the child makes its own
+    solve(beale_lp())
+    assert hasattr(simplex._solvers, "highs")
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        had_one, solves = pool.apply_async(child_solves).get(timeout=120)
+    assert not had_one
+    assert solves == fresh_solves
