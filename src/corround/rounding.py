@@ -140,21 +140,22 @@ class MarginalMatrix:
         s.flags.writeable = False
         return s
 
-    def _support_ratios_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """`ratios` and `row_cdf` at the support layout's cells, (d, q),
-        computed there without the dense tables.
+    def _on_support(self) -> np.ndarray:
+        """u at the support layout's cells, (d, q)."""
+        return self.u.take(self.support + np.arange(0, self.u.size, self.K))
+
+    def _support_cdf(self) -> np.ndarray:
+        """`row_cdf` at the support layout's cells, (d, q), computed there.
 
         The cumulative sum runs over the support's entries only: the zeros
         the dense sum adds in between leave it unchanged bit for bit. Like
         `row_cdf` it is pinned to 1 at an item's last positive entry, the
         layout's positions that hold its last FC (its repeats included).
         """
-        s = self.support
-        w = self.u.take(s + np.arange(0, self.u.size, self.K))
-        cdf = np.cumsum(w, axis=0)
+        cdf = np.cumsum(self._on_support(), axis=0)
         np.minimum(cdf, 1.0, out=cdf)
-        cdf[s == s[-1]] = 1.0
-        return self.y.take(s) / w, cdf
+        cdf[self.support == self.support[-1]] = 1.0
+        return cdf
 
     @cached_property
     def ratios(self) -> np.ndarray:
@@ -221,17 +222,16 @@ class MarginalMatrix:
         q, K = self.u.shape
         closed = self.y == 0.0
         clock = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
-        if support:
-            ratios, cdf = self._support_ratios_cdf()
         if scheme == "independent":
-            got = (cdf, self.support) if support else (self.row_cdf,)
+            got = (self._support_cdf(), self.support) if support else (self.row_cdf,)
         elif scheme == "dilate" and support:
-            got = clock + (self.support, ratios)
+            got = clock + (self.support, self.y.take(self.support) / self._on_support())
         elif scheme == "dilate":
             got = clock + (np.where(self.u > 0.0, np.arange(K), K), self.ratios)
         elif support:
             fav = self.favorite
             cols = np.where(self.support == fav, K + np.arange(q), self.support)
+            ratios = self.y.take(self.support) / self._on_support()
             got = clock + (self.support, cols, ratios, fav, 1.0 / self.y[fav], self.hide_prob)
         else:
             fav = self.favorite

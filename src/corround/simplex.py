@@ -19,7 +19,7 @@ presolve off, the pivot cap as its simplex iteration limit. So it returns
 the same vertex after the same number of pivots as scipy's front end
 would. Each thread keeps one HiGHS solver, made on its first solve and
 cleared before every run, so no basis or solution carries over from one
-solve to the next; a forked child process makes its own.
+solve to the next.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -31,7 +31,6 @@ its row and column duals.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional, TextIO
@@ -352,17 +351,8 @@ _OPTIONS.presolve = "off"
 
 # one HiGHS per thread, made with _OPTIONS on its first solve and kept:
 # building and destroying one costs about 0.1 ms, a sizeable share of a
-# small solve. A forked child (a `simulate --workers` process) drops the
-# parent's and makes its own
+# small solve
 _solvers = threading.local()
-
-
-def _drop_solvers():
-    global _solvers
-    _solvers = threading.local()
-
-
-os.register_at_fork(after_in_child=_drop_solvers)
 
 
 def _solver():

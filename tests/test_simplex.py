@@ -646,16 +646,10 @@ def test_reused_solver_in_other_threads(fresh_solves, monkeypatch):
         assert not had_one and solves == fresh_solves
 
 
-def child_solves():
-    return hasattr(simplex._solvers, "highs"), solve_all(REUSE)
-
-
 def test_reused_solver_in_a_forked_child(fresh_solves):
-    # the child is forked after the parent has solved, so the parent's
-    # solver exists when it forks; the child makes its own
+    # the child is forked after the parent has solved, so it solves with
+    # its copy of the parent's solver
     solve(beale_lp())
-    assert hasattr(simplex._solvers, "highs")
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        had_one, solves = pool.apply_async(child_solves).get(timeout=120)
-    assert not had_one
+        solves = pool.apply_async(solve_all, (REUSE,)).get(timeout=120)
     assert solves == fresh_solves
