@@ -235,6 +235,8 @@ class Campaign:
             raise UsageError("instance and replication counts must be >= 1")
         if not isinstance(self.policies, (list, tuple)):
             raise UsageError("policies must be a list")
+        if not self.policies:
+            raise UsageError("policies must name at least one policy")
         for p in self.policies:
             if p not in fulfillment.POLICIES:
                 raise UsageError(f"unknown policy {p!r}")

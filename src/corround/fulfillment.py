@@ -45,7 +45,7 @@ import operator
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Optional, TextIO
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -717,15 +717,6 @@ def instance_from_json(text: str) -> FulfillmentInstance:
     inv = np.vstack((np.full((1, n), np.inf), stock))
     return FulfillmentInstance(n=n, K=K, J=J, T=T, types=types, rates=rates, unit_cost=unit,
                                fixed_cost=fixed, inventory=inv, meta=doc.get("meta", {}))
-
-
-def write_instance_json(inst: FulfillmentInstance, f: TextIO) -> None:
-    f.write(instance_to_json(inst))
-    f.write("\n")
-
-
-def read_instance_json(f: TextIO) -> FulfillmentInstance:
-    return instance_from_json(f.read())
 
 
 def plan_to_json(plan: DLPlan) -> str:

@@ -37,10 +37,11 @@ kernel. The single-call ``*_round`` functions run the dense kernels on
 one draw and return light records: a `RoundingOutcome` and, for
 dilate and force_open, a `RoundingTrace` of the clocks, both named tuples.
 No draw multiplies 0 by inf, so the draw path needs no floating-point
-error state. `mc_estimate` verifies marginals, usage bounds, support and
-the waiting-time tail empirically. Every path consumes uniforms in the
-exact per-call order, so batched and one-call-at-a-time sampling produce
-identical assignments.
+error state. `mc_estimate` estimates the marginals, the FC usage, the
+share of draws inside the support and, for dilate, the waiting-time tail;
+checking those estimates against the guarantees is left to its callers.
+Every path consumes uniforms in the exact per-call order, so batched and
+one-call-at-a-time sampling produce identical assignments.
 """
 
 from __future__ import annotations

@@ -51,9 +51,14 @@ class SetCoverInstance:
         covered = np.zeros(self.q, dtype=bool)
         for k, elems in enumerate(self.members):
             for e in elems:
+                if not isinstance(e, (int, np.integer)):
+                    raise SetCoverError(f"set {k} has a non-integer element id {e!r}")
                 if not 0 <= e < self.q:
                     raise SetCoverError(f"set {k} covers unknown element {e}")
                 covered[e] = True
+            # a repeat would count the set's weight twice toward the element
+            if len(set(elems)) < len(elems):
+                raise SetCoverError(f"set {k} lists an element more than once")
         if not covered.all():
             missing = int(np.flatnonzero(~covered)[0])
             raise SetCoverError(f"element {missing} is covered by no set")
@@ -213,12 +218,18 @@ def read_cover_instance(f: TextIO) -> SetCoverInstance:
             raise rounding.ParseError(ln, f"non-finite cost in {lines[ln - 1]!r}")
         if len(elems) != nk:
             raise rounding.ParseError(ln, f"set lists {len(elems)} elements, header says {nk}")
+        bad = [e + 1 for e in elems if not 0 <= e < q]
+        if bad:
+            raise rounding.ParseError(ln, f"unknown element {bad[0]}: elements are 1..{q}")
+        if len(set(elems)) < nk:
+            raise rounding.ParseError(ln, "set lists an element more than once")
         members.append(tuple(elems))
         costs.append(cost)
     for ln, line in enumerate(lines[K + 1:], start=K + 2):
         if line.strip():
             raise rounding.ParseError(ln, f"the header gives {K} sets, found another: {line!r}")
-    try:
-        return SetCoverInstance(q=q, members=tuple(members), costs=np.asarray(costs))
-    except SetCoverError as exc:
-        raise rounding.ParseError(2, str(exc)) from exc
+    # known once the last set is read, so its line is named
+    missing = set(range(q)).difference(*members)
+    if missing:
+        raise rounding.ParseError(K + 1, f"element {min(missing) + 1} of {q} is covered by no set")
+    return SetCoverInstance(q=q, members=tuple(members), costs=np.asarray(costs))

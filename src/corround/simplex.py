@@ -11,15 +11,15 @@ HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
 Math. Prog. Comp. 10, 2018) as numpy buffers, through the array
 ``passModel`` of the HiGHS bindings that scipy ships
 (`scipy.optimize._highspy._core`, scipy >= 1.15), and `write_lp` dumps a
-problem as MPS text. HiGHS gets the model and options that scipy's own LP
-front end (method "highs-ds", presolve off) would give it, without that
-front end's per-call option checks and matrix stacking: ``<=`` rows
-(``>=`` rows negated) before ``=`` rows, stored by column, dual simplex,
-presolve off, the pivot cap as its simplex iteration limit. So it returns
-the same vertex after the same number of pivots as scipy's front end
-would. Each thread keeps one HiGHS solver, made on its first solve and
-cleared before every run, so no basis or solution carries over from one
-solve to the next.
+problem as MPS text. HiGHS gets the options that scipy's own LP front end
+(method "highs-ds", presolve off) would give it and the stored rows as
+they are, by row, without that front end's per-call option checks and
+matrix stacking: the ``<=`` and ``>=`` rows before the ``=`` rows, each
+row's relation in its row bounds, dual simplex, presolve off, the pivot
+cap as its simplex iteration limit. So it returns the same vertex after
+the same number of pivots as scipy's front end would. Each thread keeps
+one HiGHS solver, made on its first solve and cleared before every run,
+so no basis or solution carries over from one solve to the next.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, TextIO
 
 import numpy as np
@@ -62,7 +63,7 @@ INF = float("inf")
 # HiGHS rejects reads as infeasible); any other status (numerical trouble,
 # or HiGHS could not tell infeasible from unbounded) raises instead
 _MS = _highs.HighsModelStatus
-_COLWISE = int(_highs.MatrixFormat.kColwise)
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _STATUS = {
     _MS.kOptimal: OPTIMAL,
@@ -97,18 +98,13 @@ class LPProblem:
     constraints, bounds)`` first turns rows given as dense vectors or
     {index: value} dicts into them (explicit zeros of dict rows kept,
     columns sorted). Either way the same checks run once, and a failure
-    raises DimensionMismatch naming the row.
-
-    ``constraints`` is the list of rows as given or, for a problem built
-    from arrays, the rows of ``A`` as {index: value} dicts (explicit zeros
-    included), made on first access; `solve` never reads it.
+    raises DimensionMismatch naming the row. Only the arrays are kept.
     """
 
     def __init__(self, c, constraints=(), bounds=None):
-        rows = list(constraints)
         n = np.asarray(c).size
         cols, vals, counts, codes, rhs = [], [], [], [], []
-        for pos, (coef, rel, b) in enumerate(rows):
+        for pos, (coef, rel, b) in enumerate(constraints):
             if isinstance(coef, dict):
                 cols += coef
                 vals += coef.values()
@@ -123,14 +119,15 @@ class LPProblem:
                 cols += idx.tolist()
                 vals += arr[idx].tolist()
                 counts.append(idx.size)
-            codes.append(_REL_CODE.get(rel, -1))
+            if rel not in _REL_CODE:
+                raise DimensionMismatch(f"row {pos}: unknown relation {rel!r}")
+            codes.append(_REL_CODE[rel])
             rhs.append(b)
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         # each row's entries by ascending column
         keys = np.asarray(cols)
         perm = np.lexsort((keys, np.repeat(np.arange(len(counts)), counts)))
-        self._constraints = rows
         self._set(c, (np.asarray(vals, dtype=float)[perm], keys[perm], indptr), codes, rhs, bounds)
 
     @classmethod
@@ -140,7 +137,6 @@ class LPProblem:
         relation code per row (an index into RELATIONS) and a rhs per row.
         """
         self = cls.__new__(cls)
-        self._constraints = None
         self._set(c, A, relations, rhs, bounds)
         return self
 
@@ -171,8 +167,7 @@ class LPProblem:
             pos = int(np.argmax(bad))
             if known[pos]:
                 raise DimensionMismatch(f"row {pos}: rhs must be finite, got {rhs[pos]}")
-            rel = codes[pos].item() if self._constraints is None else self._constraints[pos][1]
-            raise DimensionMismatch(f"row {pos}: unknown relation {rel!r}")
+            raise DimensionMismatch(f"row {pos}: unknown relation {codes[pos].item()!r}")
         data, keys, indptr = A
         data, keys, indptr = np.asarray(data, dtype=float), np.asarray(keys), np.asarray(indptr)
         shaped = (indptr.shape == (m + 1,) and indptr.dtype.kind in "iu"
@@ -200,17 +195,17 @@ class LPProblem:
     def n(self) -> int:
         return self.c.size
 
-    @property
+    @cached_property
     def constraints(self) -> list:
-        """The rows as (coef, relation, rhs) tuples."""
-        if self._constraints is None:
-            A = self.A
-            ptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-            self._constraints = [
-                (dict(zip(cols[s:e], vals[s:e])), RELATIONS[code], b)
-                for s, e, code, b in zip(ptr, ptr[1:], self.relations.tolist(), self.rhs.tolist())
-            ]
-        return self._constraints
+        """The rows of ``A`` as ({index: value}, relation, rhs) tuples,
+        explicit zeros included, made on first access; `solve` never reads
+        it."""
+        A = self.A
+        ptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+        return [
+            (dict(zip(cols[s:e], vals[s:e])), RELATIONS[code], b)
+            for s, e, code, b in zip(ptr, ptr[1:], self.relations.tolist(), self.rhs.tolist())
+        ]
 
     def row_arrays(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored (indices, values) of a constraint row, indices ascending."""
@@ -265,29 +260,29 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     lo, hi = problem.bounds.T
     if np.any(lo > hi):
         return LPSolution(INFEASIBLE, None, None)
-    # ">=" rows enter negated, so row i reads sign_i * (A_i x - rhs_i) <= 0
-    # off eq and = 0 on it
-    eq = problem.relations == EQ
-    ub = ~eq
-    sign = np.where(problem.relations == GE, -1.0, 1.0)
-    b = problem.rhs * sign
-    if problem.n == 0:
-        # HiGHS needs a column; with none, x = [] and each row reads 0 <= b or 0 = b
-        viol = max(float((-b[ub]).max(initial=0.0)), float(np.abs(b[eq]).max(initial=0.0)))
+    A, rel, b = problem.A, problem.relations, problem.rhs
+    (m, n), eq = A.shape, rel == EQ
+    # row i holds when sign_i * (A_i x - b_i) is <= 0 off eq and = 0 on it
+    sign = np.where(rel == GE, -1.0, 1.0)
+    if n == 0:
+        # HiGHS needs a column; with none, x = [] and each row reads 0 rel b
+        r = -sign * b
+        viol = max(float(r[~eq].max(initial=0.0)), float(np.abs(r[eq]).max(initial=0.0)))
         if viol > FEAS_TOL:
             return LPSolution(INFEASIBLE, None, None)
         # every multiplier 0 certifies it: the dual objective is 0 too
-        return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol, row_dual=np.zeros(b.size),
+        return LPSolution(OPTIMAL, 0.0, np.empty(0), 0, viol, row_dual=np.zeros(m),
                           col_dual=np.empty(0))
-    # the row of every stored entry: it lays A out by column for HiGHS and
-    # takes the products A x and A^T y of the certificate below
-    A = problem.A
-    (m, n), cols, vals = A.shape, A.indices, A.data
-    row = np.repeat(np.arange(m), np.diff(A.indptr))
-    # HiGHS reads row_lo <= A x <= row_hi; the "<=" rows go first
-    order = np.concatenate((np.flatnonzero(ub), np.flatnonzero(eq)))
+    # HiGHS reads row_lo <= A x <= row_hi: the rows of A as stored, the
+    # "<=" and ">=" rows first, gathered with one index into A's entries
+    order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+    size = np.diff(A.indptr)[order]
+    start = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(size, out=start[1:])
+    take = np.repeat(A.indptr[order] - start[:-1], size) + np.arange(A.nnz)
     status, x, row_dual, col_dual, nit = _run_highs(
-        problem.c, _colwise(A, row, sign, order), np.where(eq, b, -INF)[order], b[order],
+        problem.c, (start, A.indices[take], A.data[take]),
+        np.where(rel == LE, -INF, b)[order], np.where(rel == GE, INF, b)[order],
         lo, hi, max_pivots,
     )
     if status not in _STATUS:
@@ -297,10 +292,11 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         return LPSolution(status, None, None, nit)
 
     obj = float(problem.c @ x)
-    # A x, each row added up in the order of its entries
-    r = np.bincount(row, weights=vals * x[cols], minlength=m) * sign - b
+    # sign * (A x - b), taken as a difference of the signed sides so that
+    # a row met exactly reads +0.0
+    r = sign * (A @ x) - sign * b
     viol = max(
-        float(r[ub].max(initial=0.0)),
+        float(r[~eq].max(initial=0.0)),
         float(np.abs(r[eq]).max(initial=0.0)),
         float((lo - x).max(initial=0.0)),
         float((x - hi).max(initial=0.0)),
@@ -308,32 +304,16 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     # written so that a NaN fails the checks too
     if not viol <= FEAS_TOL:
         raise SolverNumericalError(f"residual check failed: violation {viol:.3e}")
+    # HiGHS's duals in row order; the ">=" rows' are flipped to those of
+    # the rows negated, which `_dual_certificate` takes
     y = np.empty(m)
     y[order] = row_dual
-    y, w, dual_res, gap = _dual_certificate(problem, row, obj, sign, y, col_dual)
+    y, w, dual_res, gap = _dual_certificate(problem, obj, sign, sign * y, col_dual)
     if not (dual_res <= FEAS_TOL and gap <= FEAS_TOL):
         raise SolverNumericalError(
             f"dual certificate failed: residual {dual_res:.3e}, gap {gap:.3e}"
         )
     return LPSolution(OPTIMAL, obj, x, nit, viol, dual_res, gap, y, w)
-
-
-def _colwise(A: sparse.csr_matrix, row: np.ndarray, sign: np.ndarray, order: np.ndarray):
-    """(start, index, value) of the rows ``sign * A``, taken in ``order``
-    and stored by column, ``row`` being the row of each entry of ``A``.
-
-    The arrays ``(sign * A)[order].tocsc()`` would hold, row indices
-    ascending in each column, from one sort of the entries by (column, new
-    row); start and index are int32, as HiGHS takes them.
-    """
-    m, n = A.shape
-    rank = np.empty(m, dtype=np.int32)
-    rank[order] = np.arange(m, dtype=np.int32)
-    new_row = rank[row]
-    perm = np.argsort(A.indices.astype(np.int64) * m + new_row, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(A.indices, minlength=n), out=start[1:])
-    return start, new_row[perm], (A.data * sign[row])[perm]
 
 
 # the options scipy's LP front end sets for method "highs-ds" with presolve
@@ -364,10 +344,10 @@ def _solver():
     return h
 
 
-def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
+def _run_highs(c, rows, row_lo, row_hi, lo, hi, max_pivots):
     """One dual-simplex run of this thread's HiGHS on min c.x subject to
-    row_lo <= A x <= row_hi and lo <= x <= hi, with A given by column as
-    ``cols`` = (start, index, value).
+    row_lo <= A x <= row_hi and lo <= x <= hi, with A given by row as
+    ``rows`` = (start, index, value).
 
     The run starts from a cleared solver (no basis or solution of an
     earlier run is kept), with the options every run gets and the pivot
@@ -377,12 +357,12 @@ def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
     Returns (model status, x, row duals, column duals, simplex iterations);
     the three arrays are None unless the status is optimal.
     """
-    start, index, value = cols
+    start, index, value = rows
     h = _solver()
     h.clearSolver()
     h.setOptionValue("simplex_iteration_limit", int(max_pivots))
     # every column continuous (an empty integrality array is not taken)
-    if h.passModel(c.size, row_hi.size, value.size, _COLWISE, _MINIMIZE, 0.0, c, lo, hi,
+    if h.passModel(c.size, row_hi.size, value.size, _ROWWISE, _MINIMIZE, 0.0, c, lo, hi,
                    row_lo, row_hi, start, index, value,
                    np.zeros(c.size, dtype=np.int32)) == _highs.HighsStatus.kError:
         return _MS.kModelError, None, None, None, 0
@@ -395,14 +375,14 @@ def _run_highs(c, cols, row_lo, row_hi, lo, hi, max_pivots):
     return status, np.array(sol.col_value), np.array(sol.row_dual), np.array(sol.col_dual), nit
 
 
-def _dual_certificate(problem, row, obj, sign, y, col_dual):
+def _dual_certificate(problem, obj, sign, y, col_dual):
     """(row duals, column duals, relative stationarity residual, relative
     duality gap) of HiGHS's duals, the duals projected and on the rows as
     stated.
 
-    ``y`` holds HiGHS's row duals in row order, on the rows with ``>=``
-    negated (``sign``); ``col_dual`` holds its reduced costs; ``row`` is
-    the row of each entry of ``problem.A``. Both duals are
+    ``y`` holds HiGHS's row duals in row order, those of ``>=`` rows
+    flipped by ``sign`` into the duals of the rows negated; ``col_dual``
+    holds its reduced costs. Both duals are
     d(objective)/d(rhs): at most 0 on ``<=`` rows and upper bounds, at
     least 0 on lower bounds, free on equalities, and 0 on infinite bounds;
     a column's dual is its lower-bound multiplier where it is >= 0 and its
@@ -417,7 +397,8 @@ def _dual_certificate(problem, row, obj, sign, y, col_dual):
     w_lo = np.where(fin_lo, np.maximum(col_dual, 0.0), 0.0)
     w_hi = np.where(fin_hi, np.minimum(col_dual, 0.0), 0.0)
     # A^T y, each column added up in row order
-    aty = np.bincount(A.indices, weights=A.data * y[row], minlength=c.size)
+    aty = np.bincount(A.indices, weights=A.data * np.repeat(y, np.diff(A.indptr)),
+                      minlength=c.size)
     stat = c - aty - w_lo - w_hi
     dual_res = float(np.abs(stat).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0)))
     dual_obj = float(problem.rhs @ y + lo[fin_lo] @ w_lo[fin_lo] + hi[fin_hi] @ w_hi[fin_hi])

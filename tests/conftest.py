@@ -8,8 +8,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from corround import simplex
 from corround.rounding import MarginalMatrix, validate
-from corround.simplex import EQ, GE, LPProblem, write_lp
+from corround.simplex import EQ, GE, INF, LPProblem, LPSolution, write_lp
 from corround.streams import RandomStream
 
 
@@ -125,6 +126,52 @@ def linprog_highs_ds(problem, max_pivots=10 ** 6):
     return linprog(problem.c, A_ub=A[~eq], b_ub=b[~eq], A_eq=A[eq], b_eq=b[eq],
                    bounds=problem.bounds, method="highs-ds",
                    options={"maxiter": max_pivots, "presolve": False})
+
+
+def colwise_solve(problem, max_pivots=10 ** 6):
+    """``corround.simplex.solve`` as it was when it handed HiGHS the rows
+    by column: ``>=`` rows negated, the ``<=`` rows before the ``=`` rows,
+    the entries sorted by (column, row), and the residual added up with a
+    per-entry row index. It runs on this thread's solver and shares the
+    dual certificate with ``solve``; a problem needs at least one column.
+    """
+    lo, hi = problem.bounds.T
+    if np.any(lo > hi):
+        return LPSolution(simplex.INFEASIBLE, None, None)
+    A = problem.A
+    (m, n), cols, vals = A.shape, A.indices, A.data
+    eq = problem.relations == EQ
+    sign = np.where(problem.relations == GE, -1.0, 1.0)
+    b = problem.rhs * sign
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
+    order = np.concatenate((np.flatnonzero(~eq), np.flatnonzero(eq)))
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    new_row = rank[row]
+    perm = np.argsort(cols.astype(np.int64) * m + new_row, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    h = simplex._solver()
+    h.clearSolver()
+    h.setOptionValue("simplex_iteration_limit", int(max_pivots))
+    h.passModel(n, m, vals.size, int(simplex._highs.MatrixFormat.kColwise), simplex._MINIMIZE,
+                0.0, problem.c, lo, hi, np.where(eq, b, -INF)[order], b[order], start,
+                new_row[perm], (vals * sign[row])[perm], np.zeros(n, dtype=np.int32))
+    h.run()
+    status = simplex._STATUS[h.getModelStatus()]
+    nit = h.getInfoValue("simplex_iteration_count")[1]
+    if status != simplex.OPTIMAL:
+        return LPSolution(status, None, None, nit)
+    sol = h.getSolution()
+    x = np.array(sol.col_value)
+    obj = float(problem.c @ x)
+    r = np.bincount(row, weights=vals * x[cols], minlength=m) * sign - b
+    viol = max(float(r[~eq].max(initial=0.0)), float(np.abs(r[eq]).max(initial=0.0)),
+               float((lo - x).max(initial=0.0)), float((x - hi).max(initial=0.0)))
+    y = np.empty(m)
+    y[order] = sol.row_dual
+    y, w, dual_res, gap = simplex._dual_certificate(problem, obj, sign, y, np.array(sol.col_dual))
+    return LPSolution(status, obj, x, nit, viol, dual_res, gap, y, w)
 
 
 def lp_arrays(problem) -> list:

@@ -348,6 +348,20 @@ def test_simulate_unknown_policy(tmp_path):
     assert run(["simulate", "--config", str(cfg)]) == cli.EXIT_USAGE
 
 
+def test_simulate_without_policies(tmp_path, capsys):
+    # rejected before any DLP is solved, and no header-only CSV is written
+    cfg, out, agg = tmp_path / "camp.json", tmp_path / "sim.csv", tmp_path / "agg.csv"
+    cfg.write_text(json.dumps({
+        "instances": 1, "replications": 1, "policies": [],
+        "generator": {"n": 4, "n_max": 1, "n_per": 1, "T": 50, "J": 2, "K": 2},
+        "base_seed": 1,
+    }))
+    args = ["simulate", "--config", str(cfg), "--out", str(out), "--agg-out", str(agg)]
+    assert run(args) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "simulate: policies must name at least one policy\n"
+    assert not out.exists() and not agg.exists()
+
+
 @pytest.mark.parametrize("override,flags", [
     ({}, ["--scale", "0"]),
     ({}, ["--scale", "-2"]),

@@ -55,6 +55,19 @@ def test_uncovered_element_rejected():
         SetCoverInstance(q=2, members=((0,),))
 
 
+@pytest.mark.parametrize("elem", [0.5, 1.0, np.float64(1.0), "1", None])
+def test_non_integer_element_rejected(elem):
+    with pytest.raises(SetCoverError, match="set 1 has a non-integer element id"):
+        SetCoverInstance(q=2, members=((0,), (elem,)))
+    assert SetCoverInstance(q=2, members=((np.int64(0),), (1,))).K == 2
+
+
+def test_repeated_element_rejected():
+    # counted twice, it would make weights 0.5 look like a full cover
+    with pytest.raises(SetCoverError, match="set 0 lists an element more than once"):
+        SetCoverInstance(q=2, members=((0, 0), (1,)))
+
+
 @pytest.mark.parametrize("q", [0, -1])
 def test_instance_without_elements_rejected(q):
     with pytest.raises(SetCoverError, match="at least one element"):
@@ -184,3 +197,21 @@ def test_cover_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         read_cover_instance(io.StringIO(text))
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a bad id names its set's own line and reads as the file gives it
+        ("3 3\n1.0 1 1\n1.0 1 2\n1.0 2 3 9\n", "line 4: unknown element 9: elements are 1..3"),
+        ("3 2\n1.0 2 1 0\n1.0 2 2 3\n", "line 2: unknown element 0: elements are 1..3"),
+        ("3 2\n1.0 1 1\n1.0 1 -2\n", "line 3: unknown element -2: elements are 1..3"),
+        ("2 2\n1.0 2 1 1\n1.0 1 2\n", "line 2: set lists an element more than once"),
+        # an element no set covers shows at the last set's line
+        ("3 2\n1.0 1 1\n1.0 1 3\n", "line 3: element 2 of 3 is covered by no set"),
+    ],
+)
+def test_cover_element_errors_use_the_file_numbering(text, message):
+    with pytest.raises(ParseError) as err:
+        read_cover_instance(io.StringIO(text))
+    assert str(err.value) == message

@@ -28,7 +28,13 @@ from corround.simplex import (
     write_lp,
 )
 
-from conftest import linprog_highs_ds, linprog_optimum, random_instance, vertex_enumeration_optimum
+from conftest import (
+    colwise_solve,
+    linprog_highs_ds,
+    linprog_optimum,
+    random_instance,
+    vertex_enumeration_optimum,
+)
 
 INF = float("inf")
 
@@ -161,7 +167,7 @@ def test_array_entry_point_runs_the_same_checks():
 def test_solve_does_not_build_rows():
     problem, _ = build_dlp(build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1)))
     assert solve(problem).status == OPTIMAL
-    assert problem._constraints is None
+    assert "constraints" not in vars(problem)
     assert len(problem.constraints) == problem.A.shape[0]
 
 
@@ -385,8 +391,8 @@ def corrupted_run(field):
     duals, pushed off, so that the certificate fails."""
     real = simplex._run_highs
 
-    def corrupted(c, cols, row_lo, row_hi, lo, hi, max_pivots):
-        status, x, row_dual, col_dual, nit = real(c, cols, row_lo, row_hi, lo, hi, max_pivots)
+    def corrupted(c, rows, row_lo, row_hi, lo, hi, max_pivots):
+        status, x, row_dual, col_dual, nit = real(c, rows, row_lo, row_hi, lo, hi, max_pivots)
         if field == "x":
             x = x + 1e-3
         else:
@@ -653,3 +659,23 @@ def test_reused_solver_in_a_forked_child(fresh_solves):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         solves = pool.apply_async(solve_all, (REUSE,)).get(timeout=120)
     assert solves == fresh_solves
+
+
+# ---------------------------------------------------------------------------
+# the rows go to HiGHS as stored; pinned against the column-wise handoff,
+# ">=" rows negated, that `solve` made before
+# ---------------------------------------------------------------------------
+
+
+def handoff_battery():
+    """(problem, max_pivots): `REUSE`, and ten more seeded LPs of each
+    shape with ">=" rows and free or boxed columns."""
+    gen = np.random.default_rng(20261020)
+    return REUSE + [(shaped_lp(gen, shape), 10 ** 6) for shape in ("ge", "free", "boxed") for _ in range(10)]
+
+
+def test_rowwise_handoff_matches_the_colwise_one():
+    battery = handoff_battery()
+    want = [bits(colwise_solve(p, cap)) for p, cap in battery]
+    assert {s[0] for s in want} == {OPTIMAL, INFEASIBLE, UNBOUNDED, ITERATION_LIMIT}
+    assert solve_all(battery) == want
