@@ -22,13 +22,15 @@ Policies:
   theoretical ratio.
 
 Since the randomized policies never read stock, `simulate` dispatches a
-whole arrival stream at once: one draw of the decision substream, one
-rounding kernel call per (scheme, item count), and stock-outs by rank, the
-r-th request for an (FC, item), counted from 0 in arrival order, being
-served iff r < floor(inventory). The kernels read the plan's dispatch
-table: every plan row checked against the instance and normalised once,
-its ``auto`` scheme, and the rows' draw tables stacked by item count. The
-first randomized call on a plan builds it and every later call reuses it.
+whole arrival stream at once: one draw of the decision substream, each
+request started at its item's favorite FC, one `rounding.draw_kernel` call
+per (scheme, fractional plan row) for the orders whose row gives some item
+more than one FC, and stock-outs by rank, the r-th request for an (FC,
+item), counted from 0 in arrival order, being served iff r <
+floor(inventory). The draws read the plan's dispatch table: every plan row
+checked against the instance and normalised once, its ``auto`` scheme, and
+the rows' favorites. The first randomized call on a plan builds it and
+every later call reuses it.
 ``myopic`` reads stock, but an item's stock serves only that item's
 requests, so it dispatches every item at once in at most K + 1 stock-out
 phases, each ranking the unsettled requests the same way. All policies
@@ -394,8 +396,9 @@ def simulate(
 
     The randomized policies dispatch the whole stream at once: one draw of
     the decision substream, cut per order into the draw's q, K or K + q
-    uniforms, and one kernel call per (scheme, item count), each order
-    drawing with its (type, region) row's tables. A plan is well formed
+    uniforms. An item with one FC on its (type, region) row ships from it
+    under every scheme, so only the orders on fractional rows are drawn,
+    one kernel call per (scheme, row). A plan is well formed
     when it is built (see `DLPlan`); its rows are checked against the
     instance (`_plan_keys`) once, when its dispatch table is built, and a
     row that is not an order of the instance or has the wrong shape, or an
@@ -408,8 +411,8 @@ def simulate(
     picks then pass the same rank step, which serves them all. Costs are
     totalled in arrival order, item by item and, for fixed costs, FC by FC,
     as a per-order loop would add them.
-    Memory grows with the stream: each order's draw holds a few q * K
-    arrays, its row's tables and its clocks.
+    Memory grows with the stream: the decision draw, and for each order on
+    a fractional row a few q * K arrays and its clocks.
     """
     if policy not in POLICIES:
         raise FulfillmentError(f"unknown policy {policy!r}")
@@ -437,7 +440,7 @@ def simulate(
     if policy == "myopic":
         fc, drawn = _closest_fcs(inst, req_item, region[req_order]), {}
     else:
-        fc, drawn = _drawn_fcs(inst, plan, policy, arriving, req_off, req_item.size, dec_rng)
+        fc, drawn = _drawn_fcs(inst, plan, policy, arriving, req_off, req_order, dec_rng)
 
     # the r-th request for (k, i) finds stock iff r < floor(b_ki), and
     # takes the last unit iff r = floor(b_ki) - 1
@@ -541,19 +544,19 @@ class _DispatchTable:
     ``rows[r]`` is the plan's r-th (t, j) row in key order, checked against
     the instance and normalised once. ``row_of`` maps a flat order index
     t*J + j to its row, -1 where the plan has none; per row, ``auto`` is the
-    index in SCHEMES of `select_scheme`'s pick, ``q`` the item count,
-    ``slot`` the position among the rows of that count and ``per[r, s]``
-    the uniforms a draw under scheme s spends. ``stacks`` caches what
-    `stack` builds.
+    index in SCHEMES of `select_scheme`'s pick, ``per[r, s]`` the uniforms a
+    draw under scheme s spends, ``fractional`` whether some item has more
+    than one FC, and ``start`` the offset of its items in ``favorite``, the
+    rows' `MarginalMatrix.favorite` concatenated.
     """
 
     rows: tuple
     row_of: np.ndarray
     auto: np.ndarray
-    q: np.ndarray
-    slot: np.ndarray
     per: np.ndarray
-    stacks: dict = field(default_factory=dict)
+    fractional: np.ndarray
+    favorite: np.ndarray
+    start: np.ndarray
 
     @classmethod
     def build(cls, inst: FulfillmentInstance, plan: DLPlan) -> "_DispatchTable":
@@ -563,25 +566,14 @@ class _DispatchTable:
         # a well-formed plan's rows sum to 1 within PLAN_TOL, so validate
         # cannot fail on them once the sums are divided out
         rows = [rounding.validate(a / a.sum(axis=1)[:, None]) for a in plan.u.values()]
-        q = np.array([m.q for m in rows], dtype=np.intp)
-        slot = np.empty_like(q)
-        for n_items in np.unique(q).tolist():
-            members = np.flatnonzero(q == n_items)
-            slot[members] = np.arange(members.size)
         per = [[rounding.uniforms_per_draw(s, m.q, m.K) for s in rounding.SCHEMES] for m in rows]
         auto = [rounding.SCHEMES.index(rounding.select_scheme(m)[0]) for m in rows]
-        return cls(tuple(rows), row_of, np.array(auto, dtype=np.intp), q, slot,
-                   np.array(per, dtype=np.intp).reshape(-1, len(rounding.SCHEMES)))
-
-    def stack(self, s: int, q: int):
-        """(kernel, tables) of scheme s, the tables stacked over the rows of
-        q items in slot order and padded to their largest support; built on
-        first use."""
-        got = self.stacks.get((s, q))
-        if got is None:
-            got = self.stacks[(s, q)] = rounding.stack_kernel(
-                [m for m in self.rows if m.q == q], rounding.SCHEMES[s])
-        return got
+        q = np.array([m.q for m in rows], dtype=np.intp)
+        return cls(tuple(rows), row_of, np.array(auto, dtype=np.intp),
+                   np.array(per, dtype=np.intp).reshape(-1, len(rounding.SCHEMES)),
+                   np.array([m.sparsity > 1 for m in rows], dtype=bool),
+                   np.concatenate([np.empty(0, dtype=np.intp), *(m.favorite for m in rows)]),
+                   np.cumsum(q) - q)
 
 
 def _dispatch_table(inst: FulfillmentInstance, plan: DLPlan) -> _DispatchTable:
@@ -593,16 +585,18 @@ def _dispatch_table(inst: FulfillmentInstance, plan: DLPlan) -> _DispatchTable:
     return table
 
 
-def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> tuple[np.ndarray, dict]:
+def _drawn_fcs(inst, plan, policy, arriving, req_off, req_order, dec_rng) -> tuple[np.ndarray, dict]:
     """Per request, the FC drawn by the policy's scheme, stock unseen, and
     per scheme the number of orders drawn under it.
 
     Each order draws from its (type, region) row of the plan's dispatch
     table, under its row's ``select_scheme`` pick under ``auto``. Order o
     spends its draw's uniforms from offset ``off[o]`` of one decision draw,
-    the same uniforms one ``sample`` call per order would take. The orders
-    are rounded in one kernel call per (scheme, item count), each draw
-    gathering its row's tables from the stack.
+    the same uniforms one ``sample`` call per order would take. Every
+    scheme sends an item with one FC to that FC, so each request starts at
+    its item's favorite, and only the orders on fractional rows are drawn:
+    one `rounding.draw_kernel` call per (scheme, row), on those orders'
+    uniforms.
     """
     table = _dispatch_table(inst, plan)
     rows = table.row_of[arriving]
@@ -610,19 +604,18 @@ def _drawn_fcs(inst, plan, policy, arriving, req_off, n_req, dec_rng) -> tuple[n
         t, j = divmod(int(arriving[np.argmin(rows)]), inst.J)
         raise FulfillmentError(f"plan has no row for order {(t, j)}")
     scheme = table.auto[rows] if policy == "auto" else np.full(rows.size, rounding.SCHEMES.index(policy))
-    q = table.q[rows]
     per = table.per[rows, scheme]
     off = np.cumsum(per) - per
     u = dec_rng.uniform(int(per.sum()))
-    fc = np.empty(n_req, dtype=np.intp)
-    group = scheme * (inst.n + 1) + q
+    fc = table.favorite[(table.start[rows] - req_off)[req_order] + np.arange(req_order.size)]
+    drawn = np.flatnonzero(table.fractional[rows])
+    group = scheme[drawn] * len(table.rows) + rows[drawn]
     for key in np.flatnonzero(np.bincount(group)).tolist():
-        members = np.flatnonzero(group == key)
-        kernel, tables = table.stack(*divmod(key, inst.n + 1))
-        pick = table.slot[rows[members]]
-        drawn = tuple(np.take(a, pick, axis=0) for a in tables)
-        z = kernel(drawn, u[off[members, None] + np.arange(per[members[0]])])[0]
-        fc[req_off[members, None] + np.arange(z.shape[-1])] = z
+        members = drawn[group == key]
+        s, r = divmod(key, len(table.rows))
+        width, kernel, tables = rounding.draw_kernel(table.rows[r], rounding.SCHEMES[s])
+        z = kernel(tables, u[off[members, None] + np.arange(width)])[0]
+        fc[req_off[members, None] + np.arange(z.shape[1])] = z
     return fc, dict(zip(rounding.SCHEMES, np.bincount(scheme, minlength=len(rounding.SCHEMES)).tolist()))
 
 

@@ -26,16 +26,15 @@ so a draw costs O(K + q*d) rather than O(q*K); the dense kernel draws
 over all K columns, which is faster where d = K. Each kernel reads its
 own tables, which `MarginalMatrix.tables` builds on first use and caches
 per scheme and family, so a matrix holds only the tables of the kernels
-that drew from it. The kernels broadcast the tables against the draws:
-one matrix's tables serve a whole block, and support tables stacked
-along a leading draw axis (`stack_kernel`) give each draw its own matrix,
-which is how dispatch rounds every order of one scheme and item count in
-one call. Monte Carlo, set cover and dispatch all draw through `sample`
-or these kernels, and `draw_kernel` is the one place a scheme name turns
-into draw code. Every draw computes its opening times with one clock
-kernel. The single-call ``*_round`` functions run the dense kernels on
-one draw and return light records: a `RoundingOutcome` and, for
-dilate and force_open, a `RoundingTrace` of the clocks, both named tuples.
+that drew from it. One matrix's tables serve a whole block of draws.
+Monte Carlo, set cover and dispatch all draw through `draw_kernel`, the
+one place a scheme name turns into draw code: `sample` and `mc_estimate`
+call it for their matrix, and dispatch for each plan row on which some
+item has more than one FC. Every draw computes its opening times with
+one clock kernel. The single-call ``*_round`` functions run the dense
+kernels on one draw and return light records: a `RoundingOutcome` and,
+for dilate and force_open, a `RoundingTrace` of the clocks, both named
+tuples.
 No draw multiplies 0 by inf, so the draw path needs no floating-point
 error state. `mc_estimate` estimates the marginals, the FC usage, the
 share of draws inside the support and, for dilate, the waiting-time tail;
@@ -479,26 +478,6 @@ def draw_kernel(m: MarginalMatrix, scheme: str):
     return per, (_KERNELS if support else _DENSE_KERNELS)[scheme], m.tables(scheme, support)
 
 
-def stack_kernel(mats, scheme: str):
-    """(kernel, tables) of a scheme's support draw, one table per matrix.
-
-    The matrices share one shape (q, K). Each table is stacked along a
-    leading axis in the order of ``mats``, and the support tables are
-    widened to the largest sparsity by repeating their last position, so a
-    block whose draws each take their own matrix's tables (gathered along
-    that axis) draws what single calls draw.
-    """
-    width = max(m.sparsity for m in mats)
-    rows = [m.tables(scheme, True) for m in mats]
-    tables = tuple(
-        np.stack([a[np.minimum(np.arange(width), len(a) - 1)] if a.ndim == 2 else a for a in col])
-        for col in zip(*rows)
-    )
-    for a in tables:
-        a.flags.writeable = False
-    return _KERNELS[scheme], tables
-
-
 def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
     """Uniforms one draw of a scheme spends on a q x K instance."""
     if scheme == "independent":
@@ -511,12 +490,8 @@ def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
 
 
 def _fc_at(fcs, pos):
-    """The FC at each item's position: fcs[..., pos[..., i], i]."""
-    d, q = fcs.shape[-2:]
-    at = pos * q + np.arange(q)
-    if fcs.ndim == 3:
-        at += np.arange(0, fcs.size, d * q)[:, None]
-    return fcs.take(at)
+    """The FC at each item's position: fcs[pos[..., i], i]."""
+    return fcs.take(pos * fcs.shape[1] + np.arange(fcs.shape[1]))
 
 
 def _independent(tables, u):
@@ -524,7 +499,6 @@ def _independent(tables, u):
     u_i, one position at a time; the last is 1, never below a uniform, so
     it is not counted."""
     cdf, fcs = tables
-    cdf = np.moveaxis(cdf, -2, 0)
     pos = np.zeros(u.shape, dtype=np.intp)
     for p in range(len(cdf) - 1):
         np.add(pos, cdf[p] < u, out=pos)
@@ -541,7 +515,7 @@ def _force_open(tables, u):
     `_force_opened`, at the favorite's own ratio."""
     divisor, floor, fcs, cols, ratios, fav, cap, hide = tables
     c = _clocks(divisor, floor, u, cap.shape[-1])[0]
-    _hide(c, c.ravel().take(fav + np.arange(0, c.size, c.shape[1])[:, None]), cap, u, hide)
+    _hide(c, c.take(fav, axis=-1), cap, u, hide)
     return _scan(c, cols, ratios, fcs)[0], None
 
 
@@ -558,7 +532,6 @@ def _scan(clocks, cols, ratios, fcs):
     n, w = clocks.shape
     flat = clocks.ravel()
     base = np.arange(0, n * w, w)[:, None]
-    cols, ratios, fcs = (np.moveaxis(a, -2, 0) for a in (cols, ratios, fcs))
     first = flat.take(cols[0] + base)
     first *= ratios[0]
     z = np.empty(first.shape, dtype=np.intp)

@@ -102,7 +102,9 @@ def marginals_from_fractional_cover(sc: SetCoverInstance, fc: FractionalCover) -
 
     Covering sets are visited in ascending index; each takes
     min(y_k, remaining). Excess fractional mass past 1 stays unused on the
-    later sets. A row that cannot reach 1 means the weights were infeasible.
+    later sets. A row that cannot reach 1 means the weights were infeasible;
+    InfeasibleFractional then names its element from 1, as the cover file
+    numbers it.
     """
     if len(fc.y) != sc.K:
         raise SetCoverError("fractional weights length != set count")
@@ -121,7 +123,7 @@ def marginals_from_fractional_cover(sc: SetCoverInstance, fc: FractionalCover) -
             remaining -= take
         if remaining >= rounding.ROW_SUM_TOL:
             raise InfeasibleFractional(
-                f"element {e} reaches only {1.0 - remaining:.12f} of covering mass"
+                f"element {e + 1} reaches only {1.0 - remaining:.12f} of covering mass"
             )
     return rounding.validate(u)
 

@@ -10,16 +10,16 @@ set of checks. `solve` hands the arrays to the dual revised simplex of
 HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
 Math. Prog. Comp. 10, 2018) as numpy buffers, through the array
 ``passModel`` of the HiGHS bindings that scipy ships
-(`scipy.optimize._highspy._core`, scipy >= 1.15), and `write_lp` dumps a
-problem as MPS text. HiGHS gets the options that scipy's own LP front end
-(method "highs-ds", presolve off) would give it and the stored rows as
-they are, by row, without that front end's per-call option checks and
-matrix stacking: the ``<=`` and ``>=`` rows before the ``=`` rows, each
-row's relation in its row bounds, dual simplex, presolve off, the pivot
-cap as its simplex iteration limit. So it returns the same vertex after
-the same number of pivots as scipy's front end would. Each thread keeps
-one HiGHS solver, made on its first solve and cleared before every run,
-so no basis or solution carries over from one solve to the next.
+(`scipy.optimize._highspy._core`, scipy >= 1.15). HiGHS gets the options
+that scipy's own LP front end (method "highs-ds", presolve off) would give
+it and the stored rows as they are, by row, without that front end's
+per-call option checks and matrix stacking: the ``<=`` and ``>=`` rows
+before the ``=`` rows, each row's relation in its row bounds, dual
+simplex, presolve off, the pivot cap as its simplex iteration limit. So
+it returns the same vertex after the same number of pivots as scipy's
+front end would. Each thread keeps one HiGHS solver, made on its first
+solve and cleared before every run, so no basis or solution carries over
+from one solve to the next.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -31,10 +31,11 @@ its row and column duals.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -106,6 +107,9 @@ class LPProblem:
         cols, vals, counts, codes, rhs = [], [], [], [], []
         for pos, (coef, rel, b) in enumerate(constraints):
             if isinstance(coef, dict):
+                bad = [key for key in coef if not isinstance(key, numbers.Real)]
+                if bad:
+                    raise DimensionMismatch(f"row {pos}: column index {bad[0]!r} is not a number")
                 cols += coef
                 vals += coef.values()
                 counts.append(len(coef))
@@ -404,35 +408,3 @@ def _dual_certificate(problem, obj, sign, y, col_dual):
     dual_obj = float(problem.rhs @ y + lo[fin_lo] @ w_lo[fin_lo] + hi[fin_hi] @ w_hi[fin_hi])
     return y, w_lo + w_hi, dual_res, abs(obj - dual_obj) / max(1.0, abs(obj))
 
-
-def write_lp(problem: LPProblem, f: TextIO, name: str = "CORROUND") -> None:
-    """Dump a problem in fixed MPS format for cross-checking externally."""
-    f.write(f"NAME          {name}\n")
-    f.write("ROWS\n")
-    f.write(" N  COST\n")
-    for pos, code in enumerate(problem.relations.tolist()):
-        f.write(f" {'LEG'[code]}  R{pos}\n")
-    f.write("COLUMNS\n")
-    A = problem.A.tocsc()
-    rows, vals = A.indices.tolist(), A.data.tolist()
-    for j, cj in enumerate(problem.c.tolist()):
-        if cj != 0.0:
-            f.write(f"    X{j}  COST  {cj!r}\n")
-        for p in range(A.indptr[j], A.indptr[j + 1]):
-            f.write(f"    X{j}  R{rows[p]}  {vals[p]!r}\n")
-    f.write("RHS\n")
-    for pos, rhs in enumerate(problem.rhs.tolist()):
-        if rhs != 0.0:
-            f.write(f"    RHS  R{pos}  {rhs!r}\n")
-    f.write("BOUNDS\n")
-    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
-        if lo == -INF and hi == INF:
-            f.write(f" FR BND X{j}\n")
-            continue
-        if lo not in (0.0, -INF):
-            f.write(f" LO BND X{j}  {lo!r}\n")
-        if lo == -INF:
-            f.write(f" MI BND X{j}\n")
-        if hi != INF:
-            f.write(f" UP BND X{j}  {hi!r}\n")
-    f.write("ENDATA\n")

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import math
+from typing import TextIO
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import linprog
 
 from corround import simplex
 from corround.rounding import MarginalMatrix, validate
-from corround.simplex import EQ, GE, INF, LPProblem, LPSolution, write_lp
+from corround.simplex import EQ, GE, INF, LPProblem, LPSolution
 from corround.streams import RandomStream
 
 
@@ -188,6 +189,39 @@ def assert_same_lp(got, want):
     its ``constraints`` rows gives them again."""
     assert lp_arrays(got) == lp_arrays(want)
     assert lp_arrays(LPProblem(got.c, got.constraints, got.bounds)) == lp_arrays(want)
+
+
+def write_lp(problem: LPProblem, f: TextIO, name: str = "CORROUND") -> None:
+    """Dump a problem in fixed MPS format for cross-checking externally."""
+    f.write(f"NAME          {name}\n")
+    f.write("ROWS\n")
+    f.write(" N  COST\n")
+    for pos, code in enumerate(problem.relations.tolist()):
+        f.write(f" {'LEG'[code]}  R{pos}\n")
+    f.write("COLUMNS\n")
+    A = problem.A.tocsc()
+    rows, vals = A.indices.tolist(), A.data.tolist()
+    for j, cj in enumerate(problem.c.tolist()):
+        if cj != 0.0:
+            f.write(f"    X{j}  COST  {cj!r}\n")
+        for p in range(A.indptr[j], A.indptr[j + 1]):
+            f.write(f"    X{j}  R{rows[p]}  {vals[p]!r}\n")
+    f.write("RHS\n")
+    for pos, rhs in enumerate(problem.rhs.tolist()):
+        if rhs != 0.0:
+            f.write(f"    RHS  R{pos}  {rhs!r}\n")
+    f.write("BOUNDS\n")
+    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
+        if lo == -INF and hi == INF:
+            f.write(f" FR BND X{j}\n")
+            continue
+        if lo not in (0.0, -INF):
+            f.write(f" LO BND X{j}  {lo!r}\n")
+        if lo == -INF:
+            f.write(f" MI BND X{j}\n")
+        if hi != INF:
+            f.write(f" UP BND X{j}  {hi!r}\n")
+    f.write("ENDATA\n")
 
 
 def mps_sha256(problem) -> str:

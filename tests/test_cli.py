@@ -195,6 +195,16 @@ def test_cover_bad_weights_are_usage_errors(tmp_path, capsys, weights, message):
     assert capsys.readouterr().err == f"cover: {message.format(y)}\n"
 
 
+def test_cover_names_an_under_covered_element_from_one(tmp_path, capsys):
+    # only set 2, of weight 0.5, covers the file's element 2
+    sc = tmp_path / "sc.txt"
+    sc.write_text("2 2\n1.0 1 1\n1.0 1 2\n")
+    y = tmp_path / "y.txt"
+    y.write_text("1.0 0.5\n")
+    assert run(["cover", str(sc), str(y), "--samples", "10"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "cover: element 2 reaches only 0.500000000000 of covering mass\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one_is_a_usage_error(tmp_path, capsys, samples):
     inst = tmp_path / "i.txt"

@@ -644,6 +644,21 @@ def edge_cases():
         y={(0, 0): np.array([0.5, 0.75]), (0, 1): np.array([0.1, 1.0]),
            (2, 0): np.array([1.0, 0.0]), (2, 1): np.array([1.0, 0.0])},
     )
+    mixed = FulfillmentInstance(
+        n=3, K=2, J=2, T=300, types=((0, 1), (1, 2, 0)),
+        rates=np.array([[0.25, 0.2], [0.3, 0.15]]),
+        unit_cost=np.arange(18, dtype=float).reshape(3, 3, 2) % 7 + 1.0,
+        fixed_cost=np.array([[0.5, 1.0], [2.0, 3.0], [4.0, 1.5]]),
+        inventory=np.array([[INF, INF, INF], [120.0, 90.0, 150.0], [80.0, 200.0, 60.0]]),
+    )
+    # (0, 0) has every item on one FC, item 1 on the null FC; (1, 0) is
+    # fractional with item 2 on FC 1 alone; (0, 1) uses all K + 1 columns,
+    # so it draws through the dense kernels; (1, 1) is integral
+    mixed_u = {(0, 0): np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+               (0, 1): np.array([[0.2, 0.3, 0.5], [0.0, 0.6, 0.4]]),
+               (1, 0): np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.3, 0.7]]),
+               (1, 1): np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])}
+    mixed_plan = DLPlan(objective=50.0, u=mixed_u, y={key: u.max(axis=0) for key, u in mixed_u.items()})
     return [
         ("generated", inst, plan),
         ("half", scale(inst, 0.5), plan),
@@ -657,6 +672,7 @@ def edge_cases():
         ("hand tied costs", dataclasses.replace(hand, unit_cost=hand_tied), hand_plan),
         ("hand unbounded stock", dataclasses.replace(hand, inventory=hand_inf), hand_plan),
         ("K=1", k1, k1_plan),
+        ("mixed rows", mixed, mixed_plan),
     ]
 
 

@@ -361,35 +361,6 @@ def test_sample_edge_instances_match_single_calls(rows, scheme):
         assert not np.isnan(trace.e).any()
 
 
-@pytest.mark.parametrize("scheme", rounding.SCHEMES)
-def test_stacked_tables_match_single_calls(scheme):
-    # a block whose draws each gather their own matrix's tables from a stack,
-    # the support tables widened to the stack's largest d, draws what single
-    # calls draw, and dilate's first-open times are the traces' row minima
-    gen = np.random.default_rng(44)
-    mats = [validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]]), validate([[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]]),
-            validate([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])]
-    mats += [random_instance(gen, 2, 3, sparse=sparse) for sparse in (False, True, False)]
-    assert {m.sparsity for m in mats} == {1, 2, 3}
-    kernel, stack = rounding.stack_kernel(mats, scheme)
-    per = rounding.uniforms_per_draw(scheme, 2, 3)
-    pick = gen.integers(0, len(mats), 300)
-    for stream in (RandomStream(21), UnitUniforms(0), SmallestUniforms(0)):
-        z, first = kernel(tuple(np.take(a, pick, axis=0) for a in stack), stream.uniform((pick.size, per)))
-        replay = type(stream)(stream.seed)
-        for d, r in enumerate(pick.tolist()):
-            if scheme == "independent":
-                assert _same(z[d], independent_round(mats[r], replay).z)
-                continue
-            draw = dilate_round if scheme == "dilate" else force_open_round
-            out, trace = draw(mats[r], replay)
-            assert _same(z[d], out.z)
-            if scheme == "dilate":
-                assert _same(first[d], trace.x.min(axis=-1))
-        assert (first is None) == (scheme != "dilate")
-        assert replay.position == stream.position
-
-
 # d = K (dense rows, and q = K = 1), d = 1, tied u (identical rows, equal
 # entries), zero columns (inner and trailing), and sparse rows of mixed
 # support sizes
@@ -507,34 +478,17 @@ def test_support_tables_skip_the_dense_tables(rows):
 @pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)
 def test_support_kernels_match_full_width(rows, scheme):
-    # the support kernels against the full-width ones, bit for bit: on the
-    # matrix's own tables, and on a stack of it with a matrix of other
-    # support sizes (widened to the larger d), for random draws, tied clocks
-    # (U = 1) and the smallest uniform (U = 2**-53)
+    # the support kernels against the full-width ones, bit for bit, for
+    # random draws, tied clocks (U = 1) and the smallest uniform (U = 2**-53)
     m = validate(rows)
-    other = np.zeros((m.q, m.K))
-    if m.sparsity == 1:
-        other[:] = 1.0 / m.K
-    else:
-        other[np.arange(m.q), np.arange(m.q) % m.K] = 1.0
-    other = validate(other)
-    assert other.sparsity != m.sparsity or m.K == 1
     kernel = rounding._KERNELS[scheme]
-    kernel_s, stack = rounding.stack_kernel([m, other], scheme)
-    assert kernel_s is kernel
-    pick = np.arange(64) % 2
     per = rounding.uniforms_per_draw(scheme, m.q, m.K)
     for stream in (RandomStream(5), UnitUniforms(0), SmallestUniforms(0)):
-        u = stream.uniform((pick.size, per))
+        u = stream.uniform((64, per))
         want = _full_width(m, scheme, u)
         got = kernel(m.tables(scheme, True), u)
         for w, g in zip(want, got):
             assert _same(g, w)
-        z, first = kernel(tuple(np.take(a, pick, axis=0) for a in stack), u)
-        for r, mat in enumerate((m, other)):
-            w_z, w_first = _full_width(mat, scheme, u[pick == r])
-            assert _same(z[pick == r], w_z)
-            assert _same(None if first is None else first[pick == r], w_first)
         assert np.all(m.u[np.arange(m.q), got[0]] > 0.0)
 
 

@@ -25,7 +25,6 @@ from corround.simplex import (
     LPProblem,
     SolverNumericalError,
     solve,
-    write_lp,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     linprog_optimum,
     random_instance,
     vertex_enumeration_optimum,
+    write_lp,
 )
 
 INF = float("inf")
@@ -109,6 +109,10 @@ def test_dimension_mismatch():
         LPProblem(c=np.array([1.0]), constraints=[(np.array([1.0]), "!!", 1.0)])
     with pytest.raises(DimensionMismatch):
         LPProblem(c=np.array([1.0]), constraints=[(np.array([1.0]), "<=", INF)])
+    # dict keys that are not numbers name their row
+    for key in ("a", None):
+        with pytest.raises(DimensionMismatch, match="row 0: column index"):
+            LPProblem(c=np.ones(2), constraints=[({key: 1.0}, "<=", 1.0)])
     # fractional column keys are not truncated to a column
     with pytest.raises(DimensionMismatch, match="row 1"):
         LPProblem(c=np.zeros(3), constraints=[({0: 1.0}, "<=", 1.0), ({1.9: 1.0}, "<=", 1.0)])
