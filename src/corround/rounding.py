@@ -18,23 +18,24 @@ Three schemes are implemented:
   item's favorite FC so the marginals stay exact. Usage of FC k is at most
   y_k / (min_i max_k' u_k'i), which never exceeds the sparsity d.
 
-Each scheme has two batched kernels, which map the scheme's tables and a
+Each scheme has one batched kernel, which maps the scheme's tables and a
 block of uniforms, one row per draw, to arrays: the assignments and, for
-dilate, each item's first-open time. The support kernel draws over each
-item's support (the FCs it has mass on, at most the sparsity d of them),
-so a draw costs O(K + q*d) rather than O(q*K); the dense kernel draws
-over all K columns, which is faster where d = K. Each kernel reads its
-own tables, which `MarginalMatrix.tables` builds on first use and caches
-per scheme and family, so a matrix holds only the tables of the kernels
-that drew from it. One matrix's tables serve a whole block of draws.
-Monte Carlo, set cover and dispatch all draw through `draw_kernel`, the
-one place a scheme name turns into draw code: `sample` and `mc_estimate`
-call it for their matrix, and dispatch for each plan row on which some
-item has more than one FC. Every draw computes its opening times with
-one clock kernel. The single-call ``*_round`` functions run the dense
-kernels on one draw and return light records: a `RoundingOutcome` and,
-for dilate and force_open, a `RoundingTrace` of the clocks, both named
-tuples.
+dilate, each item's first-open time. Its tables come in two families,
+which `MarginalMatrix.tables` builds on first use and caches per scheme
+and family, so a matrix holds only the tables it drew from. The support
+family holds each item's support (the FCs it has mass on, at most the
+sparsity d of them), so a draw costs O(K + q*d) rather than O(q*K); the
+dense family holds all K FCs, which saves the support's gathers where
+d = K. The dilate and force_open tables are laid out by position, (P, q)
+with P = d or K, and their kernel computes the clocks FC-major, gathers
+them as whole rows per position and keeps a running minimum over the
+positions. One matrix's tables serve a whole block of draws. Monte Carlo,
+set cover and dispatch all draw through `draw_kernel`, the one place a
+scheme name turns into draw code: `sample` and `mc_estimate` call it for
+their matrix, and dispatch for each plan row on which some item has more
+than one FC. The single-call ``*_round`` functions read the dense tables
+for one draw and return light records: a `RoundingOutcome` and, for
+dilate and force_open, a `RoundingTrace` of the clocks, both named tuples.
 No draw multiplies 0 by inf, so the draw path needs no floating-point
 error state. `mc_estimate` estimates the marginals, the FC usage, the
 share of draws inside the support and, for dilate, the waiting-time tail;
@@ -98,7 +99,7 @@ class MarginalMatrix:
     """Validated rounding instance; create through :func:`validate`.
 
     ``u`` is the q x K probability matrix, row-major by item, read-only.
-    Derived quantities, such as each kernel's `tables`, are cached on first
+    Derived quantities, such as each scheme's `tables`, are cached on first
     access; the instance itself is immutable and safe to share across
     threads (two threads that build the same tables build equal ones).
     """
@@ -186,60 +187,62 @@ class MarginalMatrix:
         return h
 
     def tables(self, scheme: str, support: bool) -> tuple:
-        """The tables of a scheme's support kernel (``support``) or dense
-        kernel, built on the first call and cached per (scheme, support).
+        """The tables of a scheme's support family (``support``) or dense
+        family, built on the first call and cached per (scheme, support).
 
-        Dense: independent (cdf,), the `row_cdf`; dilate (divisor, floor,
-        columns, ratios); force_open (divisor, floor, columns, ratios,
-        favorites, cap, hide), with cap 1/y_m(i) at each item's favorite
-        FC m(i) and hide its `hide_prob`. Opening times are E_k =
-        max(ln(U_k) / divisor_k, floor_k), with divisor_k = -y_k, which
-        gives -ln(U_k)/y_k bit for bit, and floor_k = -inf; a y_k = 0
-        column divides by -inf instead, so that U_k = 1 makes no 0/0, and
-        its floor of +inf keeps it closed. A draw lays its clocks out as E,
+        independent: (cdf, fcs), the `row_cdf` (q, K) in the dense family
+        and its entries at the `support` layout's cells in the support one.
+        dilate: (divisor, floor, columns, ratios, fcs); force_open:
+        (divisor, floor, columns, ratios, fcs, favorites, cap, hide), both
+        laid out by position, (P, q). The support family's position p of
+        item i is FC fcs[p, i] of the `support` layout (P = d), and the
+        dense family's is FC p itself (P = K), so it stores no FC table
+        (fcs is None). cap is 1/y_m(i) at each item's favorite FC m(i) and
+        hide its `hide_prob`. Opening times are E_k = max(ln(U_k) /
+        divisor_k, floor_k), with divisor_k = -y_k, which gives
+        -ln(U_k)/y_k bit for bit, and floor_k = -inf; a y_k = 0 column
+        divides by -inf instead, so that U_k = 1 makes no 0/0, and its floor
+        of +inf keeps it closed. A draw lays its clocks out FC-major as E,
         then for force_open per item i the clock by which it sees its
         favorite, min(E_m(i), 1/y_m(i)) or, if hidden, 1/y_m(i) alone, then
-        one +inf. ``columns`` gives cell (i, k) the clock it sees: K + i
-        for a force_open favorite, else k where u_ki > 0 and the +inf
-        elsewhere, so a cell's observed time is its ratio times its clock
-        and an unusable cell's is +inf * +inf.
-
-        Support: the same at the `support` layout's cells, (d, q), with the
-        layout itself as the FCs: independent (cdf, support); dilate
-        (divisor, floor, support, ratios); force_open (divisor, floor,
-        support, columns, ratios, favorite, cap, hide). Its ratios and cdf
-        are computed at those cells, without building `ratios` or
+        one +inf. ``columns`` gives each position of item i the clock it
+        sees: K + i for a force_open favorite, else its FC where u_ki > 0
+        and the +inf elsewhere, so a cell's observed time is its ratio
+        times its clock and an unusable cell's is +inf * +inf. The dense
+        columns and ratios are transposed views of item-major (q, K)
+        arrays, `ratios` itself for the ratios, so that a single call reads
+        them as rows without a copy; the support ratios and cdf are
+        computed at the layout's cells, without building `ratios` or
         `row_cdf`. A zero entry adds nothing to a cumulative sum, so both
         cdf tables stop a draw at the same FC.
 
-        Every table is read-only but the dense columns and favorites, which
-        `ndarray.take` would copy on every call if they were; no draw
+        Every table is read-only but the columns and favorites, which
+        `ndarray.take` would copy on every call if they were (the support
+        family's columns are a copy of the layout for that reason); no draw
         writes to them.
         """
         got = self._tables.get((scheme, support))
         if got is not None:
             return got
         q, K = self.u.shape
-        closed = self.y == 0.0
-        clock = np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf)
         if scheme == "independent":
-            got = (self._support_cdf(), self.support) if support else (self.row_cdf,)
-        elif scheme == "dilate" and support:
-            got = clock + (self.support, self.y.take(self.support) / self._on_support())
-        elif scheme == "dilate":
-            got = clock + (np.where(self.u > 0.0, np.arange(K), K), self.ratios)
-        elif support:
-            fav = self.favorite
-            cols = np.where(self.support == fav, K + np.arange(q), self.support)
-            ratios = self.y.take(self.support) / self._on_support()
-            got = clock + (self.support, cols, ratios, fav, 1.0 / self.y[fav], self.hide_prob)
+            got = (self._support_cdf(), self.support) if support else (self.row_cdf, None)
         else:
-            fav = self.favorite
-            cols = np.where(self.u > 0.0, np.arange(K), K + q)
-            cols[np.arange(q), fav] = K + np.arange(q)
-            got = clock + (cols, self.ratios, fav.copy(), 1.0 / self.y[fav], self.hide_prob)
+            if support:
+                fc, ratios = self.support, self.y.take(self.support) / self._on_support()
+                cols = np.array(fc)
+            else:
+                fc, ratios = np.arange(K)[:, None], self.ratios.T
+                cols = np.where(self.u > 0.0, np.arange(K), K + q if scheme == "force_open" else K).T
+            closed = self.y == 0.0
+            got = (np.where(closed, -np.inf, -self.y), np.where(closed, np.inf, -np.inf), cols, ratios,
+                   self.support if support else None)
+            if scheme == "force_open":
+                fav = self.favorite
+                np.copyto(cols, K + np.arange(q), where=fc == fav)
+                got += (fav.copy(), 1.0 / self.y[fav], self.hide_prob)
         for a in got:
-            if support or a.dtype.kind == "f":
+            if a is not None and a.dtype.kind == "f":
                 a.flags.writeable = False
         self._tables[scheme, support] = got
         return got
@@ -405,10 +408,10 @@ def select_scheme(m: MarginalMatrix) -> tuple[str, float]:
 
 # ---------------------------------------------------------------------------
 # The schemes. Each draw spends a fixed number of uniforms: independent q,
-# dilate K, force_open K + q. A scheme's kernels take their tables and the
-# uniforms, (n, per) for n draws, and return (z, first): the (n, q)
-# assignments and, for dilate, each item's first-open time (None
-# otherwise). Both kernels of a scheme draw the same assignments.
+# dilate K, force_open K + q. A scheme's kernel takes either family of its
+# tables and the uniforms, (n, per) for n draws, and returns (z, first):
+# the (n, q) assignments and, for dilate, each item's first-open time
+# (None otherwise). Both families draw the same assignments.
 # ---------------------------------------------------------------------------
 
 
@@ -424,7 +427,10 @@ def dilate_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutcome,
     (inf when u_ki = 0) and takes the first FC it sees open, lowest index
     on ties.
     """
-    e, x = _dilated(m.tables("dilate", False), rng.uniform(m.K))
+    divisor, floor, cols, ratios, _ = m.tables("dilate", False)
+    c, e = _clocks(divisor, floor, rng.uniform(m.K))
+    x = c.take(cols.T)
+    x *= ratios.T
     return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x)
 
 
@@ -436,7 +442,10 @@ def force_open_round(m: MarginalMatrix, rng: RandomStream) -> tuple[RoundingOutc
     item i's view with the calibrated probability that keeps the marginals
     exact. All items are assigned by time alpha_force with probability 1.
     """
-    e, x, h = _force_opened(m.tables("force_open", False), rng.uniform(m.K + m.q))
+    tables = m.tables("force_open", False)
+    c, e, h = _forced_clocks(tables, rng.uniform(m.K + m.q))
+    x = c.take(tables[2].T)
+    x *= tables[3].T
     return RoundingOutcome(x.argmin(axis=-1)), RoundingTrace(e, x, h, m.favorite)
 
 
@@ -455,27 +464,26 @@ def sample(m: MarginalMatrix, scheme: str, rng: RandomStream, n: int) -> np.ndar
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-row inverse CDF: z[..., i] = min{k : cdf[..., i, k] >= u[..., i]}.
+    """Per-row inverse CDF: z[..., i] = min{k : cdf[i, k] >= u[..., i]}.
 
-    ``u`` is (q,) or (n, q). ``cdf`` is (q, K) with nondecreasing rows,
-    shared by every draw, or (n, q, K), one table per draw. The count of a
-    row's first K - 1 entries below its draw is that leftmost position, and
-    a draw above them all picks the last entry. The count runs over FC
-    columns, which is fastest where each table is column-major (as
-    `pinned_cdf` returns).
+    ``u`` is (q,) or (n, q); ``cdf`` is (q, K) with nondecreasing rows,
+    shared by every draw. The count of a row's first K - 1 entries below
+    its draw is that leftmost position, and a draw above them all picks the
+    last entry. The count runs over FC columns, which is fastest where the
+    table is column-major (as `pinned_cdf` returns).
     """
-    cols = (cdf if cdf.ndim > u.ndim else cdf[None]).T
+    cols = cdf.T if u.ndim == 1 else cdf.T[:, :, None]
     return np.add.reduce(cols[:-1] < u.T, axis=0).T
 
 
 def draw_kernel(m: MarginalMatrix, scheme: str):
     """(uniforms per draw, kernel, tables) of a scheme on an instance: the
-    support kernel where d < K, else the dense one, which saves the support
-    layout's gathers. One set of tables serves a whole block of draws.
+    scheme's one kernel and its support family of tables where d < K, else
+    its dense family, which saves the support layout's gathers. One set of
+    tables serves a whole block of draws.
     """
     per = uniforms_per_draw(scheme, m.q, m.K)
-    support = m.sparsity < m.K
-    return per, (_KERNELS if support else _DENSE_KERNELS)[scheme], m.tables(scheme, support)
+    return per, _KERNELS[scheme], m.tables(scheme, m.sparsity < m.K)
 
 
 def uniforms_per_draw(scheme: str, q: int, K: int) -> int:
@@ -495,10 +503,12 @@ def _fc_at(fcs, pos):
 
 
 def _independent(tables, u):
-    """Item i stops at the count of its support's cumulative marginals below
-    u_i, one position at a time; the last is 1, never below a uniform, so
-    it is not counted."""
+    """Dense tables draw by `inverse_cdf`. On the support, item i stops at
+    the count of its cumulative marginals below u_i, one position at a
+    time; the last is 1, never below a uniform, so it is not counted."""
     cdf, fcs = tables
+    if fcs is None:
+        return inverse_cdf(cdf, u), None
     pos = np.zeros(u.shape, dtype=np.intp)
     for p in range(len(cdf) - 1):
         np.add(pos, cdf[p] < u, out=pos)
@@ -506,123 +516,87 @@ def _independent(tables, u):
 
 
 def _dilate(tables, u):
-    divisor, floor, fcs, ratios = tables
-    return _scan(_open(divisor, floor, u), fcs, ratios, fcs)
+    divisor, floor, cols, ratios, fcs = tables
+    x = _observe(_clocks(divisor, floor, u)[0], cols, ratios)
+    z = _first_fc(x, fcs)
+    return z, x[-1].copy().T
 
 
 def _force_open(tables, u):
-    """Item i sees its favorite m(i) by the clock in column K + i, as in
-    `_force_opened`, at the favorite's own ratio."""
-    divisor, floor, fcs, cols, ratios, fav, cap, hide = tables
-    c = _clocks(divisor, floor, u, cap.shape[-1])[0]
-    _hide(c, c.take(fav, axis=-1), cap, u, hide)
-    return _scan(c, cols, ratios, fcs)[0], None
-
-
-def _scan(clocks, cols, ratios, fcs):
-    """(z, first): per item, the first FC it sees open and when.
-
-    Position p of the support tables shows item i clock cols[p, i] of its
-    draw's row of ``clocks`` (n, w), slowed by ratios[p, i], on FC fcs[p,
-    i]; the positions are scanned in FC order with a running minimum, and
-    the strict `<` keeps the lowest FC on ties, as argmin over all K
-    columns does. Every ratio on a support is finite and at least 1, so no
-    0 * inf is formed.
-    """
-    n, w = clocks.shape
-    flat = clocks.ravel()
-    base = np.arange(0, n * w, w)[:, None]
-    first = flat.take(cols[0] + base)
-    first *= ratios[0]
-    z = np.empty(first.shape, dtype=np.intp)
-    z[...] = fcs[0]
-    t = np.empty_like(first)
-    better = np.empty(first.shape, dtype=bool)
-    for p in range(1, len(cols)):
-        flat.take(cols[p] + base, out=t)
-        t *= ratios[p]
-        np.less(t, first, out=better)
-        np.minimum(first, t, out=first)
-        np.copyto(z, fcs[p], where=better)
-    return z, first
+    return _first_fc(_observe(_forced_clocks(tables, u)[0], *tables[2:4]), tables[4]), None
 
 
 _KERNELS = {"independent": _independent, "dilate": _dilate, "force_open": _force_open}
 
 
-def _independent_full(tables, u):
-    return inverse_cdf(*tables, u), None
+def _observe(c, cols, ratios):
+    """x (P, q, n): position p shows item i clock row cols[p, i] of the
+    clocks c (w, n), slowed by ratios[p, i], gathered as whole rows. No
+    0 * inf is ever formed: an unusable cell multiplies +inf by +inf, and
+    every ratio is at least 1."""
+    x = c.take(cols, axis=0)
+    x *= ratios[:, :, None]
+    return x
 
 
-def _dilate_full(tables, u):
-    e, x = _dilated(tables, u)
-    z = x.argmin(axis=-1)
-    return z, np.take_along_axis(x, z[..., None], -1)[..., 0]
+def _first_fc(x, fcs):
+    """Each item's first FC to open, (n, q), from its observed times x
+    (P, q, n), whose running minimum over the positions it writes in
+    place: x[-1] is then each item's first-open time.
 
-
-def _force_open_full(tables, u):
-    return _force_opened(tables, u)[1].argmin(axis=-1), None
-
-
-_DENSE_KERNELS = {"independent": _independent_full, "dilate": _dilate_full, "force_open": _force_open_full}
-
-
-def _open(divisor, floor, u, out=None):
-    """Opening times E_k = max(ln(U_k) / divisor_k, floor_k) of uniforms
-    (..., K), written to ``out`` if given."""
-    e = np.log(u, out=out)
-    e /= divisor
-    np.maximum(e, floor, out=e)
-    return e
+    The prefix minima only fall, so the count of positions whose prefix
+    minimum is still above x[-1] is the first position that reaches it:
+    the lowest position on ties, as argmin takes. Position p is FC p where
+    ``fcs`` is None, else FC fcs[p, i]. Counts run in the narrowest
+    unsigned type that holds P - 1. The result is the transposed view of a
+    (q, n) array.
+    """
+    for p in range(1, len(x)):
+        np.minimum(x[p - 1], x[p], out=x[p])
+    pos = np.zeros(x.shape[1:], dtype=np.min_scalar_type(len(x) - 1))
+    above = np.empty(x.shape[1:], dtype=bool)
+    for p in range(len(x) - 1):
+        np.greater(x[p], x[-1], out=above)
+        np.add(pos, above.view(np.uint8), out=pos)
+    z = pos.astype(np.intp)
+    if fcs is not None:
+        q = fcs.shape[1]
+        z *= q
+        z += np.arange(q)[:, None]
+        z = fcs.take(z)
+    return z.T
 
 
 def _clocks(divisor, floor, u, q=0):
-    """(c, e): a fresh row of clocks per draw, (..., K + q + 1), and its
-    first K columns e, the opening times of the first K uniforms of each
-    row of ``u``. The last column is +inf; the q columns before it are the
+    """(c, e): the clocks of draws u (..., per), FC-major (K + q + 1, ...),
+    and the draw-major view e (..., K) of their first K rows, the opening
+    times E_k = max(ln(U_k) / divisor_k, floor_k) of the first K uniforms
+    of each draw. The last row is +inf; the q rows before it are the
     caller's."""
-    K = divisor.shape[-1]
-    c = np.empty(u.shape[:-1] + (K + q + 1,))
-    c[..., -1] = np.inf
-    return c, _open(divisor, floor, u[..., :K], c[..., :K])
+    K = divisor.size
+    c = np.empty((K + q + 1,) + u.shape[:-1])
+    c[-1] = np.inf
+    e = np.log(u[..., :K], out=c[:K].T)
+    e /= divisor
+    np.maximum(e, floor, out=e)
+    return c, e
 
 
-def _hide(c, seen, cap, u, hide):
-    """Column K + i of the clocks c: the earlier of ``seen`` (E_m(i)) and
-    the cap 1/y_m(i), or the cap alone where hidden (H_i = U_K+i <=
-    hide_i); returns H."""
-    K = u.shape[-1] - cap.shape[-1]
-    s = c[..., K:-1]
-    np.minimum(seen, cap, out=s)
+def _forced_clocks(tables, u):
+    """(c, e, h): the clocks of force_open draws u (..., K + q), with the
+    hide flags H (..., q). Row K + i is the earlier of E_m(i) and the cap
+    1/y_m(i), or the cap alone where hidden (H_i = U_K+i <= hide_i). Item i
+    sees it at its favorite's ratio y/u_m(i) > 0, which is monotone, so its
+    time there is the earlier of its dilated natural opening and its forced
+    time bit for bit."""
+    divisor, floor, _, _, _, fav, cap, hide = tables
+    K = divisor.size
+    c, e = _clocks(divisor, floor, u, cap.size)
+    s = c[K:-1].T
+    np.minimum(c.take(fav, axis=0).T, cap, out=s)
     h = u[..., K:] <= hide
     np.copyto(s, cap, where=h)
-    return h
-
-
-def _dilated(tables, u):
-    """(e, x) of dilate draws over all K columns: x (..., q, K) is each
-    cell's ratio times the clock its column names, y_k/u_ki E_k where u_ki
-    > 0 and +inf elsewhere. No 0 * inf is ever formed: an unusable cell
-    multiplies +inf by +inf."""
-    divisor, floor, cols, ratios = tables
-    c, e = _clocks(divisor, floor, u)
-    x = c.take(cols, axis=-1)
-    x *= ratios
-    return e, x
-
-
-def _force_opened(tables, u):
-    """(e, x, h) of force_open draws over all K columns. Item i sees its
-    favorite at y/u_m(i) times min(E_m(i), 1/y), or y/u_m(i) times 1/y
-    alone if hidden; the factor y/u_m(i) > 0 is monotone, so this is the
-    earlier of its dilated natural opening and its forced time bit for
-    bit."""
-    divisor, floor, cols, ratios, fav, cap, hide = tables
-    c, e = _clocks(divisor, floor, u, cap.shape[-1])
-    h = _hide(c, e.take(fav, axis=-1), cap, u, hide)
-    x = c.take(cols, axis=-1)
-    x *= ratios
-    return e, x, h
+    return c, e, h
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +633,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
         raise DomainError("n_samples must be >= 1")
     q, K = m.q, m.K
     item_base = K * np.arange(q)
+    outside = m.u.ravel() == 0.0
     marg = np.zeros(q * K, dtype=np.int64)
     used = np.zeros(K, dtype=np.int64)
     in_support = 0
@@ -668,15 +643,23 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
         z, first = kernel(tables, rng.uniform((c, per)))
+        # z is (c, q) in whatever memory order its kernel wrote; every count
+        # below reads it in that order
         flat = z + item_base
-        marg += np.bincount(flat.ravel(), minlength=q * K)
-        hit = np.zeros((c, K), dtype=bool)
-        hit.ravel()[z + np.arange(0, c * K, K)[:, None]] = True
-        used += np.count_nonzero(hit, axis=0)
-        in_support += int(np.count_nonzero((m.u.take(flat) > 0.0).all(axis=1)))
+        counts = np.bincount(flat.ravel("K"), minlength=q * K)
+        marg += counts
+        hit = np.zeros((K, c), dtype=bool)
+        at = z.T * c
+        at += np.arange(c)
+        hit.ravel()[at] = True
+        used += np.count_nonzero(hit, axis=1)
+        if counts.any(where=outside):
+            in_support += int(np.count_nonzero((m.u.take(flat) > 0.0).all(axis=1)))
+        else:
+            in_support += c
         if tail is not None:
-            wait = first.max(axis=1)
-            tail += (wait[:, None] >= TAIL_GRID[None, :]).sum(axis=0)
+            wait = np.sort(first.max(axis=1))
+            tail += c - np.searchsorted(wait, TAIL_GRID, side="left")
     return MCReport(
         scheme=scheme,
         n_samples=n_samples,

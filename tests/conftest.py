@@ -265,3 +265,91 @@ class TinyUniforms(ConstantUniforms):
 @pytest.fixture
 def rng_gen():
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# The dilate and force_open kernels as they were before they were laid out
+# by position: tables per item (q, K) in the dense family, whose kernels
+# took the argmin over each draw's (q, K) observed times, and a support
+# family whose kernel gathered each position's clocks draw by draw. Kept as
+# differential oracles for the position-major kernels.
+# ---------------------------------------------------------------------------
+
+
+def legacy_tables(m: MarginalMatrix, scheme: str, support: bool) -> tuple:
+    """A matrix's dilate or force_open tables in the item-major layout."""
+    q, K = m.u.shape
+    closed = m.y == 0.0
+    clock = np.where(closed, -np.inf, -m.y), np.where(closed, np.inf, -np.inf)
+    fav = m.favorite
+    if support:
+        ratios = m.y.take(m.support) / m.u.take(m.support + np.arange(0, m.u.size, K))
+        if scheme == "dilate":
+            return clock + (m.support, ratios)
+        cols = np.where(m.support == fav, K + np.arange(q), m.support)
+        return clock + (m.support, cols, ratios, fav, 1.0 / m.y[fav], m.hide_prob)
+    if scheme == "dilate":
+        return clock + (np.where(m.u > 0.0, np.arange(K), K), m.ratios)
+    cols = np.where(m.u > 0.0, np.arange(K), K + q)
+    cols[np.arange(q), fav] = K + np.arange(q)
+    return clock + (cols, m.ratios, fav.copy(), 1.0 / m.y[fav], m.hide_prob)
+
+
+def _legacy_clocks(divisor, floor, u, q=0):
+    K = divisor.shape[-1]
+    c = np.empty(u.shape[:-1] + (K + q + 1,))
+    c[..., -1] = np.inf
+    e = np.log(u[..., :K], out=c[..., :K])
+    e /= divisor
+    np.maximum(e, floor, out=e)
+    return c, e
+
+
+def _legacy_hide(c, seen, cap, u, hide):
+    K = u.shape[-1] - cap.shape[-1]
+    s = c[..., K:-1]
+    np.minimum(seen, cap, out=s)
+    np.copyto(s, cap, where=u[..., K:] <= hide)
+
+
+def _legacy_scan(clocks, cols, ratios, fcs):
+    n, w = clocks.shape
+    flat = clocks.ravel()
+    base = np.arange(0, n * w, w)[:, None]
+    first = flat.take(cols[0] + base)
+    first *= ratios[0]
+    z = np.empty(first.shape, dtype=np.intp)
+    z[...] = fcs[0]
+    t = np.empty_like(first)
+    better = np.empty(first.shape, dtype=bool)
+    for p in range(1, len(cols)):
+        flat.take(cols[p] + base, out=t)
+        t *= ratios[p]
+        np.less(t, first, out=better)
+        np.minimum(first, t, out=first)
+        np.copyto(z, fcs[p], where=better)
+    return z, first
+
+
+def legacy_kernel(scheme: str, support: bool, tables: tuple, u: np.ndarray) -> tuple:
+    """(z, first) of dilate or force_open draws u (n, per) on `legacy_tables`."""
+    if scheme == "dilate" and support:
+        divisor, floor, fcs, ratios = tables
+        return _legacy_scan(_legacy_clocks(divisor, floor, u)[0], fcs, ratios, fcs)
+    if scheme == "dilate":
+        divisor, floor, cols, ratios = tables
+        x = _legacy_clocks(divisor, floor, u)[0].take(cols, axis=-1)
+        x *= ratios
+        z = x.argmin(axis=-1)
+        return z, np.take_along_axis(x, z[..., None], -1)[..., 0]
+    if support:
+        divisor, floor, fcs, cols, ratios, fav, cap, hide = tables
+        c = _legacy_clocks(divisor, floor, u, cap.shape[-1])[0]
+        _legacy_hide(c, c.take(fav, axis=-1), cap, u, hide)
+        return _legacy_scan(c, cols, ratios, fcs)[0], None
+    divisor, floor, cols, ratios, fav, cap, hide = tables
+    c, e = _legacy_clocks(divisor, floor, u, cap.shape[-1])
+    _legacy_hide(c, e.take(fav, axis=-1), cap, u, hide)
+    x = c.take(cols, axis=-1)
+    x *= ratios
+    return x.argmin(axis=-1), None

@@ -172,6 +172,41 @@ def test_cover_output_is_pinned(tmp_path, scheme):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COVER_CSV_SHA256[scheme]
 
 
+# SHA-256 of the `round` marginals and usage CSVs (20000 samples, seed 7)
+# on the sparse (d = 2 < K = 4, an all-zero column) and dense (d = K = 3)
+# instances of the CI console-script step, per scheme
+ROUND_INSTANCES = {
+    "sparse": "3 4\n0.5 0 0.5 0\n0.2 0 0.3 0.5\n1 0 0 0\n",
+    "dense": "3 3\n0.2 0.3 0.5\n0.6 0.1 0.3\n0.25 0.25 0.5\n",
+}
+ROUND_CSV_SHA256 = {
+    ("sparse", "independent"): ("badc24e8da93474b489c7fb78fdd59ee8f3c6e0cc97a2d5f3d2684649eccd698",
+                                "0fb413eb8fbd62fa427ee25abbaf60f87f1e9ad34334100ffec8cdfc00868eee"),
+    ("sparse", "dilate"): ("1744a4f79a539f959b1a6e03b87976c9fc0797d837167e1bda172c7a27796aec",
+                           "3e10caebc3b775a6d1a57eba3d5eb94591deb78952b41a007cb933d59c4c0e3c"),
+    ("sparse", "force_open"): ("0e95fe50bde08c5daf28db4dec9d1c00ad77baf864b0d9e9448325facd2774cc",
+                               "0dbefd8b1fede1b4fdb1944bb5984d3ea2fc6d67fc2360ec6ce74422fab5ec60"),
+    ("dense", "independent"): ("a4342b7781783575cda8d5aa6cab7457259007eb7c2077519a7b5bfb123c38d0",
+                               "9cc4fd245edcc05bfcda9bb9ea22366ca007d4aea41586040f7203275964806e"),
+    ("dense", "dilate"): ("2d4729a99b1a6458a9439c162562b74ebc6c251ec7470f6a4acb49041fb8617e",
+                          "80cc509dda087e629600df2b7dc7de3f28af7d9ad62968c0f8f96a9a57cfe0ba"),
+    ("dense", "force_open"): ("3ebac22d5f6932b4b6057d9020bda55b5617f7bf45df48be736e0d830194d525",
+                              "d6e8d4342195a5b071426788851d5e9ffa6727d1f5a0645ccdca64c20a6820c9"),
+}
+
+
+@pytest.mark.parametrize("instance,scheme", sorted(ROUND_CSV_SHA256))
+def test_round_output_is_pinned(tmp_path, instance, scheme):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(ROUND_INSTANCES[instance])
+    stem = tmp_path / "mc"
+    assert run(["round", str(inst), "--scheme", scheme, "--samples", "20000",
+                "--seed", "7", "--out", str(stem)]) == cli.EXIT_OK
+    got = tuple(hashlib.sha256((tmp_path / f"mc.{kind}.csv").read_bytes()).hexdigest()
+                for kind in ("marginals", "usage"))
+    assert got == ROUND_CSV_SHA256[instance, scheme]
+
+
 def test_cover_bad_instance_is_a_usage_error(tmp_path, capsys):
     sc = tmp_path / "sc.txt"
     sc.write_text("3 1\n1.0 3 1 2 3\n1.0 1 1\n")

@@ -32,7 +32,15 @@ from corround.instances import GeneratorConfig, build_instance
 from corround.optimal import sample_optimal, solve_optimal_alpha
 from corround.streams import RandomStream
 
-from conftest import SmallestUniforms, TinyUniforms, UnitUniforms, instance_battery, random_instance
+from conftest import (
+    SmallestUniforms,
+    TinyUniforms,
+    UnitUniforms,
+    instance_battery,
+    legacy_kernel,
+    legacy_tables,
+    random_instance,
+)
 
 N_MC = 200_000
 
@@ -378,12 +386,14 @@ SUPPORT_INSTANCES = [
 
 
 def _full_width(m, scheme, u):
-    """(z, first) of the full-width kernels, which the single calls run."""
-    return rounding._DENSE_KERNELS[scheme](m.tables(scheme, False), u)
+    """(z, first) of a scheme's kernel on its dense tables, which the single
+    calls read."""
+    return rounding._KERNELS[scheme](m.tables(scheme, False), u)
 
 
 def _table_oracle(m, scheme, support):
-    """The tables of `MarginalMatrix.tables`, built one cell at a time."""
+    """The tables of `MarginalMatrix.tables`, built one cell at a time, by
+    position (P, q) where a table has one entry per cell."""
     q, K = m.q, m.K
     y = [max(m.u[i, k] for i in range(q)) for k in range(K)]
     fav = [max(range(K), key=lambda k: (m.u[i, k], -k)) for i in range(q)]
@@ -407,24 +417,22 @@ def _table_oracle(m, scheme, support):
         ratios = cells(lambda i, k: y[k] / m.u[i, k])
         if scheme == "independent":
             return cells(lambda i, k: m.row_cdf[i, k]), layout
-        if scheme == "dilate":
-            return clock + (layout, ratios)
-        return clock + (layout, cells(column), ratios, np.array(fav)) + forced
-    if scheme == "independent":
-        return (rounding.pinned_cdf(m.u),)
-    cols = np.array([[column(i, k) for k in range(K)] for i in range(q)])
-    ratios = np.array([[y[k] / m.u[i, k] if m.u[i, k] > 0.0 else np.inf for k in range(K)] for i in range(q)])
-    if scheme == "dilate":
-        return clock + (cols, ratios)
-    return clock + (cols, ratios, np.array(fav)) + forced
+        tables = clock + (cells(column), ratios, layout)
+    else:
+        if scheme == "independent":
+            return rounding.pinned_cdf(m.u), None
+        cols = np.array([[column(i, k) for i in range(q)] for k in range(K)])
+        ratios = np.array([[y[k] / m.u[i, k] if m.u[i, k] > 0.0 else np.inf for i in range(q)] for k in range(K)])
+        tables = clock + (cols, ratios, None)
+    return tables if scheme == "dilate" else tables + (np.array(fav),) + forced
 
 
 @pytest.mark.parametrize("rows", SUPPORT_INSTANCES)
 @pytest.mark.parametrize("scheme", rounding.SCHEMES)
 def test_tables_are_built_per_family(rows, scheme):
     # each family's tables against a per-cell oracle, bit for bit; only the
-    # dense kernels' index tables (columns, favorites) are writeable; and a
-    # draw builds only the family it reads
+    # index tables that a kernel gathers by (columns, favorites) are
+    # writeable; and a draw builds only the family it reads
     m = validate(rows)
     for support in (False, True):
         got = m.tables(scheme, support)
@@ -432,8 +440,9 @@ def test_tables_are_built_per_family(rows, scheme):
         want = _table_oracle(m, scheme, support)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.shape == w.shape and _same(g, w)
-            assert g.flags.writeable == (not support and g.dtype.kind == "i")
+            assert _same(g, w)
+            if g is not None:
+                assert g.flags.writeable == (g.dtype.kind == "i" and g is not m.support)
     sampled, single = validate(rows), validate(rows)
     sample(sampled, scheme, RandomStream(1), 3)
     assert set(sampled._tables) == {(scheme, sampled.sparsity < sampled.K)}
@@ -468,7 +477,7 @@ def test_support_tables_skip_the_dense_tables(rows):
     cells = m.support + np.arange(0, m.u.size, m.K)
     assert _same(got["independent"][0], m.row_cdf.take(cells))
     assert _same(got["dilate"][3], m.ratios.take(cells))
-    assert _same(got["force_open"][4], m.ratios.take(cells))
+    assert _same(got["force_open"][3], m.ratios.take(cells))
     if sampled.sparsity < sampled.K:
         for scheme in rounding.SCHEMES:
             sample(sampled, scheme, RandomStream(1), 3)
@@ -609,6 +618,66 @@ def test_fused_kernels_match_unfused_oracle(rows, scheme):
             assert np.array_equal(rep.tail, (wait[:, None] >= rep.tail_grid).sum(axis=0) / n)
 
 
+def _legacy_battery():
+    """Seeded dense and sparse matrices, then closed (y = 0) columns,
+    single-FC items, tied entries and a dense K = 300 matrix, whose counts
+    of positions pass 255."""
+    gen = np.random.default_rng(2110)
+    out = [random_instance(gen, int(gen.integers(1, 12)), int(gen.integers(2, 9)), sparse=t % 2 == 1).u
+           for t in range(8)]
+    out += _sparse_battery(2111, 6)
+    closed = np.zeros((4, 6))
+    closed[:, [0, 2, 3]] = gen.dirichlet(np.ones(3), size=4)
+    out += [closed, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]], [[0.25] * 4] * 3,
+            [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]]
+    return out + [gen.dirichlet(np.ones(300), size=2)]
+
+
+@pytest.mark.parametrize("rows", _legacy_battery())
+@pytest.mark.parametrize("scheme", ("dilate", "force_open"))
+def test_position_major_kernels_match_the_item_major_ones(rows, scheme, monkeypatch):
+    # both table families against conftest's item-major kernels, bit for
+    # bit: the assignments, the dilate first-open times and the stream's
+    # position, for random, tied (U = 1) and smallest uniforms, on one draw
+    # and on one more than an mc_estimate chunk
+    monkeypatch.setattr(rounding, "CHUNK_ELEMS", 4000)
+    m = validate(rows)
+    per = rounding.uniforms_per_draw(scheme, m.q, m.K)
+    kernel = rounding._KERNELS[scheme]
+    for n in (1, max(1, rounding.CHUNK_ELEMS // (m.q * m.K)) + 1):
+        for stream in (RandomStream(n), UnitUniforms(0), SmallestUniforms(0)):
+            mk = lambda: type(stream)(stream.seed)  # noqa: E731
+            u = mk().uniform((n, per))
+            for support in (False, True):
+                z, first = legacy_kernel(scheme, support, legacy_tables(m, scheme, support), u)
+                got = kernel(m.tables(scheme, support), u)
+                assert _same(got[0], z) and _same(got[1], first)
+            rs = mk()
+            assert _same(sample(m, scheme, rs, n), z)
+            assert rs.position == n * per
+
+            rep = mc_estimate(m, scheme, n, mk())
+            counts = np.stack([np.bincount(z[:, i], minlength=m.K) for i in range(m.q)])
+            assert np.array_equal(rep.marginals, counts / n)
+            used = np.zeros((n, m.K), dtype=bool)
+            used[np.arange(n)[:, None], z] = True
+            assert np.array_equal(rep.usage, used.mean(axis=0))
+            assert (rep.in_support, rep.uniforms) == (n, n * per)
+            if scheme == "dilate":
+                wait = first.max(axis=1)
+                assert np.array_equal(rep.tail, (wait[:, None] >= rep.tail_grid).sum(axis=0) / n)
+
+
+def test_mc_in_support_counts_the_runs_off_the_support(monkeypatch):
+    # a kernel that sends some items off their support: the chunk's counts
+    # on cells with u = 0 send in_support to the per-run check
+    m = validate([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    z = np.array([[0, 1], [1, 1], [2, 0], [1, 0], [2, 1]])
+    monkeypatch.setitem(rounding._KERNELS, "independent", lambda tables, u: (z[:len(u)], None))
+    assert mc_estimate(m, "independent", 5, RandomStream(0)).in_support == 2
+    assert mc_estimate(m, "independent", 2, RandomStream(0)).in_support == 1
+
+
 @pytest.mark.parametrize("stream_type", (SmallestUniforms, TinyUniforms))
 @pytest.mark.parametrize("rows", ORACLE_INSTANCES)
 def test_smallest_uniforms_draw_in_support(rows, stream_type):
@@ -682,22 +751,22 @@ def test_pinned_cdf_keeps_draws_below_one():
 def _clipped_inverse_cdf(cdf, u):
     """The count over all K columns clipped to K - 1, the form inverse_cdf
     had before it counted over the first K - 1 columns only."""
-    cols = (cdf if cdf.ndim > u.ndim else cdf[None]).T
+    cols = cdf.T if u.ndim == 1 else cdf.T[:, :, None]
     return np.minimum(np.add.reduce(cols < u.T, axis=0), cdf.shape[-1] - 1).T
 
 
 def test_inverse_cdf_matches_the_clipped_count():
-    # same values, dtype and shape on pinned and plain cumulative sums, one
-    # shared table or one per draw, U = 1 and K = 1
+    # same values, dtype and shape on pinned and plain cumulative sums, a
+    # table shared by a block of draws or by one, U = 1 and K = 1
     gen = np.random.default_rng(20261019)
     for t in range(600):
         q, K, n = int(gen.integers(1, 7)), int(gen.integers(1, 9)), int(gen.integers(1, 5))
-        w = gen.random((n, q, K)) * (gen.random((n, q, K)) < 0.6)
-        w[..., gen.integers(K)] += 0.01
+        w = gen.random((q, K)) * (gen.random((q, K)) < 0.6)
+        w[:, gen.integers(K)] += 0.01
         w /= w.sum(axis=-1, keepdims=True)
         cdf = rounding.pinned_cdf(w) if t % 2 else np.cumsum(w, axis=-1)
         u = np.ones((n, q)) if t % 5 == 0 else gen.random((n, q))
-        for table, draws in ((cdf, u), (cdf[0], u), (cdf[0], u[0])):
+        for table, draws in ((cdf, u), (cdf, u[0])):
             got, want = rounding.inverse_cdf(table, draws), _clipped_inverse_cdf(table, draws)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert np.array_equal(got, want)
