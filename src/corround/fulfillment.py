@@ -179,8 +179,9 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     and the linking rows y >= u. The null FC has no inventory rows, and
     neither has a (k, i) with infinite stock, whose budget never binds.
 
-    The arrays are computed from the layout: item slot s (slots numbered
-    in pair order) owns the u columns s*(K+1) .. s*(K+1) + K.
+    Each block of rows is stated as (value, row, column) triplets off the
+    layout: item slot s (slots numbered in pair order) owns the u columns
+    s*(K+1) .. s*(K+1) + K, and pair p the y columns n_u + p*(K+1) + k.
     """
     K1 = inst.K + 1
     pt, pj = np.nonzero(inst.rates > 0.0)
@@ -199,29 +200,21 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
         (w[:, None] * inst.fixed_cost[:, pj].T).ravel(),
     ))
 
-    # inventory row (k, i): column s*(K+1) + k of each slot s of item i,
-    # slots in order; by_item lists the slots item by item, item i's from
-    # start[i] on
-    rk, ri = np.nonzero(inst.inventory[1:] < math.inf)
-    by_item = np.argsort(item, kind="stable")
-    count = np.bincount(item, minlength=inst.n)
-    start = np.cumsum(count) - count
-    size = count[ri]
-    ptr = np.cumsum(size) - size
-    slot = by_item[np.arange(size.sum()) + np.repeat(start[ri] - ptr, size)]
+    # an inventory row per finite stock (k, i) of a real FC, in (k, i) order:
+    # u column s*(K+1) + k enters the row of (k, item of s) with weight T * rate
+    finite = inst.inventory < math.inf
+    finite[0] = False
+    n_inv = np.count_nonzero(finite)
+    stocked = finite[:, item].T.ravel()
+    inv_row = (np.cumsum(finite) - 1).reshape(finite.shape)[:, item].T.ravel()
     u_col = np.arange(n_u)
-    indices = np.concatenate((
-        slot * K1 + np.repeat(rk + 1, size),
-        u_col,   # the assignment rows, K+1 entries each
-        np.column_stack((u_col, n_u + np.repeat(pair * K1, K1) + u_col % K1)).ravel(),
-    ))
-    data = np.concatenate((w[pair[slot]], np.ones(n_u), np.tile([1.0, -1.0], n_u)))
-    lengths = np.concatenate((size, np.full(n_s, K1), np.full(n_u, 2)))
-    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    relations = np.repeat(np.array([simplex.LE, simplex.EQ, simplex.LE], dtype=np.int8), (ri.size, n_s, n_u))
-    rhs = np.concatenate((inst.inventory[1:][rk, ri], np.ones(n_s), np.zeros(n_u)))
-    problem = simplex.LPProblem.from_arrays(c, (data, indices, indptr), relations, rhs)
+    link = n_inv + n_s + u_col   # the linking row u <= y of each u column
+    values = np.concatenate((np.repeat(w[pair], K1)[stocked], np.repeat([1.0, 1.0, -1.0], n_u)))
+    rows = np.concatenate((inv_row[stocked], n_inv + u_col // K1, link, link))
+    cols = np.concatenate((u_col[stocked], u_col, u_col, n_u + np.repeat(pair * K1, K1) + u_col % K1))
+    relations = np.repeat(np.array([simplex.LE, simplex.EQ, simplex.LE], dtype=np.int8), (n_inv, n_s, n_u))
+    rhs = np.concatenate((inst.inventory[finite], np.ones(n_s), np.zeros(n_u)))
+    problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
     return problem, DLPIndex(pairs, tuple(u_off.tolist()))
 
 

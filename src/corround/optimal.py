@@ -14,7 +14,8 @@ order, then the u columns. One table lays the u columns out: ``cells``
 holds a row (S, i, k) per u column, for every live S and k in S with
 u_ki > 0, in lexicographic order. The builder, the solution, its checks,
 its sampler and its text all read it; the solution's z stays indexed by
-bitmask, 0 off the live subsets.
+bitmask, 0 off the live subsets. The builder states the LP's rows as
+(value, row, column) triplets off this layout.
 
 The solved distribution is itself a runnable rounding scheme: draw a subset
 S proportional to z, then give each item an FC inside S proportional to its
@@ -72,6 +73,11 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     misses some item's support could only carry z(S) = 0, so it gets no
     variable either: the LP runs over the live subsets, which meet every
     item's support.
+
+    The rows, each block stated as (value, row, column) triplets: row j*q + i
+    serves item i from exactly one FC of S = live[j] (its cells of (S, i) =
+    z(S)); conditional masses add up to the marginals (a row per u_ki > 0,
+    in (k, i) order); FC k's usage is at most alpha * y_k; one subset happens.
     """
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
@@ -84,43 +90,27 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     cells = np.argwhere(inside[:, None, :] & on)   # (j, i, k) for S = live[j]
     J, I, F = cells.T
     first = 1 + n_live  # column of the first cell
-    # each item is served from exactly one FC of the realized subset: row
-    # (S, i) holds z(S) and the run of cells keyed j*q + i
-    runs = np.bincount(J * q + I, minlength=n_live * q)
-    head = np.cumsum(runs + 1) - (runs + 1)   # where each row's z(S) goes
-    is_cell = np.ones(runs.sum() + runs.size, dtype=bool)
-    is_cell[head] = False
-    cover_cols = np.empty(is_cell.size, dtype=np.int64)
-    cover_cols[head] = 1 + np.arange(n_live * q) // q
-    cover_cols[is_cell] = first + np.arange(len(cells))
-    # conditional masses add up to the marginals: in (k, i, S) order each
-    # positive u_ki owns one cell per live subset containing k
-    marginals = m.u.T[on.T]
-    per_marginal = np.bincount(F * q + I, minlength=K * q)[on.T.ravel()]
-    # usage of each FC stays below alpha * y_k: alpha, then every live subset with k
-    fc, j = np.nonzero(inside.T)
-    per_fc = np.bincount(fc, minlength=K) + 1
-    is_z = np.ones(j.size + K, dtype=bool)
-    is_z[np.cumsum(per_fc) - per_fc] = False
-    usage_cols = np.zeros(is_z.size, dtype=np.int64)
-    usage_cols[is_z] = 1 + j
-    usage = np.ones(is_z.size)
-    usage[~is_z] = -m.y
-    indices = np.concatenate((cover_cols, first + np.lexsort((J, I, F)), usage_cols,
-                              np.arange(1, first)))   # exactly one subset happens
-    data = np.concatenate((np.where(is_cell, 1.0, -1.0), np.ones(len(cells)), usage,
-                           np.ones(n_live)))
-    lengths = np.concatenate((runs + 1, per_marginal, per_fc, [n_live]))
-    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
+    cell_col, z_col = first + np.arange(len(cells)), np.arange(1, first)
+    cover = np.arange(n_live * q)
+    n_marg = np.count_nonzero(on)
+    marg_row = cover.size - 1 + np.cumsum(on.T).reshape(K, q)   # where u_ki > 0
+    usage = cover.size + n_marg + np.arange(K)
+    fc, j = np.nonzero(inside.T)   # FC fc is in live subset j
+    # by block: cover rows (-z, cells), marginal rows, usage rows (-y alpha, z), sum of z
+    values = np.concatenate((-np.ones(cover.size), np.ones(2 * len(cells)), -m.y,
+                             np.ones(fc.size + n_live)))
+    rows = np.concatenate((cover, J * q + I, marg_row[F, I], usage, usage[fc],
+                           np.full(n_live, cover.size + n_marg + K)))
+    cols = np.concatenate((z_col[cover // q], cell_col, cell_col, np.zeros(K, dtype=np.int64),
+                           z_col[j], z_col))
     EQ, LE = simplex.EQ, simplex.LE
-    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (runs.size, marginals.size, K, 1))
-    rhs = np.concatenate((np.zeros(runs.size), marginals, np.zeros(K), [1.0]))
+    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (cover.size, n_marg, K, 1))
+    rhs = np.concatenate((np.zeros(cover.size), m.u.T[on.T], np.zeros(K), [1.0]))
 
     c = np.zeros(first + len(cells))
     c[0] = 1.0
     cells[:, 0] = live[J]   # J is a view of this column: its last read was above
-    problem = simplex.LPProblem.from_arrays(c, (data, indices, indptr), relations, rhs)
+    problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
     return problem, SubsetVarIndex(K=K, q=q, live=live, cells=cells)
 
 

@@ -2,24 +2,24 @@
 
 Problems are `min c.x` over rows with a relation and a rhs each, and with
 per-variable bounds, held as arrays: the rows as one CSR matrix. The
-builders in this package compute those arrays and pass them to
-`LPProblem.from_arrays`; `LPProblem(c, constraints, bounds)` takes rows as
-(coefficients, relation, rhs) tuples, coefficients as dense vectors or
-{index: value} dicts, and turns them into the same arrays. Both run one
-set of checks. `solve` hands the arrays to the dual revised simplex of
-HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
-Math. Prog. Comp. 10, 2018) as numpy buffers, through the array
-``passModel`` of the HiGHS bindings that scipy ships
-(`scipy.optimize._highspy._core`, scipy >= 1.15). HiGHS gets the options
-that scipy's own LP front end (method "highs-ds", presolve off) would give
-it and the stored rows as they are, by row, without that front end's
-per-call option checks and matrix stacking: the ``<=`` and ``>=`` rows
-before the ``=`` rows, each row's relation in its row bounds, dual
-simplex, presolve off, the pivot cap as its simplex iteration limit. So
-it returns the same vertex after the same number of pivots as scipy's
-front end would. Each thread keeps one HiGHS solver, made on its first
-solve and cleared before every run, so no basis or solution carries over
-from one solve to the next.
+builders in this package state their rows as (value, row, column) triplets
+in any order and pass them to `LPProblem.from_arrays`; `LPProblem(c,
+constraints, bounds)` takes rows as (coefficients, relation, rhs) tuples,
+coefficients as dense vectors or {index: value} dicts, and turns them into
+triplets too. Both run one set of checks and one COO-to-CSR step. `solve`
+hands the arrays to the dual revised simplex of HiGHS (Huangfu & Hall,
+"Parallelizing the dual revised simplex method", Math. Prog. Comp. 10,
+2018) as numpy buffers, through the array ``passModel`` of the HiGHS
+bindings that scipy ships (`scipy.optimize._highspy._core`, scipy >=
+1.15). HiGHS gets the options that scipy's own LP front end (method
+"highs-ds", presolve off) would give it and the stored rows as they are,
+by row, without that front end's per-call option checks and matrix
+stacking: the ``<=`` and ``>=`` rows before the ``=`` rows, each row's
+relation in its row bounds, dual simplex, presolve off, the pivot cap as
+its simplex iteration limit. So it returns the same vertex after the same
+number of pivots as scipy's front end would. Each thread keeps one HiGHS
+solver, made on its first solve and cleared before every run, so no basis
+or solution carries over from one solve to the next.
 
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
@@ -95,71 +95,60 @@ class LPProblem:
     arrays: ``c`` and ``bounds`` (an (n, 2) array) as floats, the rows as
     one CSR matrix ``A`` with strictly ascending column indices per row, a
     relation code per row in ``relations`` (an index into RELATIONS) and
-    ``rhs``. `from_arrays` takes those arrays as they are; ``LPProblem(c,
-    constraints, bounds)`` first turns rows given as dense vectors or
-    {index: value} dicts into them (explicit zeros of dict rows kept,
-    columns sorted). Either way the same checks run once, and a failure
-    raises DimensionMismatch naming the row. Only the arrays are kept.
+    ``rhs``. `from_arrays` takes the entries of ``A`` as (value, row,
+    column) triplets in any order; ``LPProblem(c, constraints, bounds)``
+    turns rows given as dense vectors or {index: value} dicts into triplets
+    (explicit zeros of dict rows kept). Either way the same checks run once,
+    a failure raising DimensionMismatch, and the triplets are sorted into
+    ``A``. Only the arrays are kept.
     """
 
     def __init__(self, c, constraints=(), bounds=None):
         n = np.asarray(c).size
-        cols, vals, counts, codes, rhs = [], [], [], [], []
+        rows, cols, vals, codes, rhs = [], [], [], [], []
         for pos, (coef, rel, b) in enumerate(constraints):
-            if isinstance(coef, dict):
-                bad = [key for key in coef if not isinstance(key, numbers.Real)]
-                if bad:
-                    raise DimensionMismatch(f"row {pos}: column index {bad[0]!r} is not a number")
-                cols += coef
-                vals += coef.values()
-                counts.append(len(coef))
-            else:
+            if not isinstance(coef, dict):
                 arr = np.asarray(coef, dtype=float)
                 if arr.shape != (n,):
-                    raise DimensionMismatch(
-                        f"row {pos}: width {len(coef)} != objective width {n}"
-                    )
+                    raise DimensionMismatch(f"row {pos}: shape {arr.shape}, not ({n},)")
                 idx = np.flatnonzero(arr)
-                cols += idx.tolist()
-                vals += arr[idx].tolist()
-                counts.append(idx.size)
+                coef = dict(zip(idx.tolist(), arr[idx].tolist()))
+            bad = [key for key in coef if not isinstance(key, numbers.Real)]
+            if bad:
+                raise DimensionMismatch(f"row {pos}: column index {bad[0]!r} is not a number")
             if rel not in _REL_CODE:
                 raise DimensionMismatch(f"row {pos}: unknown relation {rel!r}")
+            rows += [pos] * len(coef)
+            cols += coef
+            vals += coef.values()
             codes.append(_REL_CODE[rel])
             rhs.append(b)
-        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # each row's entries by ascending column
-        keys = np.asarray(cols)
-        perm = np.lexsort((keys, np.repeat(np.arange(len(counts)), counts)))
-        self._set(c, (np.asarray(vals, dtype=float)[perm], keys[perm], indptr), codes, rhs, bounds)
+        A = (np.asarray(vals, dtype=float), np.asarray(rows, dtype=np.int64), np.asarray(cols))
+        self._set(c, A, codes, rhs, bounds)
 
     @classmethod
     def from_arrays(cls, c, A, relations, rhs, bounds=None) -> LPProblem:
-        """The problem with ``A`` = (data, indices, indptr), the arrays of a
-        CSR matrix whose column indices ascend strictly in each row, a
-        relation code per row (an index into RELATIONS) and a rhs per row.
+        """The problem with ``A`` = (values, rows, cols), equal-length arrays
+        with one entry of the rows per triplet, in any order: rows integers
+        in [0, m), columns whole in [0, n), values finite, no (row, column)
+        twice; and m relation codes (indices into RELATIONS) and m rhs.
         """
         self = cls.__new__(cls)
         self._set(c, A, relations, rhs, bounds)
         return self
 
     def _set(self, c, A, relations, rhs, bounds):
-        """Check a problem's arrays and store them: the checks of both
-        entry points."""
+        """Check a problem's arrays and store them, the rows as CSR: the
+        checks and the one COO-to-CSR step of both entry points."""
         c = np.asarray(c, dtype=float)
         n = c.size
         if not np.all(np.isfinite(c)):
             raise DimensionMismatch("objective has a non-finite coefficient")
-        if bounds is None:
-            bounds = np.zeros((n, 2))
-            bounds[:, 1] = INF
-        else:
-            bounds = np.asarray(bounds, dtype=float)
-            if bounds.shape != (n, 2):
-                raise DimensionMismatch("bounds length != objective width")
-            if np.isnan(bounds).any():
-                raise DimensionMismatch("bounds contain NaN")
+        bounds = np.asarray(np.tile([0.0, INF], (n, 1)) if bounds is None else bounds, dtype=float)
+        if bounds.shape != (n, 2):
+            raise DimensionMismatch("bounds length != objective width")
+        if np.isnan(bounds).any():
+            raise DimensionMismatch("bounds contain NaN")
         codes = np.asarray(relations)
         rhs = np.asarray(rhs, dtype=float)
         m = rhs.size
@@ -172,28 +161,24 @@ class LPProblem:
             if known[pos]:
                 raise DimensionMismatch(f"row {pos}: rhs must be finite, got {rhs[pos]}")
             raise DimensionMismatch(f"row {pos}: unknown relation {codes[pos].item()!r}")
-        data, keys, indptr = A
-        data, keys, indptr = np.asarray(data, dtype=float), np.asarray(keys), np.asarray(indptr)
-        shaped = (indptr.shape == (m + 1,) and indptr.dtype.kind in "iu"
-                  and keys.shape == data.shape == (data.size,))
-        if (not shaped or indptr[0] != 0 or indptr[-1] != data.size
-                or (indptr[1:] < indptr[:-1]).any()):
-            raise DimensionMismatch(f"A is not the CSR form of {m} rows")
-        # column indices ascend strictly within each row. A row's first
-        # entry, at indptr[r], has no predecessor to exceed; an empty row's
-        # mark falls on the next row's first entry or on the spare end slot
-        ok = np.empty(data.size + 1, dtype=bool)
-        ok[1:-1] = keys[1:] > keys[:-1]
-        ok[indptr[:-1]] = True
-        ok = ok[:-1] & (keys >= 0) & (keys < n) & (np.trunc(keys) == keys) & np.isfinite(data)
+        data, rows, cols = np.asarray(A[0], dtype=float), np.asarray(A[1]), np.asarray(A[2])
+        if (not rows.shape == cols.shape == data.shape == (data.size,)
+                or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= m)):
+            raise DimensionMismatch(f"A is not (values, rows, cols) of one length, rows in [0, {m})")
+        ok = (cols >= 0) & (cols < n) & (np.trunc(cols) == cols) & np.isfinite(data)
         if not ok.all():
-            pos = int(np.searchsorted(indptr, np.argmin(ok), side="right")) - 1
-            raise DimensionMismatch(
-                f"row {pos}: column index out of range, not whole or not above the "
-                "previous one, or coefficient not finite"
-            )
+            raise DimensionMismatch(f"row {rows[~ok].min()}: column index out of range or not "
+                                    "whole, or coefficient not finite")
+        # each row's entries by ascending column, rows in order
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        perm = np.argsort(rows * n + cols, kind="stable")
+        rows, cols = rows[perm], cols[perm]
+        twice = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if twice.size:
+            raise DimensionMismatch(f"row {rows[twice[0]]}: column {cols[twice[0]]} given twice")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
         self.c, self.bounds, self.relations, self.rhs = c, bounds, codes.astype(np.int8), rhs
-        self.A = sparse.csr_matrix((data, keys.astype(np.int64), indptr), shape=(m, n))
+        self.A = sparse.csr_matrix((data[perm], cols, indptr), shape=(m, n))
 
     @property
     def n(self) -> int:
@@ -253,14 +238,17 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     HiGHS is called directly, on the model and options that scipy's LP
     front end (method "highs-ds", presolve off) would pass it, so the
     vertex and the pivot count are the ones that front end would return;
-    the checks below are the same. ``max_pivots`` caps the simplex
-    iterations; a run that reaches it returns ITERATION_LIMIT.
+    the checks below are the same. ``max_pivots`` (>= 0, else ValueError)
+    caps the simplex iterations, at most at 2**31 - 1; a run that reaches
+    the cap returns ITERATION_LIMIT.
     Optimal solutions satisfy every row and bound within FEAS_TOL and carry
     a dual certificate within FEAS_TOL (checked; a failure raises
     SolverNumericalError). A problem with no columns is decided here,
     without HiGHS: optimal at x = [] with objective 0 when every row holds
     there within FEAS_TOL, else infeasible.
     """
+    if max_pivots < 0:
+        raise ValueError(f"max_pivots must be >= 0, got {max_pivots}")
     lo, hi = problem.bounds.T
     if np.any(lo > hi):
         return LPSolution(INFEASIBLE, None, None)
@@ -364,7 +352,10 @@ def _run_highs(c, rows, row_lo, row_hi, lo, hi, max_pivots):
     start, index, value = rows
     h = _solver()
     h.clearSolver()
-    h.setOptionValue("simplex_iteration_limit", int(max_pivots))
+    # HiGHS keeps the limit of the run before when it rejects one above 2**31 - 1
+    limit = min(int(max_pivots), 2 ** 31 - 1)
+    if h.setOptionValue("simplex_iteration_limit", limit) != _highs.HighsStatus.kOk:
+        raise SolverNumericalError(f"HiGHS rejected the simplex iteration limit {limit}")
     # every column continuous (an empty integrality array is not taken)
     if h.passModel(c.size, row_hi.size, value.size, _ROWWISE, _MINIMIZE, 0.0, c, lo, hi,
                    row_lo, row_hi, start, index, value,

@@ -18,6 +18,7 @@ from corround.optimal import (
     write_solution,
 )
 from corround.rounding import ParseError, guarantee_dilate, guarantee_force_open, validate
+from corround.setcover import hard_instance, marginals_from_fractional_cover
 from corround.simplex import LPProblem
 from corround.streams import RandomStream
 
@@ -334,6 +335,16 @@ def test_alpha_pairs_is_four_thirds():
     pairs = validate([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
     sol = solve_optimal_alpha(pairs)
     assert sol.alpha == pytest.approx(4.0 / 3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("d,K", [(1, 4), (2, 4), (2, 6), (3, 6), (2, 8), (3, 8)])
+def test_alpha_on_the_lower_bound_family(d, K):
+    # one item per d-subset of K FCs, y = 1/d: alpha* is d - d(d-1)/K, the
+    # paper's lower bound met exactly, and within min(1 + ln q, d)
+    m = marginals_from_fractional_cover(*hard_instance(d, K))
+    alpha = solve_optimal_alpha(m).alpha
+    assert alpha == pytest.approx(d - d * (d - 1) / K, abs=1e-9)
+    assert alpha <= min(1.0 + math.log(m.q), d) + 1e-9
 
 
 def test_alpha_below_scheme_guarantees():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from corround import simplex
-from corround.fulfillment import build_dlp
+from corround.fulfillment import build_dlp, solve_dlp
 from corround.instances import GeneratorConfig, build_instance
 from corround.optimal import build_lp
 from corround.rounding import validate
@@ -31,6 +31,7 @@ from conftest import (
     colwise_solve,
     linprog_highs_ds,
     linprog_optimum,
+    lp_arrays,
     random_instance,
     vertex_enumeration_optimum,
     write_lp,
@@ -103,6 +104,10 @@ def test_crossed_bounds_infeasible():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         LPProblem(c=np.array([1.0, 2.0]), constraints=[(np.array([1.0]), "<=", 1.0)])
+    # a dense row that is a scalar or not flat names its row too
+    for coef in (1.0, np.ones((1, 2))):
+        with pytest.raises(DimensionMismatch, match="row 0: shape"):
+            LPProblem(c=np.ones(2), constraints=[(coef, "<=", 1.0)])
     with pytest.raises(DimensionMismatch):
         LPProblem(c=np.array([1.0]), constraints=[({3: 1.0}, "<=", 1.0)])
     with pytest.raises(DimensionMismatch):
@@ -137,23 +142,23 @@ def test_dimension_mismatch():
 def test_array_entry_point_runs_the_same_checks():
     # min -x0 - x1: x0 + 2 x1 <= 4, x1 >= 1 (row 1 also holds an explicit 0)
     c, rel, rhs = np.array([-1.0, -1.0]), np.array([0, 2], dtype=np.int8), np.array([4.0, 1.0])
-    A = (np.array([1.0, 2.0, 0.0, 1.0]), np.array([0, 1, 0, 1]), np.array([0, 2, 4]))
+    A = (np.array([1.0, 2.0, 0.0, 1.0]), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
     p = LPProblem.from_arrays(c, A, rel, rhs)
     rows = LPProblem(c, [({0: 1.0, 1: 2.0}, "<=", 4.0), ({1: 1.0, 0: 0.0}, ">=", 1.0)])
     assert p.A.nnz == 4 and solve(p).objective == pytest.approx(solve(rows).objective) == -3.0
     # constraints is read off A, explicit zeros included
     assert p.constraints == [({0: 1.0, 1: 2.0}, "<=", 4.0), ({0: 0.0, 1: 1.0}, ">=", 1.0)]
-    data, indices, indptr = A
+    assert lp_arrays(p) == lp_arrays(rows)
+    values, ri, ci = A
     bad = [
-        ((data, np.array([0, 2, 0, 1]), indptr), rel, rhs, "row 0: column index"),    # out of range
-        ((data, np.array([0, 0.5, 0, 1]), indptr), rel, rhs, "row 0"),                # not whole
-        ((data, np.array([1, 0, 0, 1]), indptr), rel, rhs, "row 0"),                  # descending
-        ((data, np.array([0, 1, 1, 1]), indptr), rel, rhs, "row 1"),                  # repeated
-        ((np.array([1.0, 2.0, math.nan, 1.0]), indices, indptr), rel, rhs, "row 1"),  # NaN entry
-        ((data, indices, np.array([0, 2, 3])), rel, rhs, "CSR"),                      # short of nnz
-        ((data, indices, np.array([0, 4, 2, 4])), np.zeros(3), np.zeros(3), "CSR"),   # decreasing
-        ((data, indices, np.array([0, 2])), rel, rhs, "CSR"),                         # too few rows
-        ((data, indices, np.array([0.0, 2.0, 4.0])), rel, rhs, "CSR"),                # float indptr
+        ((values, ri, np.array([0, 2, 0, 1])), rel, rhs, "row 0: column index"),      # out of range
+        ((values, ri, np.array([0, 0.5, 0, 1])), rel, rhs, "row 0"),                  # not whole
+        ((values, ri, np.array([0, 1, 1, 1])), rel, rhs, "row 1: column 1 given twice"),
+        ((np.array([1.0, 2.0, math.nan, 1.0]), ri, ci), rel, rhs, "row 1"),           # NaN entry
+        ((values, np.array([0, 0, 1]), ci), rel, rhs, "rows in"),                     # lengths differ
+        ((values, np.array([0.0, 0.0, 1.0, 1.0]), ci), rel, rhs, "rows in"),          # float rows
+        ((values, np.array([0, 0, 1, 2]), ci), rel, rhs, "rows in"),                  # row past m
+        ((values, np.array([-1, 0, 1, 1]), ci), rel, rhs, "rows in"),                 # negative row
         (A, np.array([0, 3]), rhs, "row 1: unknown relation 3"),
         (A, np.array([0, 1.5]), rhs, "row 1: unknown relation 1.5"),
         (A, rel, np.array([4.0, INF]), "row 1: rhs must be finite"),
@@ -162,10 +167,29 @@ def test_array_entry_point_runs_the_same_checks():
     for arrays, codes, b, match in bad:
         with pytest.raises(DimensionMismatch, match=match):
             LPProblem.from_arrays(c, arrays, codes, b)
+    # no entries at all, as empty lists
+    empty = LPProblem.from_arrays(c, ([], [], []), rel, rhs)
+    assert empty.A.shape == (2, 2) and empty.A.nnz == 0
     with pytest.raises(DimensionMismatch, match="bounds length"):
         LPProblem.from_arrays(c, A, rel, rhs, bounds=[(0.0, 1.0)])
     with pytest.raises(DimensionMismatch, match="objective"):
         LPProblem.from_arrays(np.array([-1.0, INF]), A, rel, rhs)
+
+
+def test_triplets_in_any_order_build_the_same_rows():
+    # shuffled triplets give the arrays of the sorted ones, bit for bit
+    # (the -0.0 entry included), on a hand LP and on both builders' LPs
+    c, rel, rhs = np.array([-1.0, -1.0, 0.0]), np.array([0, 2, 1], dtype=np.int8), np.zeros(3)
+    A = (np.array([1.0, 2.0, -0.0, 1.0, 3.0]), np.array([0, 0, 1, 1, 2]), np.array([0, 2, 0, 1, 2]))
+    dlp = build_dlp(build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1)))[0]
+    subset = build_lp(random_instance(np.random.default_rng(3), 4, 5, sparse=True))[0]
+    gen = np.random.default_rng(20261020)
+    for p in (LPProblem.from_arrays(c, A, rel, rhs), dlp, subset):
+        coo = p.A.tocoo()
+        perm = gen.permutation(coo.nnz)
+        shuffled = LPProblem.from_arrays(p.c, (coo.data[perm], coo.row[perm], coo.col[perm]),
+                                         p.relations, p.rhs, p.bounds)
+        assert lp_arrays(shuffled) == lp_arrays(p)
 
 
 def test_solve_does_not_build_rows():
@@ -183,6 +207,24 @@ def test_iteration_limit_status():
     s = solve(p, max_pivots=0)
     assert s.status == ITERATION_LIMIT
     assert s.x is None and s.objective is None
+
+
+def test_pivot_cap_does_not_carry_over():
+    # a cap above HiGHS's largest runs uncapped instead of keeping the cap
+    # of the solve before, on this thread's one solver
+    p = LPProblem(
+        c=np.array([1.0, 1.0]),
+        constraints=[(np.array([1.0, 1.0]), "=", 2.0), (np.array([1.0, -1.0]), "=", 0.0)],
+    )
+    inst = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
+    for cap in (10 ** 12, 2 ** 31 - 1, 2 ** 31):
+        assert solve(p, max_pivots=0).status == ITERATION_LIMIT
+        assert solve(p, max_pivots=cap).status == OPTIMAL
+        assert solve(p, max_pivots=0).status == ITERATION_LIMIT
+        assert solve_dlp(inst, max_pivots=cap).objective == pytest.approx(solve_dlp(inst).objective)
+    with pytest.raises(ValueError, match="max_pivots"):
+        solve(p, max_pivots=-1)
+    assert solve(p).status == OPTIMAL
 
 
 def test_determinism():
