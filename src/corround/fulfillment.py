@@ -620,26 +620,21 @@ def _running_sum(x: np.ndarray) -> float:
 def theoretical_beta(inst: FulfillmentInstance, plan: DLPlan) -> tuple[float, float]:
     """Fixed-cost-weighted average guarantee of per-order best-scheme dispatch.
 
-    Returns (beta, relaxed) where relaxed = 1 + ln(max order size) is the
-    coarser order-size-only bound. With no fixed-cost mass anywhere the
-    weighted average degenerates; beta is then 1.
+    Each plan row's guarantee is `rounding.select_scheme`'s predicted ratio
+    on that row of the plan's dispatch table, which checks the plan's fit to
+    the instance once (`_plan_keys`), as `simulate` does. Returns (beta,
+    relaxed) where relaxed = 1 + ln(max order size) is the coarser
+    order-size-only bound. With no fixed-cost mass anywhere the weighted
+    average degenerates; beta is then 1.
     """
+    rows = _dispatch_table(inst, plan).rows
     num = den = 0.0
-    max_q = 1
-    for t, j in _plan_keys(inst, plan):
-        mat = plan.u[(t, j)]
-        q = len(inst.types[t])
-        max_q = max(max_q, q)
-        term = min(
-            rounding.guarantee_dilate(q),
-            1.0 / mat.max(axis=1).min(),
-            rounding.guarantee_js(q),
-        )
+    for (t, j), m in zip(plan.u, rows):
         w = inst.rates[t, j] * float(inst.fixed_cost[:, j] @ plan.y[(t, j)])
-        num += w * term
+        num += w * rounding.select_scheme(m)[1]
         den += w
     beta = num / den if den > 0.0 else 1.0
-    return beta, 1.0 + math.log(max_q)
+    return beta, 1.0 + math.log(max((m.q for m in rows), default=1))
 
 
 def scale(inst: FulfillmentInstance, theta: float) -> FulfillmentInstance:

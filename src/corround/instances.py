@@ -72,12 +72,8 @@ class Geography:
     """Selected regions and FCs with the K x J distance matrix."""
 
     region_names: tuple
-    region_lat: np.ndarray
-    region_lon: np.ndarray
     population: np.ndarray
     fc_names: tuple
-    fc_lat: np.ndarray
-    fc_lon: np.ndarray
     dist: np.ndarray  # (K, J) miles
 
     @property
@@ -89,11 +85,15 @@ class Geography:
         return len(self.fc_names)
 
 
-def _read_csv(path_or_file, columns):
+def _read_csv(path_or_file, bundled, columns):
     """A geography CSV's rows as tuples, each value cast by ``columns``
-    (name, type). A missing column, a short row, a value that is not of
-    its type and a NaN or infinite number raise GeneratorError naming the
+    (name, type); the bundled data file ``bundled`` when ``path_or_file``
+    is None. A missing column, a short row, a value that is not of its
+    type and a NaN or infinite number raise GeneratorError naming the
     file, the line and the column."""
+    if path_or_file is None:
+        with resources.files("corround.data").joinpath(bundled).open(newline="") as f:
+            return _parse_csv(f, bundled, columns)
     if hasattr(path_or_file, "read"):
         return _parse_csv(path_or_file, getattr(path_or_file, "name", "<stream>"), columns)
     with open(path_or_file, newline="") as f:
@@ -125,18 +125,12 @@ def _parse_csv(f, name, columns):
 
 def load_regions(path_or_file=None):
     """All regions from a CSV (name, lat, lon, population); bundled default."""
-    if path_or_file is None:
-        with resources.files("corround.data").joinpath("metros.csv").open() as f:
-            return _read_csv(f, _REGION_COLS)
-    return _read_csv(path_or_file, _REGION_COLS)
+    return _read_csv(path_or_file, "metros.csv", _REGION_COLS)
 
 
 def load_fcs(path_or_file=None):
     """All FCs from a CSV (name, lat, lon) in size-rank order; bundled default."""
-    if path_or_file is None:
-        with resources.files("corround.data").joinpath("fcs.csv").open() as f:
-            return _read_csv(f, _FC_COLS)
-    return _read_csv(path_or_file, _FC_COLS)
+    return _read_csv(path_or_file, "fcs.csv", _FC_COLS)
 
 
 _REGION_COLS = (("name", str), ("lat", float), ("lon", float), ("population", float))
@@ -153,20 +147,13 @@ def build_geography(J: int, K: int, regions_path=None, fcs_path=None) -> Geograp
         raise GeneratorError(f"K = {K} exceeds the {len(fcs)} available FCs")
     regions = sorted(regions, key=lambda r: (-r[3], r[0]))[:J]
     fcs = fcs[:K]
-    r_lat = np.array([r[1] for r in regions])
-    r_lon = np.array([r[2] for r in regions])
-    f_lat = np.array([f[1] for f in fcs])
-    f_lon = np.array([f[2] for f in fcs])
-    dist = haversine(f_lat[:, None], f_lon[:, None], r_lat[None, :], r_lon[None, :])
+    r_lat, r_lon = np.array([r[1:3] for r in regions]).T
+    f_lat, f_lon = np.array([f[1:3] for f in fcs]).T
     return Geography(
         region_names=tuple(r[0] for r in regions),
-        region_lat=r_lat,
-        region_lon=r_lon,
         population=np.array([r[3] for r in regions]),
         fc_names=tuple(f[0] for f in fcs),
-        fc_lat=f_lat,
-        fc_lon=f_lon,
-        dist=dist,
+        dist=haversine(f_lat[:, None], f_lon[:, None], r_lat[None, :], r_lon[None, :]),
     )
 
 
@@ -237,8 +224,6 @@ def gen_order_types(cfg: GeneratorConfig, rng: RandomStream) -> list:
     (partial Fisher-Yates driven by the stream); identical types may recur
     across draws. Type order: sizes ascending, draws in order.
     """
-    if cfg.n_max > cfg.n:
-        raise SizeImpossible(f"order size {cfg.n_max} > universe {cfg.n}")
     types = [()]
     for size in range(1, cfg.n_max + 1):
         for _ in range(cfg.n_per):

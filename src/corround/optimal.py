@@ -60,10 +60,6 @@ class SubsetVarIndex:
     live: np.ndarray   # (L,) int: bitmasks of the live subsets, ascending
     cells: np.ndarray  # (n, 3) int: (mask, item, FC), lexicographic
 
-    @property
-    def n_vars(self) -> int:
-        return 1 + self.live.size + len(self.cells)
-
 
 def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProblem, SubsetVarIndex]:
     """Assemble the subset LP (min alpha) for an instance.
@@ -174,7 +170,7 @@ class OptimalSchemeSolution:
         inside = np.arange(self.z.size)[:, None] >> np.arange(self.K) & 1
         return np.where(inside, self.z[:, None], 0.0).sum(axis=0)
 
-    def verify(self, m: MarginalMatrix, tol: float = CHECK_TOL) -> None:
+    def verify(self, m: MarginalMatrix) -> None:
         """Re-check every solution invariant against the instance."""
         q, K = self.q, self.K
         if self.z.shape != (2 ** m.K,) or q != m.q or self.cells.shape != (self.mass.size, 3):
@@ -188,20 +184,20 @@ class OptimalSchemeSolution:
         if not np.all(self.mass >= 0.0):
             raise SolverFailure("negative or NaN conditional mass")
         total = self.z.sum()
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= CHECK_TOL:
             raise SolverFailure(f"subset probabilities sum to {total}, not 1")
         if not np.all(self.z >= 0.0):
             raise SolverFailure("negative subset probability after clamping")
         marg = np.bincount(I * K + F, weights=self.mass, minlength=q * K).reshape(q, K)
-        if np.abs(marg - m.u).max() > tol:
+        if np.abs(marg - m.u).max() > CHECK_TOL:
             raise SolverFailure("conditional masses do not reproduce the marginals")
-        off = np.argwhere(np.abs(self.item_mass - self.z[:, None]) > tol)
+        off = np.argwhere(np.abs(self.item_mass - self.z[:, None]) > CHECK_TOL)
         if off.size:
             mask, i = off[0]
             raise SolverFailure(
                 f"item {i} mass {self.item_mass[mask, i]} != z = {self.z[mask]} on subset {mask:b}"
             )
-        if not np.all(self.usage <= self.alpha * m.y + tol):
+        if not np.all(self.usage <= self.alpha * m.y + CHECK_TOL):
             raise SolverFailure("usage exceeds alpha * y")
 
 

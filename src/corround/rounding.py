@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -697,7 +697,15 @@ def write_instance(m: MarginalMatrix, f: TextIO) -> None:
         f.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_instance(f: TextIO) -> MarginalMatrix:
+def read_q_k(f: TextIO, noun: str, parse_line: Callable) -> tuple[int, int, list]:
+    """Read the text layout that instance and cover files share.
+
+    Line 1 is the header "q K", two integers >= 1. One body line follows per
+    row (noun "rows": q lines) or per set ("sets": K lines), then only blank
+    lines. Each body line goes in turn to parse_line(q, K, ln, line), ln its
+    1-based number; returns (q, K, [what parse_line returned]). A fault
+    raises ParseError on its line.
+    """
     lines = f.read().splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header 'q K'")
@@ -710,26 +718,33 @@ def read_instance(f: TextIO) -> MarginalMatrix:
         raise ParseError(1, f"non-integer header {lines[0]!r}") from None
     if q < 1 or K < 1:
         raise ParseError(1, f"header needs q >= 1 and K >= 1, got {lines[0]!r}")
-    rows = []
-    for idx in range(q):
-        ln = idx + 2
-        if ln - 1 >= len(lines):
+    n = {"rows": q, "sets": K}[noun]
+    body = []
+    for ln in range(2, n + 2):
+        if ln > len(lines):
             raise ParseError(ln, "unexpected end of file")
-        parts = lines[ln - 1].split()
+        body.append(parse_line(q, K, ln, lines[ln - 1]))
+    for ln, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise ParseError(ln, f"the header gives {n} {noun}, found another: {line!r}")
+    return q, K, body
+
+
+def read_instance(f: TextIO) -> MarginalMatrix:
+    def row(q, K, ln, line):
+        parts = line.split()
         if len(parts) != K:
             raise ParseError(ln, f"expected {K} values, got {len(parts)}")
         try:
-            row = [float(p) for p in parts]
+            values = [float(p) for p in parts]
         except ValueError:
-            raise ParseError(ln, f"non-numeric value in {lines[ln - 1]!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise ParseError(ln, f"non-finite value in {lines[ln - 1]!r}")
-        rows.append(row)
-    for ln, line in enumerate(lines[q + 1:], start=q + 2):
-        if line.strip():
-            raise ParseError(ln, f"the header gives {q} rows, found another: {line!r}")
+            raise ParseError(ln, f"non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(ln, f"non-finite value in {line!r}")
+        return values
+
     try:
-        return validate(rows)
+        return validate(read_q_k(f, "rows", row)[2])
     except RoundingError as exc:
         # the header's checks leave validate only row errors to raise
         raise ParseError(exc.row + 2, str(exc)) from exc

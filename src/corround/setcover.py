@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rounding
 from .errors import CapExceeded
-from .rounding import MarginalMatrix
+from .rounding import MarginalMatrix, ParseError
 from .streams import RandomStream
 
 HARD_INSTANCE_CAP = 10 ** 5
@@ -48,20 +48,19 @@ class SetCoverInstance:
     def __post_init__(self):
         if self.q < 1:
             raise SetCoverError(f"need at least one element, got q={self.q}")
-        covered = np.zeros(self.q, dtype=bool)
         for k, elems in enumerate(self.members):
             for e in elems:
                 if not isinstance(e, (int, np.integer)):
                     raise SetCoverError(f"set {k} has a non-integer element id {e!r}")
                 if not 0 <= e < self.q:
                     raise SetCoverError(f"set {k} covers unknown element {e}")
-                covered[e] = True
             # a repeat would count the set's weight twice toward the element
             if len(set(elems)) < len(elems):
                 raise SetCoverError(f"set {k} lists an element more than once")
-        if not covered.all():
-            missing = int(np.flatnonzero(~covered)[0])
-            raise SetCoverError(f"element {missing} is covered by no set")
+        # L listed ids leave some element of 0..L uncovered when q > L
+        missing = set(range(min(self.q, sum(map(len, self.members)) + 1))).difference(*self.members)
+        if missing:
+            raise SetCoverError(f"element {min(missing)} is covered by no set")
         if self.costs is not None and len(self.costs) != self.K:
             raise SetCoverError("costs length != set count")
 
@@ -82,12 +81,12 @@ class FractionalCover:
             raise SetCoverError("fractional weights must lie in [0, 1]")
         object.__setattr__(self, "y", y)
 
-    def is_feasible(self, sc: SetCoverInstance, tol: float = FEAS_TOL) -> bool:
+    def is_feasible(self, sc: SetCoverInstance) -> bool:
         mass = np.zeros(sc.q)
         for k, elems in enumerate(sc.members):
             for e in elems:
                 mass[e] += self.y[k]
-        return bool(np.all(mass >= 1.0 - tol))
+        return bool(np.all(mass >= 1.0 - FEAS_TOL))
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def batch_cover_usage(
     return rep.usage, rep.in_support
 
 
-def hard_instance(d: int, K: int, cap: int = HARD_INSTANCE_CAP) -> tuple[SetCoverInstance, FractionalCover]:
+def hard_instance(d: int, K: int) -> tuple[SetCoverInstance, FractionalCover]:
     """Lower-bound family: one element per d-subset of the K sets, y = 1/d.
 
     Any covering scheme on this instance must open sets at an average rate
@@ -165,8 +164,8 @@ def hard_instance(d: int, K: int, cap: int = HARD_INSTANCE_CAP) -> tuple[SetCove
     if not 1 <= d <= K:
         raise SetCoverError(f"need 1 <= d <= K, got d={d}, K={K}")
     q = comb(K, d)
-    if q > cap:
-        raise CapExceeded(f"C({K},{d}) = {q} elements exceeds cap {cap}")
+    if q > HARD_INSTANCE_CAP:
+        raise CapExceeded(f"C({K},{d}) = {q} elements exceeds cap {HARD_INSTANCE_CAP}")
     members = [[] for _ in range(K)]
     for e, subset in enumerate(combinations(range(K), d)):
         for k in subset:
@@ -190,48 +189,32 @@ def write_cover_instance(sc: SetCoverInstance, f: TextIO) -> None:
 
 
 def read_cover_instance(f: TextIO) -> SetCoverInstance:
-    lines = f.read().splitlines()
-    if not lines:
-        raise rounding.ParseError(1, "empty set cover file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise rounding.ParseError(1, f"expected 'q K', got {lines[0]!r}")
-    try:
-        q, K = int(head[0]), int(head[1])
-    except ValueError:
-        raise rounding.ParseError(1, f"non-integer header {lines[0]!r}") from None
-    if q < 1 or K < 1:
-        raise rounding.ParseError(1, f"header needs q >= 1 and K >= 1, got {lines[0]!r}")
-    members, costs = [], []
-    for k in range(K):
-        ln = k + 2
-        if ln - 1 >= len(lines):
-            raise rounding.ParseError(ln, "unexpected end of file")
-        parts = lines[ln - 1].split()
+    def cover_set(q, K, ln, line):
+        parts = line.split()
         if len(parts) < 2:
-            raise rounding.ParseError(ln, "expected 'c_k n_k e_1 ...'")
+            raise ParseError(ln, "expected 'c_k n_k e_1 ...'")
         try:
             cost = float(parts[0])
             nk = int(parts[1])
             elems = [int(p) - 1 for p in parts[2:]]
         except ValueError:
-            raise rounding.ParseError(ln, f"non-numeric entry in {lines[ln - 1]!r}") from None
+            raise ParseError(ln, f"non-numeric entry in {line!r}") from None
         if not isfinite(cost):
-            raise rounding.ParseError(ln, f"non-finite cost in {lines[ln - 1]!r}")
+            raise ParseError(ln, f"non-finite cost in {line!r}")
         if len(elems) != nk:
-            raise rounding.ParseError(ln, f"set lists {len(elems)} elements, header says {nk}")
+            raise ParseError(ln, f"set lists {len(elems)} elements, header says {nk}")
         bad = [e + 1 for e in elems if not 0 <= e < q]
         if bad:
-            raise rounding.ParseError(ln, f"unknown element {bad[0]}: elements are 1..{q}")
+            raise ParseError(ln, f"unknown element {bad[0]}: elements are 1..{q}")
         if len(set(elems)) < nk:
-            raise rounding.ParseError(ln, "set lists an element more than once")
-        members.append(tuple(elems))
-        costs.append(cost)
-    for ln, line in enumerate(lines[K + 1:], start=K + 2):
-        if line.strip():
-            raise rounding.ParseError(ln, f"the header gives {K} sets, found another: {line!r}")
-    # known once the last set is read, so its line is named
-    missing = set(range(q)).difference(*members)
+            raise ParseError(ln, "set lists an element more than once")
+        return cost, tuple(elems)
+
+    q, K, sets = rounding.read_q_k(f, "sets", cover_set)
+    costs, members = zip(*sets)
+    # known once the last set is read, so its line is named; L listed ids
+    # leave some element of 1..L + 1 uncovered when q > L, so only those count
+    missing = set(range(min(q, sum(map(len, members)) + 1))).difference(*members)
     if missing:
-        raise rounding.ParseError(K + 1, f"element {min(missing) + 1} of {q} is covered by no set")
-    return SetCoverInstance(q=q, members=tuple(members), costs=np.asarray(costs))
+        raise ParseError(K + 1, f"element {min(missing) + 1} of {q} is covered by no set")
+    return SetCoverInstance(q=q, members=members, costs=np.asarray(costs))

@@ -969,6 +969,23 @@ def test_theoretical_beta_pairs_capped_by_js():
     assert relaxed == pytest.approx(1.0 + math.log(2))
 
 
+def test_theoretical_beta_matches_the_per_order_guarantees():
+    # the per-order formula: min(1 + ln q, force_open's 1 / min_i max_k u,
+    # B(q)), weighted by rate times the fixed cost of y
+    for seed, J in itertools.product(range(4), (1, 2, 3)):
+        inst = build_instance(GeneratorConfig(n=10, n_max=4, n_per=3, J=J, K=4, T=500, seed=seed))
+        plan = solve_dlp(inst)
+        num = den = 0.0
+        for (t, j), mat in plan.u.items():
+            q = len(inst.types[t])
+            term = min(rounding.guarantee_dilate(q), 1.0 / mat.max(axis=1).min(), rounding.guarantee_js(q))
+            w = inst.rates[t, j] * float(inst.fixed_cost[:, j] @ plan.y[(t, j)])
+            num, den = num + w * term, den + w
+        beta, relaxed = theoretical_beta(inst, plan)
+        assert beta == pytest.approx(num / den, rel=1e-12)
+        assert relaxed == 1.0 + math.log(max(len(inst.types[t]) for t, _ in plan.u))
+
+
 def test_scaling_shrinks_randomized_loss():
     import warnings
 

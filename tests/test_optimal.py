@@ -27,15 +27,14 @@ from conftest import UnitUniforms, assert_same_lp, mps_sha256, random_instance
 
 def test_build_counts_q1_k2():
     m = validate([[0.3, 0.7]])
-    problem, idx = build_lp(m)
+    problem, _ = build_lp(m)
     # alpha + z over {1},{2},{1,2} + conditional masses (1 + 1 + 2)
-    assert idx.n_vars == 8
     assert problem.n == 8
 
 
 def test_build_counts_q2_k2_dense():
     m = validate([[0.6, 0.4], [0.3, 0.7]])
-    problem, idx = build_lp(m)
+    problem, _ = build_lp(m)
     masks = 3
     coverage = masks * m.q
     marginal = m.q * m.K          # all entries positive
@@ -43,7 +42,7 @@ def test_build_counts_q2_k2_dense():
     total = 1
     assert len(problem.constraints) == coverage + marginal + usage + total
     u_vars = m.q * (1 + 1 + 2)    # per item: one per subset membership
-    assert idx.n_vars == 1 + masks + u_vars
+    assert problem.n == 1 + masks + u_vars
 
 
 def rows_subset_lp(m):
@@ -124,7 +123,7 @@ def test_subset_lp_arrays_match_the_row_builder(name, m):
     assert_same_lp(problem, ref)
     assert np.array_equal(idx.live, live)
     assert np.array_equal(idx.cells, cells)
-    assert idx.n_vars == problem.n
+    assert problem.n == 1 + live.size + len(cells)
     if not m.y.all():
         # the alpha coefficient of a closed FC's usage row is -0.0, kept
         alpha = problem.A.tocsc()[:, 0]

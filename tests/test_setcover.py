@@ -6,7 +6,7 @@ import pytest
 
 from corround.errors import CapExceeded
 from corround import rounding
-from corround.rounding import ParseError, guarantee_dilate
+from corround.rounding import ParseError, guarantee_dilate, read_instance
 from corround.setcover import (
     CoverOutcome,
     FractionalCover,
@@ -72,6 +72,13 @@ def test_repeated_element_rejected():
 def test_instance_without_elements_rejected(q):
     with pytest.raises(SetCoverError, match="at least one element"):
         SetCoverInstance(q=q, members=())
+
+
+def test_huge_q_is_checked_in_the_ids_listed():
+    # one id listed, so element 1 (0-based) is the first uncovered one, and
+    # no array of q flags is made
+    with pytest.raises(SetCoverError, match="element 1 is covered by no set"):
+        SetCoverInstance(q=10 ** 12, members=((0,),))
 
 
 def test_reduction_never_increases_sparsity():
@@ -170,6 +177,9 @@ def test_cover_file_round_trip():
     sc2 = read_cover_instance(buf)
     assert sc2.q == sc.q and sc2.members == sc.members
     assert np.allclose(sc2.costs, 1.0)
+    # trailing blank lines are not sets
+    sc3 = read_cover_instance(io.StringIO(buf.getvalue() + "\n  \n\n"))
+    assert sc3.members == sc.members
 
 
 @pytest.mark.parametrize(
@@ -199,6 +209,37 @@ def test_cover_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+# one valid body line per row of a "2 2" instance file and per set of a
+# "2 2" cover file, so that only the shared "q K" layout can fail
+SHARED_BODY = {"rows": ("0.5 0.5", "0.5 0.5"), "sets": ("1.0 1 1", "1.0 1 2")}
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("", 1),
+        ("\n \n", 1),
+        ("2\n", 1),
+        ("2 2 2\n{0}\n{1}\n", 1),
+        ("2 x\n{0}\n{1}\n", 1),
+        ("0 2\n{0}\n{1}\n", 1),
+        ("2 -1\n{0}\n{1}\n", 1),
+        ("2 2\n", 2),
+        ("2 2\n{0}\n", 3),
+        ("2 2\n{0}\n{1}\nextra\n", 4),
+        ("2 2\n{0}\n{1}\n\n  \nextra\n", 6),
+    ],
+)
+def test_both_readers_share_the_q_k_layout(text, line):
+    errors = {}
+    for noun, read in (("rows", read_instance), ("sets", read_cover_instance)):
+        with pytest.raises(ParseError) as err:
+            read(io.StringIO(text.format(*SHARED_BODY[noun])))
+        errors[noun] = err.value
+    assert errors["rows"].line == errors["sets"].line == line
+    assert errors["rows"].message.replace("rows", "sets") == errors["sets"].message
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -209,6 +250,8 @@ def test_cover_parse_errors_carry_line_numbers(text, line):
         ("2 2\n1.0 2 1 1\n1.0 1 2\n", "line 2: set lists an element more than once"),
         # an element no set covers shows at the last set's line
         ("3 2\n1.0 1 1\n1.0 1 3\n", "line 3: element 2 of 3 is covered by no set"),
+        # one id listed bounds the search, not q
+        ("1000000000000 1\n1.0 1 1\n", "line 2: element 2 of 1000000000000 is covered by no set"),
     ],
 )
 def test_cover_element_errors_use_the_file_numbering(text, message):
