@@ -10,12 +10,16 @@ instance, where every nonempty subset is live. The 2^K masks are still
 enumerated, so K is capped (default 12).
 
 The LP's columns are alpha, then z of each live subset in ascending mask
-order, then the u columns. One table lays the u columns out: ``cells``
-holds a row (S, i, k) per u column, for every live S and k in S with
-u_ki > 0, in lexicographic order. The builder, the solution, its checks,
-its sampler and its text all read it; the solution's z stays indexed by
-bitmask, 0 off the live subsets. The builder states the LP's rows as
-(value, row, column) triplets off this layout.
+order, then the u columns. One table lays the cells out: ``cells`` holds a
+row (S, i, k) for every live S and k in S with u_ki > 0, in lexicographic
+order. Where item i meets S in FC k alone the cell is forced, u_ki(S) =
+z(S), and it has no column of its own: ``col`` maps each cell to the
+column that holds its mass, z(S)'s for a forced cell. On sparse instances
+(each item in at most d FCs) about half the cells are forced; on a dense
+one only those of the K singleton subsets. The builder, the solution, its
+checks, its sampler and its text all read ``cells``; the solution's z
+stays indexed by bitmask, 0 off the live subsets. The builder states the
+LP's rows as (value, row, column) triplets off this layout.
 
 The solved distribution is itself a runnable rounding scheme: draw a subset
 S proportional to z, then give each item an FC inside S proportional to its
@@ -51,29 +55,41 @@ class DegenerateSubset(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SubsetVarIndex:
     """Column layout of the subset LP over its L live subsets: alpha in
-    column 0, z(live[j]) in column 1 + j, and u_ki(S) in column 1 + L + r
-    for row r = (S, i, k) of ``cells``. On a dense instance every nonempty
-    subset is live, so z(S) sits in column S."""
+    column 0, z(live[j]) in column 1 + j, then one column per free cell.
+
+    ``cells`` lists every cell (S, i, k), free or forced, and ``col[r]`` is
+    the column of ``x`` that holds the mass of row r: the cell's own column
+    for a free cell, z(S)'s column for a forced one (item i meets S in FC k
+    only). On a dense instance every nonempty subset is live, so z(S) sits
+    in column S."""
 
     K: int
     q: int
     live: np.ndarray   # (L,) int: bitmasks of the live subsets, ascending
     cells: np.ndarray  # (n, 3) int: (mask, item, FC), lexicographic
+    col: np.ndarray    # (n,) int: the column of x that holds each cell's mass
 
 
 def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProblem, SubsetVarIndex]:
     """Assemble the subset LP (min alpha) for an instance.
 
     The empty subset carries no variable: rows sum to 1, so some FC is
-    always used. u_ki(S) variables exist only where u_ki > 0. A subset that
+    always used. Cells (S, i, k) exist only where u_ki > 0. A subset that
     misses some item's support could only carry z(S) = 0, so it gets no
     variable either: the LP runs over the live subsets, which meet every
     item's support.
 
-    The rows, each block stated as (value, row, column) triplets: row j*q + i
-    serves item i from exactly one FC of S = live[j] (its cells of (S, i) =
-    z(S)); conditional masses add up to the marginals (a row per u_ki > 0,
-    in (k, i) order); FC k's usage is at most alpha * y_k; one subset happens.
+    A cell is forced when item i meets S in FC k alone: its cover row would
+    say u_ki(S) = z(S), so it gets neither a column nor that row, and z(S)'s
+    column stands in for it in the marginal row of (k, i). This is the
+    singleton-row reduction of LP presolve, done once by construction. The
+    other cells are free and get a column each, in ``cells`` order.
+
+    The rows, each block stated as (value, row, column) triplets: one cover
+    row per (live S, item i) pair that meets in two or more FCs, in (S, i)
+    order (its free cells = z(S)); conditional masses add up to the
+    marginals (a row per u_ki > 0, in (k, i) order); FC k's usage is at most
+    alpha * y_k; one subset happens.
     """
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
@@ -85,29 +101,35 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     n_live = live.size
     cells = np.argwhere(inside[:, None, :] & on)   # (j, i, k) for S = live[j]
     J, I, F = cells.T
-    first = 1 + n_live  # column of the first cell
-    cell_col, z_col = first + np.arange(len(cells)), np.arange(1, first)
-    cover = np.arange(n_live * q)
+    pair = J * q + I
+    shared = np.bincount(pair, minlength=n_live * q) > 1   # (S, i) meet in 2+ FCs: a cover row
+    free = shared[pair]
+    first = 1 + n_live  # column of the first free cell
+    n_cover, n_free = np.count_nonzero(shared), np.count_nonzero(free)
+    col = J + 1   # z(S)'s column, kept by the forced cells
+    col[free] = first + np.arange(n_free)
+    cover_row = np.cumsum(shared) - 1   # by (S, i) pair, where it has one
     n_marg = np.count_nonzero(on)
-    marg_row = cover.size - 1 + np.cumsum(on.T).reshape(K, q)   # where u_ki > 0
-    usage = cover.size + n_marg + np.arange(K)
+    marg_row = n_cover - 1 + np.cumsum(on.T).reshape(K, q)   # where u_ki > 0
+    usage = n_cover + n_marg + np.arange(K)
     fc, j = np.nonzero(inside.T)   # FC fc is in live subset j
-    # by block: cover rows (-z, cells), marginal rows, usage rows (-y alpha, z), sum of z
-    values = np.concatenate((-np.ones(cover.size), np.ones(2 * len(cells)), -m.y,
+    z_col = np.arange(1, first)
+    # by block: cover rows (-z, free cells), marginal rows, usage rows (-y alpha, z), sum of z
+    values = np.concatenate((-np.ones(n_cover), np.ones(n_free + len(cells)), -m.y,
                              np.ones(fc.size + n_live)))
-    rows = np.concatenate((cover, J * q + I, marg_row[F, I], usage, usage[fc],
-                           np.full(n_live, cover.size + n_marg + K)))
-    cols = np.concatenate((z_col[cover // q], cell_col, cell_col, np.zeros(K, dtype=np.int64),
-                           z_col[j], z_col))
+    rows = np.concatenate((np.arange(n_cover), cover_row[pair[free]], marg_row[F, I], usage,
+                           usage[fc], np.full(n_live, n_cover + n_marg + K)))
+    cols = np.concatenate((z_col[np.flatnonzero(shared) // q], col[free], col,
+                           np.zeros(K, dtype=np.int64), z_col[j], z_col))
     EQ, LE = simplex.EQ, simplex.LE
-    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (cover.size, n_marg, K, 1))
-    rhs = np.concatenate((np.zeros(cover.size), m.u.T[on.T], np.zeros(K), [1.0]))
+    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (n_cover, n_marg, K, 1))
+    rhs = np.concatenate((np.zeros(n_cover), m.u.T[on.T], np.zeros(K), [1.0]))
 
-    c = np.zeros(first + len(cells))
+    c = np.zeros(first + n_free)
     c[0] = 1.0
     cells[:, 0] = live[J]   # J is a view of this column: its last read was above
     problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
-    return problem, SubsetVarIndex(K=K, q=q, live=live, cells=cells)
+    return problem, SubsetVarIndex(K=K, q=q, live=live, cells=cells, col=col)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,21 +224,24 @@ class OptimalSchemeSolution:
 
 
 def solve_optimal_alpha(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> OptimalSchemeSolution:
-    """Solve the subset LP and return the verified optimal scheme."""
+    """Solve the subset LP and return the verified optimal scheme.
+
+    Each cell's mass is read from ``x[index.col]``, so a forced cell's mass
+    is its subset's z, bit for bit; z and the masses are clamped at 0."""
     problem, index = build_lp(m, cap=cap)
     sol = simplex.solve(problem)
     if sol.status != simplex.OPTIMAL:
         raise SolverFailure(f"subset LP ended with status {sol.status}")
-    first = 1 + index.live.size
     z = np.zeros(2 ** index.K)
-    z[index.live] = sol.x[1:first]
+    z[index.live] = sol.x[1:1 + index.live.size]
     low = np.flatnonzero(z < CLAMP_TOL)
     if low.size:
         raise SolverFailure(f"z({low[0]:b}) = {float(z[low[0]])} below clamp tolerance")
     # np.where rather than np.maximum keeps a solver's -0.0 as written
+    mass = sol.x[index.col]
     out = OptimalSchemeSolution(
         alpha=float(sol.x[0]), q=index.q, z=np.where(z < 0.0, 0.0, z),
-        cells=index.cells, mass=np.where(sol.x[first:] < 0.0, 0.0, sol.x[first:]),
+        cells=index.cells, mass=np.where(mass < 0.0, 0.0, mass),
     )
     out.verify(m)
     return out

@@ -633,7 +633,18 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
         raise DomainError("n_samples must be >= 1")
     q, K = m.q, m.K
     item_base = K * np.arange(q)
-    outside = m.u.ravel() == 0.0
+    # a chunk of c runs all stays on the support when its counts add up to
+    # c * q on the support's cells or to 0 on the zero cells; of the two, the
+    # fewer: the support layout's cells (its repeats of an item's last FC
+    # dropped) where the draws use that layout, d < K, else the zero cells
+    sparse = m.sparsity < K
+    if sparse:
+        fcs = m.support
+        once = np.ones(fcs.shape, dtype=bool)
+        np.not_equal(fcs[1:], fcs[:-1], out=once[1:])
+        cells = (fcs + item_base)[once]
+    else:
+        cells = np.flatnonzero(m.u.ravel() == 0.0)
     marg = np.zeros(q * K, dtype=np.int64)
     used = np.zeros(K, dtype=np.int64)
     in_support = 0
@@ -653,7 +664,7 @@ def mc_estimate(m: MarginalMatrix, scheme: str, n_samples: int, rng: RandomStrea
         at += np.arange(c)
         hit.ravel()[at] = True
         used += np.count_nonzero(hit, axis=1)
-        if counts.any(where=outside):
+        if counts.take(cells).sum() != (c * q if sparse else 0):
             in_support += int(np.count_nonzero((m.u.take(flat) > 0.0).all(axis=1)))
         else:
             in_support += c

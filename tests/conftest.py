@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from corround import simplex
+from corround.optimal import CLAMP_TOL, OptimalSchemeSolution, SolverFailure, SubsetVarIndex
 from corround.rounding import MarginalMatrix, validate
 from corround.simplex import EQ, GE, INF, LPProblem, LPSolution
 from corround.streams import RandomStream
@@ -229,6 +230,71 @@ def mps_sha256(problem) -> str:
     buf = io.StringIO()
     write_lp(problem, buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def live_subset_lp(m: MarginalMatrix) -> tuple[LPProblem, SubsetVarIndex]:
+    """The subset LP over the live subsets with a column for every cell,
+    forced or free: ``optimal.build_lp`` as it was before the forced cells
+    (item i meets S in FC k alone, so u_ki(S) = z(S)) left the LP. Kept as
+    the oracle of the reduced LP; its MPS text and solutions are pinned."""
+    q, K = m.q, m.K
+    inside = (np.arange(2 ** K)[:, None] >> np.arange(K) & 1).astype(bool)  # [S, k]: k in S
+    on = m.u > 0.0
+    live = np.flatnonzero((inside @ on.T).all(axis=1))
+    inside = inside[live]
+    n_live = live.size
+    cells = np.argwhere(inside[:, None, :] & on)   # (j, i, k) for S = live[j]
+    J, I, F = cells.T
+    first = 1 + n_live  # column of the first cell
+    cell_col, z_col = first + np.arange(len(cells)), np.arange(1, first)
+    cover = np.arange(n_live * q)
+    n_marg = np.count_nonzero(on)
+    marg_row = cover.size - 1 + np.cumsum(on.T).reshape(K, q)   # where u_ki > 0
+    usage = cover.size + n_marg + np.arange(K)
+    fc, j = np.nonzero(inside.T)   # FC fc is in live subset j
+    # by block: cover rows (-z, cells), marginal rows, usage rows (-y alpha, z), sum of z
+    values = np.concatenate((-np.ones(cover.size), np.ones(2 * len(cells)), -m.y,
+                             np.ones(fc.size + n_live)))
+    rows = np.concatenate((cover, J * q + I, marg_row[F, I], usage, usage[fc],
+                           np.full(n_live, cover.size + n_marg + K)))
+    cols = np.concatenate((z_col[cover // q], cell_col, cell_col, np.zeros(K, dtype=np.int64),
+                           z_col[j], z_col))
+    EQ, LE = simplex.EQ, simplex.LE
+    relations = np.repeat(np.array([EQ, EQ, LE, EQ], dtype=np.int8), (cover.size, n_marg, K, 1))
+    rhs = np.concatenate((np.zeros(cover.size), m.u.T[on.T], np.zeros(K), [1.0]))
+
+    c = np.zeros(first + len(cells))
+    c[0] = 1.0
+    cells[:, 0] = live[J]   # J is a view of this column: its last read was above
+    problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
+    return problem, SubsetVarIndex(K=K, q=q, live=live, cells=cells, col=cell_col)
+
+
+def solve_live_subset_lp(m: MarginalMatrix) -> OptimalSchemeSolution:
+    """The verified scheme from `live_subset_lp`, assembled the way
+    ``optimal.solve_optimal_alpha`` assembled it from that LP."""
+    problem, index = live_subset_lp(m)
+    sol = simplex.solve(problem)
+    if sol.status != simplex.OPTIMAL:
+        raise SolverFailure(f"subset LP ended with status {sol.status}")
+    first = 1 + index.live.size
+    z = np.zeros(2 ** index.K)
+    z[index.live] = sol.x[1:first]
+    low = np.flatnonzero(z < CLAMP_TOL)
+    if low.size:
+        raise SolverFailure(f"z({low[0]:b}) = {float(z[low[0]])} below clamp tolerance")
+    out = OptimalSchemeSolution(
+        alpha=float(sol.x[0]), q=index.q, z=np.where(z < 0.0, 0.0, z),
+        cells=index.cells, mass=np.where(sol.x[first:] < 0.0, 0.0, sol.x[first:]),
+    )
+    out.verify(m)
+    return out
+
+
+def independent_usage(m: MarginalMatrix) -> np.ndarray:
+    """Exact P[FC k used] under the independent scheme: each item draws its
+    FC on its own, so k stays unused with probability prod_i (1 - u_ki)."""
+    return 1.0 - np.prod(1.0 - m.u, axis=0)
 
 
 class ConstantUniforms(RandomStream):

@@ -204,6 +204,17 @@ def test_c06_lower_bound_witness():
     assert ok
 
 
+def test_c06_lower_bound_lp_optimum():
+    # the family's subset LP at d = 4, K = 8 (q = 70): alpha* = d - d(d-1)/K
+    # = 2.5, the lower bound met exactly, and within min(1 + ln q, d)
+    d, K = 4, 8
+    m = marginals_from_fractional_cover(*hard_instance(d, K))
+    alpha = solve_optimal_alpha(m).alpha
+    ok = abs(alpha - 2.5) <= 1e-9 and alpha <= min(1.0 + math.log(m.q), d) + 1e-9
+    report("C6 lower-bound LP optimum", ok, f"d={d}, K={K}, q={m.q}: alpha* {alpha!r}")
+    assert ok
+
+
 def test_c07_dlp_soundness(desk_campaign):
     ok = True
     for entry in desk_campaign:

@@ -22,27 +22,42 @@ from corround.setcover import hard_instance, marginals_from_fractional_cover
 from corround.simplex import LPProblem
 from corround.streams import RandomStream
 
-from conftest import UnitUniforms, assert_same_lp, mps_sha256, random_instance
+from conftest import (
+    UnitUniforms,
+    assert_same_lp,
+    live_subset_lp,
+    mps_sha256,
+    random_instance,
+    solve_live_subset_lp,
+)
 
 
 def test_build_counts_q1_k2():
     m = validate([[0.3, 0.7]])
     problem, _ = build_lp(m)
-    # alpha + z over {1},{2},{1,2} + conditional masses (1 + 1 + 2)
-    assert problem.n == 8
+    # q = 1, K = 2: alpha + z over {1},{2},{1,2} + the free cells. The item
+    # meets {1} and {2} in one FC each, so those two cells are forced onto
+    # their z; only {1,2}'s two cells are free: n = 1 + 3 + 2
+    assert problem.n == 1 + 3 + 2
+    # the oracle keeps a column per cell (1 + 1 + 2)
+    assert live_subset_lp(m)[0].n == 8
 
 
 def test_build_counts_q2_k2_dense():
     m = validate([[0.6, 0.4], [0.3, 0.7]])
     problem, _ = build_lp(m)
     masks = 3
-    coverage = masks * m.q
+    coverage = 1 * m.q            # only {1,2} meets an item in two FCs
     marginal = m.q * m.K          # all entries positive
     usage = m.K
     total = 1
     assert len(problem.constraints) == coverage + marginal + usage + total
-    u_vars = m.q * (1 + 1 + 2)    # per item: one per subset membership
-    assert problem.n == 1 + masks + u_vars
+    free = m.q * 2                # per item: {1,2}'s two cells; {1}, {2} forced
+    assert problem.n == 1 + masks + free
+    # the oracle: a cover row per (subset, item), a column per cell
+    oracle, _ = live_subset_lp(m)
+    assert len(oracle.constraints) == masks * m.q + marginal + usage + total
+    assert oracle.n == 1 + masks + m.q * (1 + 1 + 2)
 
 
 def rows_subset_lp(m):
@@ -116,9 +131,53 @@ def live_rows_subset_lp(m):
     return LPProblem(c=c, constraints=rows), np.array(live, dtype=np.int64), cells[kept]
 
 
+def forced_rows_subset_lp(m):
+    """live_rows_subset_lp with its forced cells substituted one cell at a
+    time: where a cover row holds a single cell, that row goes and z(S)
+    takes the cell's place in its marginal row; the cell columns left are
+    renumbered in order. Returns the problem, the live masks, the cells and
+    each cell's column."""
+    ref, live, cells = live_rows_subset_lp(m)
+    rows = ref.constraints
+    n_cover, first = len(live) * m.q, 1 + len(live)
+    dropped, col = set(), {}
+    for r, (S, i, k) in enumerate(cells.tolist()):
+        t = live.tolist().index(S) * m.q + i   # the cover row of (S, i)
+        if len(rows[t][0]) > 2:                # z and two or more cells
+            continue
+        assert rows[t][0] == {1 + t // m.q: -1.0, first + r: 1.0}
+        dropped.add(t)
+        col[first + r] = 1 + t // m.q
+        [coef] = [coef for coef, _, _ in rows[n_cover:] if first + r in coef]
+        coef[1 + t // m.q] = coef.pop(first + r)
+    free = [first + r for r in range(len(cells)) if first + r not in col]
+    col.update({old: first + j for j, old in enumerate(free)})
+    col.update({j: j for j in range(first)})
+    kept = [({col[j]: v for j, v in coef.items()}, rel, rhs)
+            for t, (coef, rel, rhs) in enumerate(rows) if t not in dropped]
+    c = np.zeros(first + len(free))
+    c[0] = 1.0
+    return (LPProblem(c=c, constraints=kept), live, cells,
+            np.array([col[first + r] for r in range(len(cells))], dtype=np.int64))
+
+
+@pytest.mark.parametrize("name,m", SUBSET_BATTERY, ids=[name for name, _ in SUBSET_BATTERY])
+def test_subset_lp_arrays_match_the_substituted_row_builder(name, m):
+    problem, idx = build_lp(m)
+    ref, live, cells, col = forced_rows_subset_lp(m)
+    assert_same_lp(problem, ref)
+    assert np.array_equal(idx.live, live)
+    assert np.array_equal(idx.cells, cells)
+    assert np.array_equal(idx.col, col)
+    if not m.y.all():
+        alpha = problem.A.tocsc()[:, 0]
+        assert np.signbit(alpha.data).sum() == m.K
+
+
 @pytest.mark.parametrize("name,m", SUBSET_BATTERY, ids=[name for name, _ in SUBSET_BATTERY])
 def test_subset_lp_arrays_match_the_row_builder(name, m):
-    problem, idx = build_lp(m)
+    # the oracle LP, a column per cell, against the rows it was built from
+    problem, idx = live_subset_lp(m)
     ref, live, cells = live_rows_subset_lp(m)
     assert_same_lp(problem, ref)
     assert np.array_equal(idx.live, live)
@@ -141,10 +200,10 @@ def digest_subset_instances():
     yield "zero_column", validate([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]])
 
 
-# SHA-256 of write_lp's text for each subset LP above. dense_q2_k3 was
-# recorded before the subset LP builder and LPProblem's conversion were
-# rewritten; the others, whose LPs drop the subsets that miss some item's
-# support, when the builder moved onto the live subsets
+# SHA-256 of write_lp's text for each oracle LP (live_subset_lp) above.
+# dense_q2_k3 was recorded before the subset LP builder and LPProblem's
+# conversion were rewritten; the others, whose LPs drop the subsets that
+# miss some item's support, when the builder moved onto the live subsets
 SUBSET_MPS_SHA256 = {
     "sparse_q3_k3": "bd3411bec64787ef4a4ddaf18184e53ce380924da441593a1714fbf7f4f88c1f",
     "sparse_q5_k4": "57b149f87c07dc781c533a68665f3b94983b51053a73e7faf752af5f158d8960",
@@ -154,9 +213,22 @@ SUBSET_MPS_SHA256 = {
 }
 
 
+# SHA-256 of write_lp's text for each build_lp LP above, recorded when the
+# forced cells left the LP
+REDUCED_MPS_SHA256 = {
+    "sparse_q3_k3": "5fef688dd9e6af8c8ee4f5aa1511fd3a965ba3e0efa7b514a78eab2a65264ff8",
+    "sparse_q5_k4": "862d8b75031c8a6e22fadc95a7e643e22c809c16b0aec622be41dd116e07bca3",
+    "sparse_q4_k5": "cd9e69dc42785fcf41e1b46c01c182956b180b5fe9895bf0033024412154a249",
+    "dense_q2_k3": "9343303e0593f120a557f5edbc734443d2122dbfb8736518ffc6b1a25e16b145",
+    "zero_column": "d9a6b425588ade4fc0e495c090fe1d9a046ffa304d0b745b0ab423593b059246",
+}
+
+
 def test_subset_lp_mps_text_is_pinned():
-    got = {name: mps_sha256(build_lp(m)[0]) for name, m in digest_subset_instances()}
+    got = {name: mps_sha256(live_subset_lp(m)[0]) for name, m in digest_subset_instances()}
     assert got == SUBSET_MPS_SHA256
+    got = {name: mps_sha256(build_lp(m)[0]) for name, m in digest_subset_instances()}
+    assert got == REDUCED_MPS_SHA256
 
 
 # a perfbench-style triangle: items 0-2 pairwise share FCs 0, 2 and 4, an
@@ -177,10 +249,11 @@ def solution_text_instances():
     yield "triangle", validate(TRIANGLE)
 
 
-# SHA-256 of write_solution's text for each instance above. The dense ones
-# were recorded before the subset LP moved onto one column table; the
-# sparse ones, whose LPs reach another optimal vertex over the live
-# subsets, when the builder moved onto them. The zero_column text holds -0.0
+# SHA-256 of write_solution's text for each instance above, solved on the
+# oracle LP (solve_live_subset_lp). The dense ones were recorded before the
+# subset LP moved onto one column table; the sparse ones, whose LPs reach
+# another optimal vertex over the live subsets, when the builder moved onto
+# them. The zero_column text holds -0.0
 SOLUTION_TEXT_SHA256 = {
     "sparse_q3_k3": "e6ae2363301362867a113f568228661ba83c1392b5262afd90616d8554d8c6fb",
     "sparse_q5_k4": "5c6fc37ff370f860f9c2a13cb3fe29f6a78604e4638985f969079390a0281d8f",
@@ -193,17 +266,47 @@ SOLUTION_TEXT_SHA256 = {
 }
 
 
+# the same for solve_optimal_alpha, recorded when the forced cells left the
+# LP. Every text but q1_k1's changed then: HiGHS reaches another optimal
+# vertex of the reduced LP (on the triangle z moves by up to 0.3), or the
+# same one with other last bits
+REDUCED_SOLUTION_TEXT_SHA256 = {
+    "sparse_q3_k3": "2c254488fd42c60f1c8def218941864f4e4587b9acc0d412398e697822988890",
+    "sparse_q5_k4": "8f215fc67b7b1431dedcb8ee9283b9f6a5e3046eedd9a39afe796b6037b32798",
+    "sparse_q4_k5": "cdb4c6b0f4c22744034b9788d7ede937237d286cc1ed7ac81fd50ae0fb62f80b",
+    "dense_q2_k3": "a5ceca583076ab4ed35de9cd02634c91fb75897cd8d16158083bb24e990a0e9c",
+    "zero_column": "089791d164d3f8286a9446f00ac056fad44cd0ae1fc327043c8a77b3f60d3f3f",
+    "q1_k1": "ee9f9e9cb89f7aae6481c8e4343403e225dfe925b9d7ae9b5d86fbb76c7fa300",
+    "alpha_one": "b21c144a6b7974d00f42a0eebe4947f97665a789bb9bf0c82319f530e166804a",
+    "triangle": "45c9ffa97b689f3a1634eac09ac35cb50e421f1c88096acb20693f06610deff1",
+}
+
+
+def solution_sha256(sol) -> str:
+    buf = io.StringIO()
+    write_solution(sol, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def test_solution_text_is_pinned():
-    got, alphas = {}, {}
-    for name, m in solution_text_instances():
-        sol = solve_optimal_alpha(m)
-        buf = io.StringIO()
-        write_solution(sol, buf)
-        got[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        alphas[name] = sol.alpha
-    assert got == SOLUTION_TEXT_SHA256
-    assert alphas["alpha_one"] == pytest.approx(1.0, abs=1e-9)
-    assert alphas["triangle"] > 1.1
+    old = {name: solve_live_subset_lp(m) for name, m in solution_text_instances()}
+    assert {name: solution_sha256(sol) for name, sol in old.items()} == SOLUTION_TEXT_SHA256
+    assert old["alpha_one"].alpha == pytest.approx(1.0, abs=1e-9)
+    assert old["triangle"].alpha > 1.1
+    new = {name: solve_optimal_alpha(m) for name, m in solution_text_instances()}
+    assert {name: solution_sha256(sol) for name, sol in new.items()} == REDUCED_SOLUTION_TEXT_SHA256
+
+
+@pytest.mark.parametrize("name,m", list(solution_text_instances()),
+                         ids=[name for name, _ in solution_text_instances()])
+def test_changed_solution_texts_are_both_optimal(name, m):
+    # where the text changed with the reduced LP, the oracle's solution and
+    # the new one both verify, at the same alpha
+    old, new = solve_live_subset_lp(m), solve_optimal_alpha(m)
+    assert (SOLUTION_TEXT_SHA256[name] == REDUCED_SOLUTION_TEXT_SHA256[name]) == (name == "q1_k1")
+    old.verify(m)
+    new.verify(m)
+    assert new.alpha == pytest.approx(old.alpha, abs=1e-9)
 
 
 def triangle_instance(gen, q, K, d):
@@ -245,7 +348,8 @@ ORACLE_BATTERY = oracle_battery()
 def test_alpha_matches_the_full_lp(name, m):
     # the LP over every nonempty subset is the oracle: the live LP reaches
     # its optimum, and the oracle's optimum is 0 on every column the live
-    # LP drops; on a dense instance the two LPs are the same arrays
+    # LP drops; on a dense instance it and the live LP with a column per
+    # cell (live_subset_lp) are the same arrays
     full, cells = rows_subset_lp(m)
     ref = simplex.solve(full)
     assert ref.status == simplex.OPTIMAL
@@ -256,7 +360,49 @@ def test_alpha_matches_the_full_lp(name, m):
     assert np.abs(ref.x[dead]).max(initial=0.0) <= 1e-12
     if m.u.all():
         assert not dead
-        assert_same_lp(build_lp(m)[0], full)
+        assert_same_lp(live_subset_lp(m)[0], full)
+
+
+@pytest.mark.parametrize("name,m", ORACLE_BATTERY, ids=[name for name, _ in ORACLE_BATTERY])
+def test_forced_cells_carry_their_subset_z(name, m):
+    # a cell is forced where its item meets its subset in that FC alone:
+    # its column is the subset's z column and its mass is z(S) bit for bit;
+    # every other (S, i) pair keeps exactly one cover row, -z(S) plus its cells
+    problem, idx = build_lp(m)
+    S, I, _ = idx.cells.T
+    key = S * m.q + I
+    meets = {k: n for k, n in zip(*np.unique(key, return_counts=True))}
+    forced = np.array([meets[k] == 1 for k in key.tolist()], dtype=bool)
+    z_col = 1 + np.searchsorted(idx.live, S)
+    assert np.array_equal(idx.col[forced], z_col[forced])
+    assert np.array_equal(idx.col[~forced], 1 + idx.live.size + np.arange(np.count_nonzero(~forced)))
+    sol = solve_optimal_alpha(m)
+    assert sol.mass[forced].tobytes() == sol.z[S[forced]].tobytes()
+    shared = sorted(k for k, n in meets.items() if n > 1)
+    assert problem.rhs.size == len(shared) + np.count_nonzero(m.u) + m.K + 1
+    for t, k in enumerate(shared):
+        idx_t, val_t = problem.row_arrays(t)
+        want = {1 + int(np.searchsorted(idx.live, k // m.q)): -1.0}
+        want.update(dict.fromkeys(idx.col[key == k].tolist(), 1.0))
+        assert dict(zip(idx_t.tolist(), val_t.tolist())) == want
+        assert problem.relations[t] == simplex.EQ and problem.rhs[t] == 0.0
+
+
+def seeded_triangles(K, count, seed=20261021):
+    gen = np.random.default_rng([seed, K])
+    return [triangle_instance(gen, 5, K, 2) for _ in range(count)]
+
+
+ORACLE_CASES = ORACLE_BATTERY + [(f"seeded_triangle_k{K}_{t}", m) for K in (5, 7, 8)
+                                 for t, m in enumerate(seeded_triangles(K, 20))]
+
+
+@pytest.mark.parametrize("name,m", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+def test_alpha_matches_the_oracle_lp(name, m):
+    # the reduced LP against the LP with a column per cell: the same alpha;
+    # both solvers verify the solution they return
+    new, old = solve_optimal_alpha(m), solve_live_subset_lp(m)
+    assert new.alpha == pytest.approx(old.alpha, abs=1e-9)
 
 
 def test_solution_text_lists_live_cells_and_reads_the_full_layout():
@@ -336,7 +482,7 @@ def test_alpha_pairs_is_four_thirds():
     assert sol.alpha == pytest.approx(4.0 / 3.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("d,K", [(1, 4), (2, 4), (2, 6), (3, 6), (2, 8), (3, 8)])
+@pytest.mark.parametrize("d,K", [(1, 4), (2, 4), (2, 6), (3, 6), (2, 8), (3, 8), (2, 10), (3, 9)])
 def test_alpha_on_the_lower_bound_family(d, K):
     # one item per d-subset of K FCs, y = 1/d: alpha* is d - d(d-1)/K, the
     # paper's lower bound met exactly, and within min(1 + ln q, d)

@@ -36,6 +36,7 @@ from conftest import (
     SmallestUniforms,
     TinyUniforms,
     UnitUniforms,
+    independent_usage,
     instance_battery,
     legacy_kernel,
     legacy_tables,
@@ -678,6 +679,23 @@ def test_mc_in_support_counts_the_runs_off_the_support(monkeypatch):
     assert mc_estimate(m, "independent", 2, RandomStream(0)).in_support == 1
 
 
+@pytest.mark.parametrize("rows", ([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
+                                  [[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]]))
+def test_mc_in_support_matches_the_per_run_check(rows, monkeypatch):
+    # the chunk check counts on the support layout's cells where d < K (the
+    # first matrix) and on the zero cells where d = K (the second); both
+    # give the per-run count, for every one of the 9 draws of two items
+    m = validate(rows)
+    z = np.array([[a, b] for a in range(3) for b in range(3)])
+    want = int(np.count_nonzero((m.u[np.arange(2), z] > 0.0).all(axis=1)))
+    assert 0 < want < len(z)
+    monkeypatch.setitem(rounding._KERNELS, "independent", lambda tables, u: (z[:len(u)], None))
+    assert mc_estimate(m, "independent", len(z), RandomStream(0)).in_support == want
+    for n in range(1, len(z)):
+        assert mc_estimate(m, "independent", n, RandomStream(0)).in_support == \
+            int(np.count_nonzero((m.u[np.arange(2), z[:n]] > 0.0).all(axis=1)))
+
+
 @pytest.mark.parametrize("stream_type", (SmallestUniforms, TinyUniforms))
 @pytest.mark.parametrize("rows", ORACLE_INSTANCES)
 def test_smallest_uniforms_draw_in_support(rows, stream_type):
@@ -812,6 +830,28 @@ def test_usage_bound_small_battery():
             g = rounding.scheme_guarantee(scheme, m)
             bound = np.minimum(g * m.y, 1.0) + slack(0.5)
             assert np.all(rep.usage <= bound), (t, scheme)
+
+
+def _dispatch_rows():
+    """Every row of the seeded two-region plan behind PLAN_ROWS, as dispatch
+    validates it."""
+    inst = build_instance(GeneratorConfig(n=8, n_max=4, n_per=2, T=400, J=2, K=4, seed=3))
+    return [validate(a / a.sum(axis=1)[:, None]) for _, a in sorted(solve_dlp(inst).u.items())]
+
+
+def test_independent_usage_matches_the_exact_oracle():
+    # under independent draws FC k is used with probability exactly
+    # 1 - prod_i (1 - u_ki); the Monte Carlo usage lies within 5 binomial
+    # sigmas of it (exactly on it where that is 0 or 1), and the exact usage
+    # is within the scheme's guarantee q * y
+    battery = instance_battery(seed=79, count=8) + _dispatch_rows()
+    assert len(battery) > 8
+    for t, m in enumerate(battery):
+        p = independent_usage(m)
+        assert np.all(p <= rounding.scheme_guarantee("independent", m) * m.y + 1e-12)
+        rep = mc_estimate(m, "independent", N_MC, RandomStream(3000 + t))
+        tol = 5.0 * np.sqrt(p * (1.0 - p) / N_MC)
+        assert np.all(np.abs(rep.usage - p) <= tol + 1e-12), t
 
 
 # ---------------------------------------------------------------------------
