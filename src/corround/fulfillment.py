@@ -9,7 +9,9 @@ The deterministic LP (DLP) routes expected demand through fulfillment
 frequencies u^a_kij and per-order usage bounds y^a_kj >= u^a_kij, minimizing
 expected unit plus fixed costs subject to starting inventories. Its optimum
 lower-bounds the expected cost of every dispatch policy, so simulated costs
-are reported as a loss percentage over it.
+are reported as a loss percentage over it. An FC with no stock of an item
+can send it nowhere, so the DLP has no u for that (FC, item) cell and the
+plan reads 0 there.
 
 Policies:
 
@@ -151,22 +153,27 @@ def _floats(name: str, value) -> np.ndarray:
         raise FulfillmentError(f"{name} is not an array of numbers") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DLPIndex:
     """Column layout of the DLP; pairs orders (type, region) with rate > 0.
 
-    Pair p owns two contiguous column blocks: its u block starts at
-    ``u_off[p]`` and holds u^a_kij for item slot pos and FC k (null FC 0
-    included) at ``u_off[p] + pos*(K+1) + k``; its y block holds y^a_kj
-    at ``n_u + p*(K+1) + k``, n_u being the number of u columns, so every
-    u block comes before every y block. Rows are one inventory row per
-    real FC k and item i with finite stock (k = 1..K outer, item inner),
-    then one assignment row per item slot, then one linking row per u
-    column, all in pair order.
+    The plan's slot layout gives pair p's u^a_kij, for item slot pos and
+    FC k (null FC 0 included), position ``u_off[p] + pos*(K+1) + k``. The
+    LP has a u column only for the cells that can carry flow: the null FC
+    and every real FC with stock of the slot's item. ``cells`` holds, for
+    each u column in column order, its position in the slot layout
+    (ascending); a zero-stock cell has none and its u is 0. The y block of
+    pair p holds y^a_kj at ``n_u + p*(K+1) + k``, n_u = ``cells.size``
+    being the number of u columns, so every u column comes before every y
+    column and every y column stays, linked or not. Rows are one inventory
+    row per real FC k and item i with finite positive stock (k = 1..K
+    outer, item inner), then one assignment row per item slot, then one
+    linking row per u column, all in pair order.
     """
 
     pairs: tuple            # ((t, j), ...) in build order
-    u_off: tuple            # pair position -> first u column
+    u_off: tuple            # pair position -> first u position in the slot layout
+    cells: np.ndarray       # u column -> its position in the slot layout
 
 
 def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
@@ -174,14 +181,23 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
 
     Variables exist for every (order type, region) pair with positive
     arrival rate: fulfillment frequencies u for each item slot and FC
-    (null included), and usage bounds y per FC. Rows are the inventory
-    budgets per non-null (k, i), one assignment equality per item slot,
-    and the linking rows y >= u. The null FC has no inventory rows, and
-    neither has a (k, i) with infinite stock, whose budget never binds.
+    (null included) that has stock of the slot's item, and usage bounds y
+    per FC. Rows are the inventory budgets per non-null (k, i) with
+    positive stock, one assignment equality per item slot, and the linking
+    rows y >= u. The null FC has no inventory rows, and neither has a
+    (k, i) with infinite stock, whose budget never binds.
+
+    A zero-stock (k, i) gets no u column, no linking row and no budget
+    row: its budget sum of T * rate * u <= 0 would force every such u to
+    0 (presolve's forcing-row reduction, done by construction). With
+    T = 0 every plan costs 0, so the optimum is 0 either way. A y column
+    left without a linking row keeps its cost and bounds, so the LP is
+    unbounded wherever the LP with every cell is.
 
     Each block of rows is stated as (value, row, column) triplets off the
-    layout: item slot s (slots numbered in pair order) owns the u columns
-    s*(K+1) .. s*(K+1) + K, and pair p the y columns n_u + p*(K+1) + k.
+    layout: item slot s (slots numbered in pair order) owns the slot
+    positions s*(K+1) .. s*(K+1) + K, u column c holds position
+    ``cells[c]``, and pair p owns the y columns n_u + p*(K+1) + k.
     """
     K1 = inst.K + 1
     pt, pj = np.nonzero(inst.rates > 0.0)
@@ -194,28 +210,33 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
                        dtype=np.intp, count=int(q.sum()))
     w = inst.T * inst.rates[pt, pj]
     n_s = item.size
-    n_u = n_s * K1
+    # the cells with stock, the null FC's unbounded stock included
+    cells = np.flatnonzero(inst.inventory[:, item].T > 0.0)
+    cells.flags.writeable = False
+    n_u = cells.size
+    slot, k = np.divmod(cells, K1)
     c = np.concatenate((
-        (w[pair, None] * inst.unit_cost[:, item, pj[pair]].T).ravel(),
+        (w[pair, None] * inst.unit_cost[:, item, pj[pair]].T).ravel()[cells],
         (w[:, None] * inst.fixed_cost[:, pj].T).ravel(),
     ))
 
-    # an inventory row per finite stock (k, i) of a real FC, in (k, i) order:
-    # u column s*(K+1) + k enters the row of (k, item of s) with weight T * rate
-    finite = inst.inventory < math.inf
-    finite[0] = False
-    n_inv = np.count_nonzero(finite)
-    stocked = finite[:, item].T.ravel()
-    inv_row = (np.cumsum(finite) - 1).reshape(finite.shape)[:, item].T.ravel()
+    # an inventory row per finite positive stock (k, i) of a real FC, in
+    # (k, i) order: u column c enters the row of (k, item of its slot) with
+    # weight T * rate
+    budget = (inst.inventory > 0.0) & (inst.inventory < math.inf)
+    budget[0] = False
+    n_inv = np.count_nonzero(budget)
+    stocked = budget[k, item[slot]]
+    inv_row = (np.cumsum(budget) - 1).reshape(budget.shape)[k, item[slot]]
     u_col = np.arange(n_u)
     link = n_inv + n_s + u_col   # the linking row u <= y of each u column
-    values = np.concatenate((np.repeat(w[pair], K1)[stocked], np.repeat([1.0, 1.0, -1.0], n_u)))
-    rows = np.concatenate((inv_row[stocked], n_inv + u_col // K1, link, link))
-    cols = np.concatenate((u_col[stocked], u_col, u_col, n_u + np.repeat(pair * K1, K1) + u_col % K1))
+    values = np.concatenate((w[pair[slot]][stocked], np.repeat([1.0, 1.0, -1.0], n_u)))
+    rows = np.concatenate((inv_row[stocked], n_inv + slot, link, link))
+    cols = np.concatenate((u_col[stocked], u_col, u_col, n_u + pair[slot] * K1 + k))
     relations = np.repeat(np.array([simplex.LE, simplex.EQ, simplex.LE], dtype=np.int8), (n_inv, n_s, n_u))
-    rhs = np.concatenate((inst.inventory[finite], np.ones(n_s), np.zeros(n_u)))
+    rhs = np.concatenate((inst.inventory[budget], np.ones(n_s), np.zeros(n_u)))
     problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
-    return problem, DLPIndex(pairs, tuple(u_off.tolist()))
+    return problem, DLPIndex(pairs, tuple(u_off.tolist()), cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,12 +355,18 @@ def _plan_keys(inst: FulfillmentInstance, plan: DLPlan) -> list:
 
 
 def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
-    """Solve the DLP and return the verified plan."""
+    """Solve the DLP and return the verified plan.
+
+    The u columns are scattered into zeros of the plan's slot layout (see
+    `DLPIndex`), so a zero-stock cell reads exactly 0.0.
+    """
     problem, index = build_dlp(inst)
     sol = simplex.solve(problem, max_pivots=max_pivots)
     if sol.status != simplex.OPTIMAL:
         raise DLPSolveError(f"DLP ended with status {sol.status}")
-    x, K1 = np.clip(sol.x, 0.0, None), inst.K + 1
+    K1 = inst.K + 1
+    x = np.zeros(K1 * sum(len(inst.types[t]) for t, _ in index.pairs))
+    x[index.cells] = np.clip(sol.x[:index.cells.size], 0.0, None)
     u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
     plan = DLPlan(objective=float(sol.objective), u=u, y={key: a.max(axis=0) for key, a in u.items()})
     plan.check(inst)

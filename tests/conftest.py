@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from corround import simplex
+from corround.fulfillment import DLPIndex, DLPlan, DLPSolveError, FulfillmentInstance
 from corround.optimal import CLAMP_TOL, OptimalSchemeSolution, SolverFailure, SubsetVarIndex
 from corround.rounding import MarginalMatrix, validate
 from corround.simplex import EQ, GE, INF, LPProblem, LPSolution
@@ -289,6 +290,61 @@ def solve_live_subset_lp(m: MarginalMatrix) -> OptimalSchemeSolution:
     )
     out.verify(m)
     return out
+
+
+def full_dlp(inst: FulfillmentInstance) -> tuple[LPProblem, DLPIndex]:
+    """The DLP with a u column for every (item slot, FC) cell, stocked or
+    not: ``fulfillment.build_dlp`` as it was before the zero-stock cells
+    (whose budget row forces u to 0) left the LP, except that its index
+    lists every cell in ``cells``. Kept as the oracle of the reduced LP;
+    its MPS text and arrays are pinned."""
+    K1 = inst.K + 1
+    pt, pj = np.nonzero(inst.rates > 0.0)
+    pairs = tuple(zip(pt.tolist(), pj.tolist()))
+    q = np.array([len(inst.types[t]) for t in pt.tolist()], dtype=np.intp)
+    u_off = (np.cumsum(q) - q) * K1
+    # per item slot: its pair, its item and its order's weight T * rate
+    pair = np.repeat(np.arange(len(pairs)), q)
+    item = np.fromiter(itertools.chain.from_iterable(inst.types[t] for t in pt.tolist()),
+                       dtype=np.intp, count=int(q.sum()))
+    w = inst.T * inst.rates[pt, pj]
+    n_s = item.size
+    n_u = n_s * K1
+    c = np.concatenate((
+        (w[pair, None] * inst.unit_cost[:, item, pj[pair]].T).ravel(),
+        (w[:, None] * inst.fixed_cost[:, pj].T).ravel(),
+    ))
+
+    # an inventory row per finite stock (k, i) of a real FC, in (k, i) order:
+    # u column s*(K+1) + k enters the row of (k, item of s) with weight T * rate
+    finite = inst.inventory < math.inf
+    finite[0] = False
+    n_inv = np.count_nonzero(finite)
+    stocked = finite[:, item].T.ravel()
+    inv_row = (np.cumsum(finite) - 1).reshape(finite.shape)[:, item].T.ravel()
+    u_col = np.arange(n_u)
+    link = n_inv + n_s + u_col   # the linking row u <= y of each u column
+    values = np.concatenate((np.repeat(w[pair], K1)[stocked], np.repeat([1.0, 1.0, -1.0], n_u)))
+    rows = np.concatenate((inv_row[stocked], n_inv + u_col // K1, link, link))
+    cols = np.concatenate((u_col[stocked], u_col, u_col, n_u + np.repeat(pair * K1, K1) + u_col % K1))
+    relations = np.repeat(np.array([simplex.LE, simplex.EQ, simplex.LE], dtype=np.int8), (n_inv, n_s, n_u))
+    rhs = np.concatenate((inst.inventory[finite], np.ones(n_s), np.zeros(n_u)))
+    problem = simplex.LPProblem.from_arrays(c, (values, rows, cols), relations, rhs)
+    return problem, DLPIndex(pairs, tuple(u_off.tolist()), u_col)
+
+
+def solve_full_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
+    """The verified plan from `full_dlp`, assembled the way
+    ``fulfillment.solve_dlp`` assembled it from that LP."""
+    problem, index = full_dlp(inst)
+    sol = simplex.solve(problem, max_pivots=max_pivots)
+    if sol.status != simplex.OPTIMAL:
+        raise DLPSolveError(f"DLP ended with status {sol.status}")
+    x, K1 = np.clip(sol.x, 0.0, None), inst.K + 1
+    u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
+    plan = DLPlan(objective=float(sol.objective), u=u, y={key: a.max(axis=0) for key, a in u.items()})
+    plan.check(inst)
+    return plan
 
 
 def independent_usage(m: MarginalMatrix) -> np.ndarray:

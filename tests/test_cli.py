@@ -476,12 +476,25 @@ def test_simulate_config_must_be_an_object(tmp_path, capsys, doc):
 # SHA-256 of the two CSVs of one --stable-timing campaign (2 instances x 2
 # replications, three policies, --scale 1.5); the CLI output is a file
 # format, so any change in its rows, their order or the aggregate
-# arithmetic must show here
+# arithmetic must show here. The first pair was recorded on the DLP with
+# every cell (conftest's `solve_full_dlp`), the second when the zero-stock
+# cells left the DLP and HiGHS reached another optimal vertex.
 SIM_ROWS_SHA256 = "8debd318b12720da67c1b1a65710afb61cc257026edc626227a4a6f2dcb733a4"
 SIM_AGG_SHA256 = "d8f3c74c397c2ced8971a58d93164035058bb01ffe8ba8e9c0e0f5c90fd8f1e6"
+REDUCED_SIM_ROWS_SHA256 = "d19269bf28ba7b1a46f9369b97f147d422608b102377ff9ca0f96dd7eddbbc24"
+REDUCED_SIM_AGG_SHA256 = "926f33231c2942b0f681633e0f5c4fb42fde1e2926309cf9ab0f3fd790e0e548"
 
 
-def test_simulate_output_is_pinned(tmp_path):
+def _pinned_campaign(tmp_path, monkeypatch, solve):
+    """The digests of the pinned campaign's two CSVs with ``solve`` as
+    ``fulfillment.solve_dlp``, and the (instance, plan) of each solve."""
+    solved = []
+
+    def recorded(inst):
+        solved.append((inst, solve(inst)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(fulfillment, "solve_dlp", recorded)
     cfg = tmp_path / "camp.json"
     cfg.write_text(json.dumps({
         "instances": 2, "replications": 2, "base_seed": 7,
@@ -491,8 +504,24 @@ def test_simulate_output_is_pinned(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--policies", "myopic,auto,dilate",
                 "--scale", "1.5", "--stable-timing", "--out", str(rows),
                 "--agg-out", str(agg)]) == cli.EXIT_OK
-    assert hashlib.sha256(rows.read_bytes()).hexdigest() == SIM_ROWS_SHA256
-    assert hashlib.sha256(agg.read_bytes()).hexdigest() == SIM_AGG_SHA256
+    return [hashlib.sha256(f.read_bytes()).hexdigest() for f in (rows, agg)], solved
+
+
+def test_simulate_output_is_pinned(tmp_path, monkeypatch):
+    from conftest import solve_full_dlp
+
+    solve_dlp = fulfillment.solve_dlp
+    digests, full = _pinned_campaign(tmp_path, monkeypatch, solve_full_dlp)
+    assert digests == [SIM_ROWS_SHA256, SIM_AGG_SHA256]
+    digests, reduced = _pinned_campaign(tmp_path, monkeypatch, solve_dlp)
+    assert digests == [REDUCED_SIM_ROWS_SHA256, REDUCED_SIM_AGG_SHA256]
+    # both plans of each instance are optimal on it
+    assert len(full) == len(reduced) == 2
+    for (inst, ref), (same, plan) in zip(full, reduced):
+        assert fulfillment.instance_to_json(same) == fulfillment.instance_to_json(inst)
+        ref.check(inst)
+        plan.check(inst)
+        assert plan.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
 def test_simulate_aggregates_match_the_rows(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,11 +33,11 @@ from corround.fulfillment import (
     solve_dlp,
     theoretical_beta,
 )
-from corround.instances import GeneratorConfig, build_instance
+from corround.instances import GeneratorConfig, OrphanItemWarning, build_instance
 from corround.simplex import EQ, LE, LPProblem
 from corround.streams import RandomStream
 
-from conftest import assert_same_lp, mps_sha256
+from conftest import assert_same_lp, full_dlp, mps_sha256, solve_full_dlp
 
 INF = float("inf")
 
@@ -216,6 +217,23 @@ def test_dlp_variable_and_row_counts():
     inv[2, 1] = INF
     unbounded, _ = build_dlp(dataclasses.replace(inst, inventory=inv))
     assert unbounded.rhs.tolist() == [100.0] * (n_inventory - 1) + problem.rhs[n_inventory:].tolist()
+    assert idx.cells.tolist() == list(range(u_vars))
+    # FC 1 has no stock of item 2, which is slot 1 of type 1 in both
+    # regions: slot positions 6 + 3 + 1 and 12 + 3 + 1 lose their u column
+    # and linking row, and (1, 2) its budget row; every y column stays
+    inv = inst.inventory.copy()
+    inv[1, 2] = 0.0
+    empty = dataclasses.replace(inst, inventory=inv)
+    reduced, idx = build_dlp(empty)
+    assert idx.cells.tolist() == [pos for pos in range(u_vars) if pos not in (10, 16)]
+    assert (idx.pairs, idx.u_off) == (((0, 0), (0, 1), (1, 0), (1, 1)), (0, 3, 6, 12))
+    assert reduced.n == (u_vars - 2) + y_vars
+    assert reduced.relations.tolist() == [LE] * (n_inventory - 1) + [EQ] * n_assignment + [LE] * (u_vars - 2)
+    assert reduced.rhs.tolist() == [100.0] * (n_inventory - 1) + [1.0] * n_assignment + [0.0] * (u_vars - 2)
+    # each cell took its budget, assignment and two linking entries along
+    assert reduced.A.nnz == problem.A.nnz - 2 * 4
+    plan = solve_dlp(empty)
+    assert plan.u[(1, 0)][1, 1] == plan.u[(1, 1)][1, 1] == 0.0
 
 
 def test_dlp_zero_rate_pairs_carry_no_variables():
@@ -247,8 +265,9 @@ def digest_dlps():
     yield "stock_out", tiny_instance(b=0.0)
 
 
-# SHA-256 of write_lp's text for each DLP above, recorded before the DLP
-# builder and LPProblem's conversion were rewritten
+# SHA-256 of write_lp's text for each DLP above with every cell (the
+# oracle `full_dlp`), recorded before the DLP builder and LPProblem's
+# conversion were rewritten
 DLP_MPS_SHA256 = {
     "zero_rate_pair": "43ccfda00a7c916a168a7ed727b431c23e4029b5cdc21241b021ef565b995eb1",
     "j2_k4": "163d1ac2c1a97be72e2a6272db24371d9c4ede00c9edbfe2721b18ddf641ee02",
@@ -258,9 +277,24 @@ DLP_MPS_SHA256 = {
 }
 
 
+# the same for `build_dlp`, recorded when the zero-stock cells left the LP
+REDUCED_DLP_MPS_SHA256 = {
+    "zero_rate_pair": "2372273b0150494b424d33705dbfb5e8f28782d256e11195855b3d76b5133b1f",
+    "j2_k4": "88355ff6b71a6126d9bea13a6311e70de9cf17b0893c316d830e64f835bcbb8c",
+    "j3_k3": "2acc88c3d83ba9c68b3165f4f7c5a7e474a2c31c2080175624bb6d81558dccb4",
+    "j2_scaled": "4c8a16e59b9a09dabacc64db3384361ecb67ce31c045167d4f57cb724f9b659d",
+    "stock_out": "00f8ee774b84ba34145ff383aafe10dfff8777f62f34f6c831696a25f6a8d57c",
+}
+
+
 def test_dlp_mps_text_is_pinned():
-    got = {name: mps_sha256(build_dlp(inst)[0]) for name, inst in digest_dlps()}
+    got = {name: mps_sha256(full_dlp(inst)[0]) for name, inst in digest_dlps()}
     assert got == DLP_MPS_SHA256
+
+
+def test_reduced_dlp_mps_text_is_pinned():
+    got = {name: mps_sha256(build_dlp(inst)[0]) for name, inst in digest_dlps()}
+    assert got == REDUCED_DLP_MPS_SHA256
 
 
 def test_plan_check_catches_bad_plans():
@@ -598,12 +632,130 @@ def dlp_battery():
 DLP_BATTERY = dlp_battery()
 
 
+def stocked_rows_dlp(inst):
+    """`rows_dlp` with the zero-stock cells taken out: the u column of
+    every (item slot, real FC) whose FC has no stock of the slot's item,
+    its linking row and the budget row of every zero-stock (k, i) go, and
+    the columns left are renumbered in order. Returns the LP, its pairs
+    and u offsets, and the slot position of each u column left."""
+    full, pairs, u_off = rows_dlp(inst)
+    K1, stock = inst.K + 1, inst.inventory.tolist()
+    dead = {u_off[p] + pos * K1 + k
+            for p, (t, _) in enumerate(pairs) for pos, i in enumerate(inst.types[t])
+            for k in range(1, K1) if stock[k][i] == 0.0}
+    keep = [col for col in range(full.n) if col not in dead]
+    new = {col: pos for pos, col in enumerate(keep)}
+    # rows_dlp's rows: a budget row per finite-stock (k, i), an assignment
+    # row per item slot, then a linking row per u column in column order
+    budgets = [stock[k][i] for k in range(1, K1) for i in range(inst.n) if stock[k][i] < math.inf]
+    n_u = sum(len(inst.types[t]) for t, _ in pairs) * K1
+    link = len(full.constraints) - n_u
+    rows = [({new[col]: v for col, v in coef.items() if col not in dead}, rel, rhs)
+            for pos, (coef, rel, rhs) in enumerate(full.constraints)
+            if not (pos < len(budgets) and budgets[pos] == 0.0 or pos - link in dead)]
+    return LPProblem(c=full.c[keep], constraints=rows), pairs, u_off, [col for col in keep if col < n_u]
+
+
 @pytest.mark.parametrize("name,inst", DLP_BATTERY, ids=[name for name, _ in DLP_BATTERY])
 def test_dlp_arrays_match_the_row_builder(name, inst):
-    problem, idx = build_dlp(inst)
+    problem, idx = full_dlp(inst)
     ref, pairs, u_off = rows_dlp(inst)
     assert_same_lp(problem, ref)
     assert idx.pairs == tuple(pairs) and idx.u_off == tuple(u_off)
+
+
+@pytest.mark.parametrize("name,inst", DLP_BATTERY, ids=[name for name, _ in DLP_BATTERY])
+def test_reduced_dlp_arrays_match_the_stocked_row_builder(name, inst):
+    problem, idx = build_dlp(inst)
+    ref, pairs, u_off, cells = stocked_rows_dlp(inst)
+    assert_same_lp(problem, ref)
+    assert idx.pairs == tuple(pairs) and idx.u_off == tuple(u_off)
+    assert idx.cells.tolist() == cells and not idx.cells.flags.writeable
+
+
+def generated_dlps():
+    """30 seeded generator instances: J = 1-3, K = 2-5, p_carry 0.5-0.9
+    and z_safety 0-1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrphanItemWarning)
+        return [(f"seed{seed}", build_instance(GeneratorConfig(
+                    n=8 + seed % 5, n_max=3, n_per=3, p_carry=(0.5, 0.7, 0.9)[seed % 3],
+                    z_safety=(0.0, 0.5, 1.0)[seed // 3 % 3], T=1000, J=1 + seed // 10, K=2 + seed % 4,
+                    seed=seed)))
+                for seed in range(30)]
+
+
+def perfbench_dlps():
+    """The DLPs of perfbench's LP suites on its default and held-out seeds
+    (12 one-region desk DLPs and 12 small ones each, every generator seed
+    a SeedSequence of (seed, 1, i)), and its two dispatch networks."""
+    desk = dict(n=20, n_max=5, n_per=5, p_carry=0.75, z_safety=0.5, T=10_000, K=5)
+    sizes = {"desk": dict(desk, J=1), "small": dict(desk, n=10, n_max=3, n_per=3, T=2000, J=1)}
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrphanItemWarning)
+        for seed, (size, cfg), i in itertools.product((20250808, 4242424242), sizes.items(), range(12)):
+            sub = int(np.random.SeedSequence([seed, 1, i]).generate_state(1, np.uint64)[0])
+            out.append((f"{size}_{seed}_{i}", build_instance(GeneratorConfig(seed=sub, **cfg))))
+        out += [(f"network_j{J}", build_instance(GeneratorConfig(seed=3, **dict(desk, T=T, J=J))))
+                for J, T in ((2, 1500), (3, 10_000))]
+    return out
+
+
+ORACLE_DLPS = DLP_BATTERY + list(digest_dlps()) + generated_dlps() + perfbench_dlps()
+
+
+@pytest.mark.parametrize("name,inst", ORACLE_DLPS, ids=[name for name, _ in ORACLE_DLPS])
+def test_dlp_matches_the_full_lp(name, inst):
+    """The reduced DLP's optimum is the full one's within 1e-9 relative, its
+    plan passes check, and every zero-stock cell of it is exactly 0.0."""
+    ref, plan = solve_full_dlp(inst), solve_dlp(inst)
+    assert abs(plan.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+    plan.check(inst)
+    assert plan.u.keys() == ref.u.keys()
+    for (t, _), u in plan.u.items():
+        empty = inst.inventory[:, list(inst.types[t])].T == 0.0
+        assert np.all(u[empty] == 0.0)
+
+
+def test_oracle_dlps_have_zero_stock_cells():
+    """Most DLPs above lose cells, so their zero checks are not vacuous."""
+    lost = [name for name, inst in ORACLE_DLPS if build_dlp(inst)[0].n < full_dlp(inst)[0].n]
+    assert len(lost) >= 0.8 * len(ORACLE_DLPS)
+
+
+def test_reduced_dlp_status_matches_the_full_lp():
+    # no stock anywhere: every item to the null FC, on both LPs
+    for build in (solve_dlp, solve_full_dlp):
+        plan = build(tiny_instance(b=0.0))
+        assert plan.objective == pytest.approx(5000.0, rel=1e-12)
+        assert plan.u[(0, 0)].tolist() == [[1.0, 0.0]]
+    # a negative fixed cost at FC 2, which stocks nothing: its y column
+    # keeps its cost without a linking row, so both LPs are unbounded
+    inst = FulfillmentInstance(
+        n=1, K=2, J=1, T=100, types=((0,),), rates=np.array([[0.5]]),
+        unit_cost=np.array([[[50.0]], [[1.0]], [[2.0]]]), fixed_cost=np.array([[0.0], [1.0], [-1.0]]),
+        inventory=np.array([[INF], [100.0], [0.0]]),
+    )
+    assert build_dlp(inst)[0].n == full_dlp(inst)[0].n - 1
+    for build in (solve_dlp, solve_full_dlp):
+        with pytest.raises(DLPSolveError, match="status unbounded"):
+            build(inst)
+    # the pivot cap binds on both
+    capped = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
+    for build in (solve_dlp, solve_full_dlp):
+        with pytest.raises(DLPSolveError, match="iteration_limit"):
+            build(capped, max_pivots=1)
+    # No valid instance has an infeasible DLP: sending every item to the
+    # null FC meets every row. Negative stock, which the instance refuses,
+    # forced past it makes the full LP infeasible; the reduced LP has no
+    # cell at that FC, and check refuses its plan, so neither returns one.
+    bad = dataclasses.replace(inst, fixed_cost=np.array([[0.0], [1.0], [1.0]]))
+    object.__setattr__(bad, "inventory", np.array([[INF], [-1.0], [0.0]]))
+    with pytest.raises(DLPSolveError, match="status infeasible"):
+        solve_full_dlp(bad)
+    with pytest.raises(FulfillmentError, match="oversubscribes inventory"):
+        solve_dlp(bad)
 
 
 def edge_cases():

@@ -251,9 +251,14 @@ def test_big_network_config_builds():
     assert inst.rates.shape == (100, 99)
     problem, idx = build_dlp(inst)
     assert len(idx.pairs) == np.count_nonzero(inst.rates) > 0
-    # q * (K+1) u columns per pair, then K+1 y columns per pair
+    # per pair, a u column for each item slot at the null FC and at every
+    # real FC with stock of its item (of q * (K+1) slot positions), then
+    # K+1 y columns
     K1 = inst.K + 1
-    assert problem.n == sum(len(inst.types[t]) * K1 + K1 for t, _ in idx.pairs)
+    fcs = 1 + np.count_nonzero(inst.inventory[1:] > 0.0, axis=0)   # per item
+    assert problem.n == sum(int(fcs[list(inst.types[t])].sum()) + K1 for t, _ in idx.pairs) == 428_571
+    assert idx.cells.size == problem.n - K1 * len(idx.pairs)
+    assert sum(len(inst.types[t]) * K1 + K1 for t, _ in idx.pairs) == 707_850
 
 
 def test_build_instance_determinism():
