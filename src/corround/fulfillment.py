@@ -65,7 +65,7 @@ DECISION_SUBSTREAM = 0x00DEC1
 
 RATE_TOL = 1e-12
 INV_TOL = 1e-6
-PLAN_TOL = 1e-7   # item rows of a plan's u sum to 1, and y >= max_i u, within this
+PLAN_TOL = 1e-7   # item rows of a plan's u sum to 1 within this
 
 
 class FulfillmentError(ValueError):
@@ -95,7 +95,7 @@ class FulfillmentInstance:
         for name in ("n", "K", "J", "T"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         try:
-            object.__setattr__(self, "types", tuple(tuple(map(operator.index, a)) for a in self.types))
+            object.__setattr__(self, "types", tuple(tuple(map(_index, a)) for a in self.types))
         except TypeError:
             raise FulfillmentError("order types must be sequences of integer item ids") from None
         rates, unit, fixed, inv = (_floats(name, getattr(self, name))
@@ -134,10 +134,17 @@ class FulfillmentInstance:
             object.__setattr__(self, name, arr)
 
 
+def _index(value) -> int:
+    """``operator.index``, refusing bools (JSON's true and false)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _count(name: str, value) -> int:
     """An instance count as an int >= 0; FulfillmentError names the field."""
     try:
-        v = operator.index(value)
+        v = _index(value)
     except TypeError:
         raise FulfillmentError(f"{name} must be an integer, got {value!r}") from None
     if v < 0:
@@ -241,66 +248,68 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
 
 @dataclass(frozen=True, eq=False)
 class DLPlan:
-    """Fulfillment frequencies u^a_kij and usage bounds y^a_kj per order (t, j).
+    """Fulfillment frequencies u^a_kij per order (t, j) and y^a_kj = max_i u^a_kij.
 
-    A plan is well formed when it is built: ``u`` and ``y`` have the same
-    keys, (t, j) pairs of ints; each ``u[t, j]`` is a (q >= 1, C) array,
-    with one C for the whole plan, and each ``y[t, j]`` a (C,) array; every
-    entry is finite and non-negative; each item's row of u sums to 1 and
-    y >= max_i u, both within PLAN_TOL; the objective is a finite number.
-    Otherwise construction raises FulfillmentError naming the first bad key
-    in sorted order, also through `plan_from_json` and unpickling. Whether
-    a plan fits an instance (`_plan_keys`) is checked by `check`, by the
+    A plan is well formed when it is built: the keys of ``u`` are (t, j)
+    pairs of ints; each ``u[t, j]`` is a (q >= 1, C) array, with one C for
+    the whole plan; every entry is finite and non-negative; each item's row
+    sums to 1 within PLAN_TOL; the objective is a finite number. Otherwise
+    construction raises FulfillmentError naming the first bad key in sorted
+    order, also through `plan_from_json` and unpickling. Whether a plan
+    fits an instance (`_plan_keys`) is checked by `check`, by the
     randomized policies of `simulate` and by `theoretical_beta`.
 
-    ``u`` and ``y`` hold read-only copies of the arrays given, in sorted
-    key order. The randomized policies draw through the plan's dispatch
-    table, which the first `simulate` call on an instance builds and later
-    calls reuse; a pickled plan leaves it behind, and the copy builds its
-    own.
+    ``u`` holds read-only copies of the arrays given, in sorted key order,
+    and ``y`` the read-only (C,) max of each. The randomized policies draw
+    through the plan's dispatch table, which the first `simulate` call on
+    an instance builds and later calls reuse; a pickled plan leaves it
+    behind, and the copy builds its own.
     """
 
     objective: float
     u: Mapping   # (t, j) -> (q, K+1) array
-    y: Mapping   # (t, j) -> (K+1,) array
+    y: Mapping = field(init=False)   # (t, j) -> (K+1,) array, max_i u
     _dispatch: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.objective, numbers.Real) or not math.isfinite(self.objective):
             raise FulfillmentError(f"plan objective {self.objective!r} is not a finite number")
         object.__setattr__(self, "objective", float(self.objective))
-        u, y = _plan_arrays(self.u, "u"), _plan_arrays(self.y, "y")
-        if u.keys() != y.keys():
-            raise FulfillmentError(f"plan row {min(u.keys() ^ y.keys())} has only one of u and y")
+        u = {}
+        for key, a in self.u.items():
+            try:
+                t, j = key
+                u[_index(t), _index(j)] = np.asarray(a, dtype=float)
+            except (TypeError, ValueError):
+                raise FulfillmentError(f"plan u at {key!r} is not an int (type, region) pair "
+                                       "with an array of numbers") from None
+        u = dict(sorted(u.items()))
         keys = list(u)
-        C = y[keys[0]].size if keys else 0
+        C = u[keys[0]].shape[-1] if keys and u[keys[0]].ndim else 0
         for key in keys:
-            if u[key].ndim != 2 or not len(u[key]) or u[key].shape[1] != C or y[key].shape != (C,):
-                raise FulfillmentError(f"plan row {key} has u of shape {u[key].shape} and y of shape "
-                                       f"{y[key].shape}, not (q >= 1, {C}) and ({C},)")
-        # one read-only copy of every item row and every y, checked in one
-        # pass; key p owns rows[start[p]:start[p] + q[p]] and cols[p]
+            if u[key].ndim != 2 or not len(u[key]) or u[key].shape[1] != C:
+                raise FulfillmentError(f"plan row {key} has u of shape {u[key].shape}, not (q >= 1, {C})")
+        # one read-only copy of every item row, checked in one pass, and
+        # each key's max; key p owns rows[start[p]:start[p] + q[p]]
         rows = np.concatenate([np.empty((0, C)), *u.values()])
-        cols = np.concatenate([np.empty(0), *y.values()]).reshape(len(keys), C)
-        rows.flags.writeable = cols.flags.writeable = False
         q = np.fromiter(map(len, u.values()), dtype=np.intp, count=len(keys))
         start = np.cumsum(q) - q
-        object.__setattr__(self, "u", MappingProxyType(
-            {key: rows[s:s + n] for key, s, n in zip(keys, start.tolist(), q.tolist())}))
-        object.__setattr__(self, "y", MappingProxyType(dict(zip(keys, cols))))
-        fine = lambda a: ((a >= 0.0) & (a < np.inf)).all(axis=1)
         bad = ~np.array([
-            np.logical_and.reduceat(fine(rows), start) & fine(cols),
+            np.logical_and.reduceat(((rows >= 0.0) & (rows < np.inf)).all(axis=1), start),
             np.logical_and.reduceat(np.abs(rows.sum(axis=1) - 1.0) <= PLAN_TOL, start),
-            (cols >= np.maximum.reduceat(rows, start) - PLAN_TOL).all(axis=1),
         ])
         if bad.any():
             p = int(np.argmax(bad.any(axis=0)))
-            what = ("a negative or non-finite entry", "an item row not summing to 1", "y < max u")
+            what = ("a negative or non-finite entry", "an item row not summing to 1")
             raise FulfillmentError(f"plan row {keys[p]} has {what[np.argmax(bad[:, p])]}")
+        y = np.maximum.reduceat(rows, start)
+        rows.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "u", MappingProxyType(
+            {key: rows[s:s + n] for key, s, n in zip(keys, start.tolist(), q.tolist())}))
+        object.__setattr__(self, "y", MappingProxyType(dict(zip(keys, y))))
 
     def __reduce__(self):
-        return DLPlan, (self.objective, dict(self.u), dict(self.y))
+        return DLPlan, (self.objective, dict(self.u))
 
     def check(self, inst: FulfillmentInstance) -> None:
         """Check that the plan fits the instance and keeps to its stock.
@@ -323,20 +332,6 @@ class DLPlan:
         over = flow[:, 1:] - inst.inventory[1:].T
         if over.max(initial=0.0) > INV_TOL:
             raise FulfillmentError(f"plan oversubscribes inventory by {over.max():.2e}")
-
-
-def _plan_arrays(mapping: Mapping, name: str) -> dict:
-    """A plan's u or y as float arrays in sorted (t, j) order, t and j made
-    ints."""
-    arrays = {}
-    for key, a in mapping.items():
-        try:
-            t, j = key
-            arrays[operator.index(t), operator.index(j)] = np.asarray(a, dtype=float)
-        except (TypeError, ValueError):
-            raise FulfillmentError(f"plan {name} at {key!r} is not an int (type, region) pair "
-                                   "with an array of numbers") from None
-    return dict(sorted(arrays.items()))
 
 
 def _plan_keys(inst: FulfillmentInstance, plan: DLPlan) -> list:
@@ -368,7 +363,7 @@ def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
     x = np.zeros(K1 * sum(len(inst.types[t]) for t, _ in index.pairs))
     x[index.cells] = np.clip(sol.x[:index.cells.size], 0.0, None)
     u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
-    plan = DLPlan(objective=float(sol.objective), u=u, y={key: a.max(axis=0) for key, a in u.items()})
+    plan = DLPlan(objective=float(sol.objective), u=u)
     plan.check(inst)
     return plan
 
@@ -728,6 +723,7 @@ def instance_from_json(text: str) -> FulfillmentInstance:
 
 
 def plan_to_json(plan: DLPlan) -> str:
+    """Canonical JSON text; each entry also carries y = max u, which `plan_from_json` ignores."""
     entries = [{"type": t, "region": j, "u": u.tolist(), "y": plan.y[(t, j)].tolist()}
                for (t, j), u in plan.u.items()]
     return json.dumps({"objective": plan.objective, "entries": entries}, sort_keys=True, separators=(",", ":"))
@@ -735,10 +731,10 @@ def plan_to_json(plan: DLPlan) -> str:
 
 def plan_from_json(text: str) -> DLPlan:
     objective, entries = _fields(json.loads(text), "objective", "entries")
-    u, y = {}, {}
+    u = {}
     for ent in entries:
-        t, j, u_row, y_row = _fields(ent, "type", "region", "u", "y")
+        t, j, row = _fields(ent, "type", "region", "u")
         if (t, j) in u:
             raise FulfillmentError(f"plan lists order {(t, j)} twice")
-        u[(t, j)], y[(t, j)] = u_row, y_row
-    return DLPlan(objective=objective, u=u, y=y)
+        u[(t, j)] = row
+    return DLPlan(objective=objective, u=u)

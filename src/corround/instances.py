@@ -9,14 +9,15 @@ rates, decides carrying assortments by coin flips, and places newsvendor
 starting inventories against the demand attributed to each FC by
 closest-carrier routing.
 
-Every random choice draws from the passed stream in a documented order
-(types, then rate splits, then carrying), so a config plus seed regenerates
-an instance byte-for-byte.
+Every random choice draws from ``RandomStream(cfg.seed)`` in a documented
+order (types, then rate splits, then carrying), so a config plus seed
+regenerates an instance byte-for-byte.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 import operator
@@ -87,17 +88,22 @@ class Geography:
 
 def _read_csv(path_or_file, bundled, columns):
     """A geography CSV's rows as tuples, each value cast by ``columns``
-    (name, type); the bundled data file ``bundled`` when ``path_or_file``
-    is None. A missing column, a short row, a value that is not of its
-    type and a NaN or infinite number raise GeneratorError naming the
-    file, the line and the column."""
+    (name, type); the bundled data file ``bundled``, parsed once per
+    process, when ``path_or_file`` is None. A missing column, a short row,
+    a value that is not of its type and a NaN or infinite number raise
+    GeneratorError naming the file, the line and the column."""
     if path_or_file is None:
-        with resources.files("corround.data").joinpath(bundled).open(newline="") as f:
-            return _parse_csv(f, bundled, columns)
+        return list(_bundled_rows(bundled, columns))
     if hasattr(path_or_file, "read"):
         return _parse_csv(path_or_file, getattr(path_or_file, "name", "<stream>"), columns)
     with open(path_or_file, newline="") as f:
         return _parse_csv(f, os.fspath(path_or_file), columns)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_rows(bundled, columns) -> tuple:
+    with resources.files("corround.data").joinpath(bundled).open(newline="") as f:
+        return tuple(_parse_csv(f, bundled, columns))
 
 
 def _parse_csv(f, name, columns):
@@ -309,18 +315,13 @@ def gen_inventory(cfg: GeneratorConfig, profile: DemandProfile) -> np.ndarray:
     return b
 
 
-def build_instance(
-    cfg: GeneratorConfig,
-    geography: Optional[Geography] = None,
-    rng: Optional[RandomStream] = None,
-) -> FulfillmentInstance:
+def build_instance(cfg: GeneratorConfig, geography: Optional[Geography] = None) -> FulfillmentInstance:
     """Compose a full instance; draw order: types, rates, carrying."""
     if geography is None:
         geography = build_geography(cfg.J, cfg.K)
     if geography.J != cfg.J or geography.K != cfg.K:
         raise GeneratorError("geography dimensions disagree with the config")
-    if rng is None:
-        rng = RandomStream(cfg.seed)
+    rng = RandomStream(cfg.seed)
     types = gen_order_types(cfg, rng)
     rates = gen_demand_rates(types, geography, rng)
     carry = gen_carrying(cfg, rng)

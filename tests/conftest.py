@@ -342,7 +342,7 @@ def solve_full_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPl
         raise DLPSolveError(f"DLP ended with status {sol.status}")
     x, K1 = np.clip(sol.x, 0.0, None), inst.K + 1
     u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
-    plan = DLPlan(objective=float(sol.objective), u=u, y={key: a.max(axis=0) for key, a in u.items()})
+    plan = DLPlan(objective=float(sol.objective), u=u)
     plan.check(inst)
     return plan
 

@@ -131,7 +131,7 @@ def test_instance_rejects_non_finite_data(name, at, value):
 
 def test_instance_allows_unbounded_stock_on_a_real_fc():
     inst = FulfillmentInstance(**_with(tiny_instance(T=200, lam=1.0), inventory=((1, 0), INF)))
-    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])}, y={(0, 0): np.array([0.0, 1.0])})
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])})
     for policy in POLICIES:
         r = simulate(inst, plan, policy, RandomStream(1))
         assert (r.orders, r.short_items, r.stockout_orders) == (200, 0, (-1,)), policy
@@ -157,9 +157,14 @@ def test_instance_item_ids_are_ints():
     inst = FulfillmentInstance(**{**fields, "types": ((np.int64(0),),)})
     assert type(inst.types[0][0]) is int
     assert instance_to_json(inst) == instance_to_json(tiny_instance())
-    for types in (((0.0,),), (("0",),), (0,)):
+    for types in (((0.0,),), (("0",),), (0,), ((True,),), ((np.False_,),)):
         with pytest.raises(FulfillmentError, match="integer item ids"):
             FulfillmentInstance(**{**fields, "types": types})
+    # JSON's true is no item id, though it would name item 1
+    doc = json.loads(instance_to_json(hand_case()[0]))
+    doc["types"][1] = [True]
+    with pytest.raises(FulfillmentError, match="integer item ids"):
+        instance_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +306,16 @@ def test_plan_check_catches_bad_plans():
     inst = tiny_instance()
     # a row that does not sum to 1 is refused when the plan is built
     with pytest.raises(FulfillmentError, match=re.escape("(0, 0) has an item row not summing to 1")):
-        DLPlan(objective=1.0, u={(0, 0): np.array([[0.5, 0.4]])}, y={(0, 0): np.array([0.5, 0.4])})
+        DLPlan(objective=1.0, u={(0, 0): np.array([[0.5, 0.4]])})
     # check catches a flow past the stock (50 orders, 10 units), an order
     # without a row and a row that does not fit the instance
-    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])}, y={(0, 0): np.array([0.0, 1.0])})
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 1.0]])})
     plan.check(inst)
     with pytest.raises(FulfillmentError, match=re.escape("oversubscribes inventory by 4.00e+01")):
         plan.check(tiny_instance(b=10.0))
     with pytest.raises(FulfillmentError, match=re.escape("no row for order (0, 0)")):
-        DLPlan(objective=1.0, u={}, y={}).check(inst)
-    wide = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 0.5, 0.5]])}, y={(0, 0): np.array([0.0, 0.5, 0.5])})
+        DLPlan(objective=1.0, u={}).check(inst)
+    wide = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 0.5, 0.5]])})
     with pytest.raises(FulfillmentError, match=re.escape("(0, 0) has shape (1, 3)")):
         wide.check(inst)
 
@@ -357,7 +362,7 @@ def test_check_agrees_with_the_per_item_reference():
     for name, inst, plan in edge_cases():
         # half of every item's mass moved to FC 1, which oversubscribes it
         spread = {key: 0.5 * u + 0.5 * np.eye(inst.K + 1)[1] for key, u in plan.u.items()}
-        spread = DLPlan(plan.objective, spread, {key: u.max(axis=0) for key, u in spread.items()})
+        spread = DLPlan(plan.objective, spread)
         for factor in (1e6, 2.0, 1.0, 0.5, 0.0):
             inv = inst.inventory.copy()
             inv[np.isfinite(inv)] *= factor
@@ -415,11 +420,7 @@ def test_simulate_marginal_flow_matches_plan():
     # hand-set plan with mass on the null FC and both real FCs; ample stock,
     # so realized frequencies are pure scheme draws
     base = two_fc_instance()
-    plan = DLPlan(
-        objective=1.0,
-        u={(0, 0): np.array([[0.3, 0.3, 0.4]])},
-        y={(0, 0): np.array([0.3, 0.3, 0.4])},
-    )
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.3, 0.3, 0.4]])})
     inst_long = FulfillmentInstance(
         n=1, K=2, J=1, T=40_000, types=((0,),), rates=np.array([[0.5]]),
         unit_cost=base.unit_cost, fixed_cost=base.fixed_cost,
@@ -578,7 +579,6 @@ def hand_case():
         objective=5.0,
         u={(0, 0): np.array([[0.2, 0.5, 0.3, 0.0], [0.0, 0.4, 0.0, 0.6]]),
            (1, 0): np.array([[0.1, 0.9, 0.0, 0.0]])},
-        y={(0, 0): np.array([0.2, 0.5, 0.3, 0.6]), (1, 0): np.array([0.1, 0.9, 0.0, 0.0])},
     )
     return hand, hand_plan
 
@@ -793,8 +793,6 @@ def edge_cases():
         objective=100.0,
         u={(0, 0): np.array([[0.25, 0.75], [0.5, 0.5]]), (0, 1): np.array([[0.0, 1.0], [0.1, 0.9]]),
            (2, 0): np.array([[1.0, 0.0]]), (2, 1): np.array([[1.0, 0.0]])},
-        y={(0, 0): np.array([0.5, 0.75]), (0, 1): np.array([0.1, 1.0]),
-           (2, 0): np.array([1.0, 0.0]), (2, 1): np.array([1.0, 0.0])},
     )
     mixed = FulfillmentInstance(
         n=3, K=2, J=2, T=300, types=((0, 1), (1, 2, 0)),
@@ -810,7 +808,7 @@ def edge_cases():
                (0, 1): np.array([[0.2, 0.3, 0.5], [0.0, 0.6, 0.4]]),
                (1, 0): np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.3, 0.7]]),
                (1, 1): np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])}
-    mixed_plan = DLPlan(objective=50.0, u=mixed_u, y={key: u.max(axis=0) for key, u in mixed_u.items()})
+    mixed_plan = DLPlan(objective=50.0, u=mixed_u)
     return [
         ("generated", inst, plan),
         ("half", scale(inst, 0.5), plan),
@@ -930,7 +928,7 @@ def test_pickled_plan_gives_identical_reports():
 def test_plan_arrays_are_read_only_copies():
     hand, hand_plan = hand_case()
     row = np.array([[0.1, 0.9, 0.0, 0.0]])
-    plan = DLPlan(objective=5.0, u={**hand_plan.u, (1, 0): row}, y=dict(hand_plan.y))
+    plan = DLPlan(objective=5.0, u={**hand_plan.u, (1, 0): row})
     before = _fields(simulate(hand, plan, "dilate", RandomStream(2)))
     row[0] = [0.0, 0.0, 0.0, 1.0]
     with pytest.raises(ValueError):
@@ -943,36 +941,22 @@ def test_plan_arrays_are_read_only_copies():
 
 
 def malformed_rows():
-    """(what, pair named by the error, u, y): plans on hand_case()'s layout
+    """(what, pair named by the error, u): plans on hand_case()'s layout
     that `DLPlan` refuses to build, one fault each."""
     _, hand_plan = hand_case()
-    u0, y0 = hand_plan.u[(0, 0)], hand_plan.y[(0, 0)]
-    u1, y1 = hand_plan.u[(1, 0)], hand_plan.y[(1, 0)]
     cases = [
-        ("NaN entry", (1, 0), [[0.1, np.nan, 0.0, 0.0]], [0.1, 1.0, 0.0, 0.0]),
-        ("inf entry", (1, 0), [[0.1, INF, 0.0, 0.0]], [0.1, INF, 0.0, 0.0]),
-        ("negative entry", (1, 0), [[-0.1, 1.1, 0.0, 0.0]], [0.0, 1.1, 0.0, 0.0]),
-        ("all-zero item", (0, 0), [[0.2, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]], y0),
-        ("item summing to 0.9", (1, 0), [[0.5, 0.4, 0.0, 0.0]], [0.5, 0.4, 0.0, 0.0]),
-        ("item summing to 1 + 2 PLAN_TOL", (1, 0), [[0.1, 0.9 + 2 * PLAN_TOL, 0.0, 0.0]], [0.1, 1.0, 0.0, 0.0]),
-        ("K columns beside K + 1", (1, 0), [[0.1, 0.9, 0.0]], [0.1, 0.9, 0.0]),
-        ("no item rows", (1, 0), np.empty((0, 4)), y1),
-        ("1-D u", (1, 0), [0.1, 0.9, 0.0, 0.0], y1),
-        ("NaN in y", (0, 0), u0, [0.2, np.nan, 0.3, 0.6]),
-        ("inf in y", (0, 0), u0, [0.2, INF, 0.3, 0.6]),
-        ("y below max u", (0, 0), u0, [0.2, 0.5 - 2 * PLAN_TOL, 0.3, 0.6]),
-        ("y of K entries", (1, 0), u1, [0.1, 0.9, 0.0]),
-        ("u without y", (1, 0), u1, None),
-        ("y without u", (2, 0), None, [1.0, 0.0, 0.0, 0.0]),
+        ("NaN entry", (1, 0), [[0.1, np.nan, 0.0, 0.0]]),
+        ("inf entry", (1, 0), [[0.1, INF, 0.0, 0.0]]),
+        ("negative entry", (1, 0), [[-0.1, 1.1, 0.0, 0.0]]),
+        ("all-zero item", (0, 0), [[0.2, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+        ("item summing to 0.9", (1, 0), [[0.5, 0.4, 0.0, 0.0]]),
+        ("item summing to 1 + 2 PLAN_TOL", (1, 0), [[0.1, 0.9 + 2 * PLAN_TOL, 0.0, 0.0]]),
+        ("K columns beside K + 1", (1, 0), [[0.1, 0.9, 0.0]]),
+        ("no item rows", (1, 0), np.empty((0, 4))),
+        ("1-D u", (1, 0), [0.1, 0.9, 0.0, 0.0]),
     ]
-    for what, pair, u, y in cases:
-        us = {key: a for key, a in hand_plan.u.items() if key != pair}
-        ys = {key: a for key, a in hand_plan.y.items() if key != pair}
-        if u is not None:
-            us[pair] = np.array(u, dtype=float)
-        if y is not None:
-            ys[pair] = np.array(y, dtype=float)
-        yield what, pair, us, ys
+    for what, pair, u in cases:
+        yield what, pair, {**hand_plan.u, pair: np.array(u, dtype=float)}
 
 
 class _Pickled:
@@ -986,50 +970,67 @@ class _Pickled:
         return DLPlan, self.fields
 
 
-def _plan_text(objective, u, y):
-    entries = [{"type": t, "region": j, "u": np.asarray(u[(t, j)]).tolist(), "y": np.asarray(y[(t, j)]).tolist()}
-               for t, j in u]
+def _plan_text(objective, u):
+    entries = [{"type": t, "region": j, "u": np.asarray(u[(t, j)]).tolist()} for t, j in u]
     return json.dumps({"objective": objective, "entries": entries})
 
 
 def test_malformed_plans_fail_when_built():
-    for _, pair, u, y in malformed_rows():
-        builds = [lambda: DLPlan(objective=5.0, u=u, y=y),
-                  lambda: pickle.loads(pickle.dumps(_Pickled(5.0, u, y)))]
-        if u.keys() == y.keys():
-            # NaN and inf are written as JSON's NaN and Infinity literals
-            builds.append(lambda: plan_from_json(_plan_text(5.0, u, y)))
-        for build in builds:
+    for _, pair, u in malformed_rows():
+        # NaN and inf are written as JSON's NaN and Infinity literals
+        for build in (lambda: DLPlan(objective=5.0, u=u),
+                      lambda: pickle.loads(pickle.dumps(_Pickled(5.0, u))),
+                      lambda: plan_from_json(_plan_text(5.0, u))):
             with pytest.raises(FulfillmentError, match=re.escape(str(pair))):
                 build()
 
 
 def test_plan_construction_tolerances_and_keys():
     _, hand_plan = hand_case()
-    u, y = dict(hand_plan.u), dict(hand_plan.y)
-    # within PLAN_TOL of a row sum of 1 and of y = max u is well formed
+    u = dict(hand_plan.u)
+    # within PLAN_TOL of a row sum of 1 is well formed
     u[(1, 0)] = np.array([[0.1, 0.9 + PLAN_TOL / 2, 0.0, 0.0]])
-    y[(0, 0)] = y[(0, 0)] - PLAN_TOL / 2
-    DLPlan(objective=5.0, u=u, y=y)
+    DLPlan(objective=5.0, u=u)
     # numpy int keys become ints, and the mappings iterate in key order
-    plan = DLPlan(objective=np.float32(5.0), u={(np.int64(t), j): a for (t, j), a in reversed(hand_plan.u.items())},
-                  y=dict(hand_plan.y))
+    plan = DLPlan(objective=np.float32(5.0), u={(np.int64(t), j): a for (t, j), a in reversed(hand_plan.u.items())})
     assert list(plan.u) == list(plan.y) == [(0, 0), (1, 0)]
     assert all(type(t) is int for t, _ in plan.u)
     assert plan_to_json(plan) == plan_to_json(hand_plan)
     bad = {
-        "not a pair": ({(0,): [[1.0]]}, {(0,): [1.0]}),
-        "float type": ({(0.0, 0): [[1.0]]}, {(0.0, 0): [1.0]}),
-        "text key": ({"ab": [[1.0]]}, {"ab": [1.0]}),
-        "text entries": ({(0, 0): [["a"]]}, {(0, 0): [1.0]}),
-        "ragged rows": ({(0, 0): [[1.0], [0.5, 0.5]]}, {(0, 0): [1.0]}),
+        "not a pair": {(0,): [[1.0]]},
+        "float type": {(0.0, 0): [[1.0]]},
+        "bool region": {(0, False): [[1.0]]},
+        "text key": {"ab": [[1.0]]},
+        "text entries": {(0, 0): [["a"]]},
+        "ragged rows": {(0, 0): [[1.0], [0.5, 0.5]]},
     }
-    for what, (u, y) in bad.items():
+    for what, u in bad.items():
         with pytest.raises(FulfillmentError, match="int \\(type, region\\) pair"):
-            DLPlan(objective=1.0, u=u, y=y)
+            DLPlan(objective=1.0, u=u)
     for objective in (np.nan, INF, "5", None):
         with pytest.raises(FulfillmentError, match="objective"):
-            DLPlan(objective=objective, u={}, y={})
+            DLPlan(objective=objective, u={})
+
+
+def test_plan_y_is_max_u():
+    """y is each row's max_i u, read-only, and stays so through JSON and
+    pickle; y is no input: a text's y is read past, and the constructor and
+    the pickled form of a version that took y refuse it."""
+    _, hand_plan = hand_case()
+    text = plan_to_json(hand_plan)
+    doc = json.loads(text)
+    for entry in doc["entries"]:
+        entry["y"] = [2.0] * len(entry["y"])
+    for plan in (hand_plan, plan_from_json(text), plan_from_json(json.dumps(doc)),
+                 plan_from_json(_plan_text(5.0, hand_plan.u)), pickle.loads(pickle.dumps(hand_plan))):
+        assert list(plan.y) == list(plan.u)
+        for key, u in plan.u.items():
+            assert np.array_equal(plan.y[key], u.max(axis=0)) and not plan.y[key].flags.writeable
+        assert plan_to_json(plan) == text
+    with pytest.raises(TypeError):
+        DLPlan(objective=5.0, u=dict(hand_plan.u), y=dict(hand_plan.y))
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(_Pickled(5.0, dict(hand_plan.u), dict(hand_plan.y))))
 
 
 def malformed_plans():
@@ -1046,7 +1047,7 @@ def malformed_plans():
         "unknown region": ((0, 1), {**good, (0, 1): good[(0, 0)]}),
         "negative type": ((-1, 0), {**good, (-1, 0): np.array([[1.0, 0.0, 0.0, 0.0]])}),
     }
-    return hand, [(what, pair, DLPlan(objective=5.0, u=u, y={k: v.max(axis=0) for k, v in u.items()}))
+    return hand, [(what, pair, DLPlan(objective=5.0, u=u))
                   for what, (pair, u) in rows.items()]
 
 
@@ -1111,11 +1112,7 @@ def test_theoretical_beta_pairs_capped_by_js():
         fixed_cost=np.array([[0.0], [2.0], [2.0]]),
         inventory=np.vstack([np.full((1, 2), INF), np.full((2, 2), 100.0)]),
     )
-    plan = DLPlan(
-        objective=1.0,
-        u={(0, 0): np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])},
-        y={(0, 0): np.array([0.0, 0.5, 0.5])},
-    )
+    plan = DLPlan(objective=1.0, u={(0, 0): np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])})
     beta, relaxed = theoretical_beta(inst, plan)
     assert beta == pytest.approx(1.0)  # B(2) = 1 caps the per-order term
     assert relaxed == pytest.approx(1.0 + math.log(2))
@@ -1217,7 +1214,7 @@ def test_plan_json_round_trip():
 @pytest.mark.parametrize("reader, text, field", [
     (plan_from_json, '{"objective": 1}', "entries"),
     (plan_from_json, '{"entries": []}', "objective"),
-    (plan_from_json, '{"objective": 1, "entries": [{"type": 0, "region": 0, "u": [[1.0]]}]}', "y"),
+    (plan_from_json, '{"objective": 1, "entries": [{"type": 0, "region": 0, "y": [1.0]}]}', "u"),
     (plan_from_json, "[]", "objective"),
     (instance_from_json, '{"n": 1}', "K"),
     (instance_from_json, "[1, 2]", "n"),
@@ -1237,6 +1234,10 @@ def test_json_readers_name_a_missing_field(reader, text, field):
     ("rates", [["x"]], "rates is not an array of numbers"),
     ("unit_cost", "cheap", "unit_cost is not an array of numbers"),
     ("inventory", [[1.0], ["lots"]], "inventory is not an array of numbers"),
+    # JSON's true and false are no counts
+    ("n", True, "n must be an integer, got True"),
+    ("T", True, "T must be an integer, got True"),
+    ("K", False, "K must be an integer, got False"),
 ])
 def test_instance_counts_and_arrays_are_checked(field, value, message):
     doc = json.loads(instance_to_json(tiny_instance()))

@@ -54,6 +54,20 @@ def test_bundled_data_shapes():
     assert not any("Honolulu" in n for n in names)
 
 
+def test_bundled_rows_are_parsed_once_and_each_call_gets_its_own_list(tmp_path):
+    regions, fcs = load_regions(), load_fcs()
+    assert load_regions() is not regions and load_regions() == regions
+    regions.clear()
+    fcs[0] = ("Nowhere", 0.0, 0.0)
+    assert len(load_regions()) == 99 and load_fcs()[0][0] != "Nowhere"
+    # a file of the user's is read on every call
+    path = tmp_path / "fcs.csv"
+    path.write_text("name,lat,lon\nA,40.7,-74.0\n")
+    assert load_fcs(path) == [("A", 40.7, -74.0)]
+    path.write_text("name,lat,lon\nB,34.1,-118.2\n")
+    assert load_fcs(path) == [("B", 34.1, -118.2)]
+
+
 def test_geography_selection():
     geo = build_geography(J=10, K=5)
     assert geo.J == 10 and geo.K == 5
