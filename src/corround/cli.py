@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import fulfillment, instances, optimal, rounding, setcover, simplex
-from .errors import CapExceeded
+from . import fulfillment, instances, optimal, rounding, setcover
+from .errors import CapExceeded, SolverFailure
 from .streams import RandomStream, derive_seed
 
 EXIT_OK = 0
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 # TypeError or ValueError is listed.
 EXIT_CODES = (
     (CapExceeded, EXIT_CAP),
-    ((optimal.SolverFailure, simplex.SolverNumericalError, fulfillment.DLPSolveError), EXIT_SOLVER),
+    (SolverFailure, EXIT_SOLVER),
     ((OSError, json.JSONDecodeError, UsageError, rounding.ParseError, rounding.RoundingError,
       setcover.SetCoverError, instances.GeneratorError, fulfillment.FulfillmentError), EXIT_USAGE),
 )

@@ -53,7 +53,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import rounding, simplex
+from . import errors, rounding
 from .streams import RandomStream
 
 POLICIES = ("myopic", "independent", "dilate", "force_open", "auto")
@@ -70,10 +70,6 @@ PLAN_TOL = 1e-7   # item rows of a plan's u sum to 1 within this
 
 class FulfillmentError(ValueError):
     pass
-
-
-class DLPSolveError(RuntimeError):
-    """The DLP did not come back optimal."""
 
 
 @dataclass(frozen=True)
@@ -206,6 +202,7 @@ def build_dlp(inst: FulfillmentInstance) -> tuple[simplex.LPProblem, DLPIndex]:
     positions s*(K+1) .. s*(K+1) + K, u column c holds position
     ``cells[c]``, and pair p owns the y columns n_u + p*(K+1) + k.
     """
+    from . import simplex
     K1 = inst.K + 1
     pt, pj = np.nonzero(inst.rates > 0.0)
     pairs = tuple(zip(pt.tolist(), pj.tolist()))
@@ -272,7 +269,8 @@ class DLPlan:
     _dispatch: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.objective, numbers.Real) or not math.isfinite(self.objective):
+        if isinstance(self.objective, bool) or not isinstance(self.objective, numbers.Real) \
+                or not math.isfinite(self.objective):
             raise FulfillmentError(f"plan objective {self.objective!r} is not a finite number")
         object.__setattr__(self, "objective", float(self.objective))
         u = {}
@@ -355,10 +353,11 @@ def solve_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPlan:
     The u columns are scattered into zeros of the plan's slot layout (see
     `DLPIndex`), so a zero-stock cell reads exactly 0.0.
     """
+    from . import simplex
     problem, index = build_dlp(inst)
     sol = simplex.solve(problem, max_pivots=max_pivots)
     if sol.status != simplex.OPTIMAL:
-        raise DLPSolveError(f"DLP ended with status {sol.status}")
+        raise errors.SolverFailure(f"DLP ended with status {sol.status}")
     K1 = inst.K + 1
     x = np.zeros(K1 * sum(len(inst.types[t]) for t, _ in index.pairs))
     x[index.cells] = np.clip(sol.x[:index.cells.size], 0.0, None)
@@ -731,6 +730,8 @@ def plan_to_json(plan: DLPlan) -> str:
 
 def plan_from_json(text: str) -> DLPlan:
     objective, entries = _fields(json.loads(text), "objective", "entries")
+    if not isinstance(entries, list):
+        raise FulfillmentError(f"plan entries must be a list, got {type(entries).__name__}")
     u = {}
     for ent in entries:
         t, j, row = _fields(ent, "type", "region", "u")

@@ -147,10 +147,10 @@ def build_geography(J: int, K: int, regions_path=None, fcs_path=None) -> Geograp
     """Top-J regions by population and first K FCs, with distances."""
     regions = load_regions(regions_path)
     fcs = load_fcs(fcs_path)
-    if J > len(regions):
-        raise GeneratorError(f"J = {J} exceeds the {len(regions)} available regions")
-    if K > len(fcs):
-        raise GeneratorError(f"K = {K} exceeds the {len(fcs)} available FCs")
+    if not 1 <= J <= len(regions):
+        raise GeneratorError(f"J = {J} is outside 1..{len(regions)}, the available regions")
+    if not 1 <= K <= len(fcs):
+        raise GeneratorError(f"K = {K} is outside 1..{len(fcs)}, the available FCs")
     regions = sorted(regions, key=lambda r: (-r[3], r[0]))[:J]
     fcs = fcs[:K]
     r_lat, r_lon = np.array([r[1:3] for r in regions]).T

@@ -23,7 +23,8 @@ LP's rows as (value, row, column) triplets off this layout.
 
 The solved distribution is itself a runnable rounding scheme: draw a subset
 S proportional to z, then give each item an FC inside S proportional to its
-conditional masses. `sample_optimal` implements exactly that.
+conditional masses. `sample_optimal` implements exactly that. Only `build_lp`
+and `solve_optimal_alpha` import `simplex`; checks raise errors.SolverFailure.
 """
 
 from __future__ import annotations
@@ -34,22 +35,13 @@ from typing import TextIO
 
 import numpy as np
 
-from . import simplex
-from .errors import CapExceeded
+from .errors import CapExceeded, SolverFailure
 from .rounding import MarginalMatrix, ParseError, RoundingOutcome, inverse_cdf, pinned_cdf
 from .streams import RandomStream
 
 DEFAULT_CAP = 12
 CHECK_TOL = 1e-7
 CLAMP_TOL = -1e-9
-
-
-class SolverFailure(RuntimeError):
-    """The subset LP did not come back optimal, or a solution fails its checks."""
-
-
-class DegenerateSubset(RuntimeError):
-    """z(S) > 0 but some item has no conditional mass on S."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +83,7 @@ def build_lp(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> tuple[simplex.LPProbl
     marginals (a row per u_ki > 0, in (k, i) order); FC k's usage is at most
     alpha * y_k; one subset happens.
     """
+    from . import simplex
     if m.K > cap:
         raise CapExceeded(f"K = {m.K} exceeds the subset cap {cap} (2^K blow-up)")
     q, K = m.q, m.K
@@ -171,13 +164,13 @@ class OptimalSchemeSolution:
     def item_cdfs(self) -> np.ndarray:
         """(support, q, K) pinned CDFs of each item's FC within each subset of
         the support; FCs outside a subset carry zero weight, so they never
-        win an inverse-CDF draw. Raises DegenerateSubset if some item has
-        no conditional mass on a subset."""
+        win an inverse-CDF draw. Raises errors.SolverFailure if some item
+        has no conditional mass on a subset of the support."""
         total = self.item_mass[self.support]
         empty = np.argwhere(total <= 0.0)
         if empty.size:
             mask = self.support[empty[0, 0]]
-            raise DegenerateSubset(
+            raise SolverFailure(
                 f"subset {mask:b} has z = {self.z[mask]} but no mass for item {empty[0, 1]}"
             )
         on = self.z[self.cells[:, 0]] > 0.0
@@ -228,6 +221,7 @@ def solve_optimal_alpha(m: MarginalMatrix, cap: int = DEFAULT_CAP) -> OptimalSch
 
     Each cell's mass is read from ``x[index.col]``, so a forced cell's mass
     is its subset's z, bit for bit; z and the masses are clamped at 0."""
+    from . import simplex
     problem, index = build_lp(m, cap=cap)
     sol = simplex.solve(problem)
     if sol.status != simplex.OPTIMAL:
@@ -301,13 +295,15 @@ def read_solution(f: TextIO) -> OptimalSchemeSolution:
         if mask < 1 or mask in z:
             raise ParseError(n, f"subset {mask} is empty or listed twice")
         z[mask] = v
-    zs = np.zeros(2 ** max(z, default=0).bit_length())
-    zs[list(z)] = list(z.values())
     cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
     order = np.lexsort(cells.T[::-1])
     cells = cells[order]
+    if cells.size and cells[0, 0] < 1:   # the least mask, as cells are sorted
+        raise ParseError(where[order[0]], f"conditional mass on subset {cells[0, 0]} < 1")
     twice = np.flatnonzero(np.all(cells[1:] == cells[:-1], axis=1))
     if twice.size:
         raise ParseError(where[order[twice[0] + 1]], "conditional mass listed twice")
+    zs = np.zeros(2 ** max(max(z, default=0), int(cells[:, 0].max(initial=0))).bit_length())
+    zs[list(z)] = list(z.values())
     return OptimalSchemeSolution(alpha=alpha, q=int(cells[:, 1].max(initial=-1)) + 1,
                                  z=zs, cells=cells, mass=np.array(mass, dtype=float)[order])

@@ -82,10 +82,11 @@ class FractionalCover:
         object.__setattr__(self, "y", y)
 
     def is_feasible(self, sc: SetCoverInstance) -> bool:
+        if len(self.y) != sc.K:
+            raise SetCoverError("fractional weights length != set count")
         mass = np.zeros(sc.q)
         for k, elems in enumerate(sc.members):
-            for e in elems:
-                mass[e] += self.y[k]
+            mass[list(elems)] += self.y[k]
         return bool(np.all(mass >= 1.0 - FEAS_TOL))
 
 

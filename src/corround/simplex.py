@@ -24,9 +24,9 @@ or solution carries over from one solve to the next.
 No optimum is returned on the solver's word alone. Every optimal result is
 re-checked against the original rows and bounds (primal residual) and
 against a dual certificate built from HiGHS's marginals (stationarity
-residual and duality gap); a failed check raises SolverNumericalError. An
+residual and duality gap); a failed check raises errors.SolverFailure. An
 optimum carries those multipliers, projected onto their feasible signs, as
-its row and column duals.
+its row and column duals. Code that solves no LP never imports this module.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ except ImportError as exc:
         "corround.simplex calls HiGHS through scipy.optimize._highspy._core, "
         f"which needs scipy >= 1.15 (found scipy {scipy.__version__})"
     ) from exc
+
+from .errors import SolverFailure
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -77,10 +79,6 @@ _STATUS = {
 
 class DimensionMismatch(ValueError):
     """A constraint row's width disagrees with the objective's."""
-
-
-class SolverNumericalError(RuntimeError):
-    """The solver broke down, or an optimum failed its certificate."""
 
 
 _REL_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
@@ -242,8 +240,8 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     caps the simplex iterations, at most at 2**31 - 1; a run that reaches
     the cap returns ITERATION_LIMIT.
     Optimal solutions satisfy every row and bound within FEAS_TOL and carry
-    a dual certificate within FEAS_TOL (checked; a failure raises
-    SolverNumericalError). A problem with no columns is decided here,
+    a dual certificate within FEAS_TOL; a failed check, or HiGHS failing,
+    raises errors.SolverFailure. A problem with no columns is decided here,
     without HiGHS: optimal at x = [] with objective 0 when every row holds
     there within FEAS_TOL, else infeasible.
     """
@@ -278,7 +276,7 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
         lo, hi, max_pivots,
     )
     if status not in _STATUS:
-        raise SolverNumericalError(f"HiGHS failed: model status {status.name}")
+        raise SolverFailure(f"HiGHS failed: model status {status.name}")
     status = _STATUS[status]
     if status != OPTIMAL:
         return LPSolution(status, None, None, nit)
@@ -295,14 +293,14 @@ def solve(problem: LPProblem, max_pivots: int = 10 ** 6) -> LPSolution:
     )
     # written so that a NaN fails the checks too
     if not viol <= FEAS_TOL:
-        raise SolverNumericalError(f"residual check failed: violation {viol:.3e}")
+        raise SolverFailure(f"residual check failed: violation {viol:.3e}")
     # HiGHS's duals in row order; the ">=" rows' are flipped to those of
     # the rows negated, which `_dual_certificate` takes
     y = np.empty(m)
     y[order] = row_dual
     y, w, dual_res, gap = _dual_certificate(problem, obj, sign, sign * y, col_dual)
     if not (dual_res <= FEAS_TOL and gap <= FEAS_TOL):
-        raise SolverNumericalError(
+        raise SolverFailure(
             f"dual certificate failed: residual {dual_res:.3e}, gap {gap:.3e}"
         )
     return LPSolution(OPTIMAL, obj, x, nit, viol, dual_res, gap, y, w)
@@ -355,7 +353,7 @@ def _run_highs(c, rows, row_lo, row_hi, lo, hi, max_pivots):
     # HiGHS keeps the limit of the run before when it rejects one above 2**31 - 1
     limit = min(int(max_pivots), 2 ** 31 - 1)
     if h.setOptionValue("simplex_iteration_limit", limit) != _highs.HighsStatus.kOk:
-        raise SolverNumericalError(f"HiGHS rejected the simplex iteration limit {limit}")
+        raise SolverFailure(f"HiGHS rejected the simplex iteration limit {limit}")
     # every column continuous (an empty integrality array is not taken)
     if h.passModel(c.size, row_hi.size, value.size, _ROWWISE, _MINIMIZE, 0.0, c, lo, hi,
                    row_lo, row_hi, start, index, value,

@@ -10,8 +10,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from corround import simplex
-from corround.fulfillment import DLPIndex, DLPlan, DLPSolveError, FulfillmentInstance
-from corround.optimal import CLAMP_TOL, OptimalSchemeSolution, SolverFailure, SubsetVarIndex
+from corround.errors import SolverFailure
+from corround.fulfillment import DLPIndex, DLPlan, FulfillmentInstance
+from corround.optimal import CLAMP_TOL, OptimalSchemeSolution, SubsetVarIndex
 from corround.rounding import MarginalMatrix, validate
 from corround.simplex import EQ, GE, INF, LPProblem, LPSolution
 from corround.streams import RandomStream
@@ -339,7 +340,7 @@ def solve_full_dlp(inst: FulfillmentInstance, max_pivots: int = 10 ** 6) -> DLPl
     problem, index = full_dlp(inst)
     sol = simplex.solve(problem, max_pivots=max_pivots)
     if sol.status != simplex.OPTIMAL:
-        raise DLPSolveError(f"DLP ended with status {sol.status}")
+        raise SolverFailure(f"DLP ended with status {sol.status}")
     x, K1 = np.clip(sol.x, 0.0, None), inst.K + 1
     u = {(t, j): x[s:s + len(inst.types[t]) * K1].reshape(-1, K1) for (t, j), s in zip(index.pairs, index.u_off)}
     plan = DLPlan(objective=float(sol.objective), u=u)
@@ -351,6 +352,27 @@ def independent_usage(m: MarginalMatrix) -> np.ndarray:
     """Exact P[FC k used] under the independent scheme: each item draws its
     FC on its own, so k stays unused with probability prod_i (1 - u_ki)."""
     return 1.0 - np.prod(1.0 - m.u, axis=0)
+
+
+def dilate_usage(m: MarginalMatrix) -> np.ndarray:
+    """Exact P[FC k used] under the dilate scheme.
+
+    With W_j = E_j * y_j, i.i.d. Exp(1), item i sees FC j at W_j / u_ji and
+    takes the first FC it sees. Given W_k = w, the items of a set T all take
+    k with probability exp(-w * s_T), s_T = sum_{j != k} max_{i in T}
+    u_ji / u_ki. Inclusion-exclusion over the sets T of items with u_ki > 0,
+    integrated over w, gives P[k unused] = sum_T (-1)^|T| / (1 + s_T), the
+    empty T giving 1: O(2^n n K) for an FC that n items can take, in one
+    array pass over all T."""
+    usage = np.zeros(m.K)
+    for k in range(m.K):
+        items = np.flatnonzero(m.u[:, k] > 0.0)
+        ratio = np.delete(m.u[items], k, axis=1) / m.u[items, k, None]   # (|items|, K - 1)
+        T = (np.arange(2 ** items.size)[:, None] >> np.arange(items.size) & 1).astype(bool)
+        s = np.where(T[:, :, None], ratio, 0.0).max(axis=1, initial=0.0).sum(axis=1)
+        sign = np.where(T.sum(axis=1) % 2, -1.0, 1.0)
+        usage[k] = 1.0 - (sign / (1.0 + s)).sum()
+    return usage
 
 
 class ConstantUniforms(RandomStream):

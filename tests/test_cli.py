@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corround import cli, fulfillment, rounding, simplex
+from corround.errors import SolverFailure
 
 DET_INSTANCE = "2 2\n1.0 0.0\n0.0 1.0\n"
 MIXED_INSTANCE = "2 3\n0.2 0.5 0.3\n0.6 0.1 0.3\n"
@@ -105,7 +106,7 @@ def test_lp_optimal_cap_exceeded(tmp_path):
 
 def test_lp_optimal_solver_failure_exit_code(tmp_path, monkeypatch):
     def broken(problem, max_pivots=10 ** 6):
-        raise simplex.SolverNumericalError("dual certificate failed")
+        raise SolverFailure("dual certificate failed")
 
     monkeypatch.setattr(simplex, "solve", broken)
     inst = tmp_path / "i.txt"
@@ -115,7 +116,7 @@ def test_lp_optimal_solver_failure_exit_code(tmp_path, monkeypatch):
 
 def test_simulate_dlp_failure_exit_code(tmp_path, monkeypatch, capsys):
     def broken(inst, max_pivots=10 ** 6):
-        raise fulfillment.DLPSolveError("DLP status: infeasible")
+        raise SolverFailure("DLP status: infeasible")
 
     monkeypatch.setattr(fulfillment, "solve_dlp", broken)
     cfg = tmp_path / "camp.json"

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from corround import rounding
+from corround.errors import SolverFailure
 from corround.fulfillment import (
     ARRIVAL_SUBSTREAM,
     DECISION_SUBSTREAM,
     INV_TOL,
     PLAN_TOL,
     DLPlan,
-    DLPSolveError,
     FulfillmentError,
     FulfillmentInstance,
     POLICIES,
@@ -188,7 +188,7 @@ def test_dlp_zero_inventory_goes_null():
 
 def test_dlp_pivot_cap_raises():
     inst = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
-    with pytest.raises(DLPSolveError, match="iteration_limit"):
+    with pytest.raises(SolverFailure, match="iteration_limit"):
         solve_dlp(inst, max_pivots=1)
 
 
@@ -739,12 +739,12 @@ def test_reduced_dlp_status_matches_the_full_lp():
     )
     assert build_dlp(inst)[0].n == full_dlp(inst)[0].n - 1
     for build in (solve_dlp, solve_full_dlp):
-        with pytest.raises(DLPSolveError, match="status unbounded"):
+        with pytest.raises(SolverFailure, match="status unbounded"):
             build(inst)
     # the pivot cap binds on both
     capped = build_instance(GeneratorConfig(n=6, n_max=3, n_per=3, T=1000, J=2, K=3, seed=1))
     for build in (solve_dlp, solve_full_dlp):
-        with pytest.raises(DLPSolveError, match="iteration_limit"):
+        with pytest.raises(SolverFailure, match="iteration_limit"):
             build(capped, max_pivots=1)
     # No valid instance has an infeasible DLP: sending every item to the
     # null FC meets every row. Negative stock, which the instance refuses,
@@ -752,7 +752,7 @@ def test_reduced_dlp_status_matches_the_full_lp():
     # cell at that FC, and check refuses its plan, so neither returns one.
     bad = dataclasses.replace(inst, fixed_cost=np.array([[0.0], [1.0], [1.0]]))
     object.__setattr__(bad, "inventory", np.array([[INF], [-1.0], [0.0]]))
-    with pytest.raises(DLPSolveError, match="status infeasible"):
+    with pytest.raises(SolverFailure, match="status infeasible"):
         solve_full_dlp(bad)
     with pytest.raises(FulfillmentError, match="oversubscribes inventory"):
         solve_dlp(bad)
@@ -1007,7 +1007,7 @@ def test_plan_construction_tolerances_and_keys():
     for what, u in bad.items():
         with pytest.raises(FulfillmentError, match="int \\(type, region\\) pair"):
             DLPlan(objective=1.0, u=u)
-    for objective in (np.nan, INF, "5", None):
+    for objective in (np.nan, INF, "5", None, True, False):
         with pytest.raises(FulfillmentError, match="objective"):
             DLPlan(objective=objective, u={})
 
@@ -1259,4 +1259,11 @@ def test_json_readers_reject_malformed_documents():
     doc = json.loads(plan_to_json(hand_case()[1]))
     doc["entries"].append(doc["entries"][0])
     with pytest.raises(FulfillmentError, match=re.escape("lists order (0, 0) twice")):
+        plan_from_json(json.dumps(doc))
+    with pytest.raises(FulfillmentError, match=re.escape("plan entries must be a list, got int")):
+        plan_from_json('{"objective":0,"entries":5}')
+    # JSON's true is no objective
+    doc = json.loads(plan_to_json(hand_case()[1]))
+    doc["objective"] = True
+    with pytest.raises(FulfillmentError, match=re.escape("plan objective True is not a finite number")):
         plan_from_json(json.dumps(doc))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +81,16 @@ def test_geography_selection():
         build_geography(J=500, K=5)
     with pytest.raises(GeneratorError):
         build_geography(J=10, K=50)
+
+
+@pytest.mark.parametrize("J, K, message", [
+    (0, 5, "J = 0 is outside 1.."),
+    (-1, 5, "J = -1 is outside 1.."),
+    (10, 0, "K = 0 is outside 1.."),
+])
+def test_geography_needs_a_region_and_an_fc(J, K, message):
+    with pytest.raises(GeneratorError, match=re.escape(message)):
+        build_geography(J, K)
 
 
 REGIONS_HEADER = "name,lat,lon,population\n"

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from corround import simplex
-from corround.errors import CapExceeded
+from corround.errors import CapExceeded, SolverFailure
 from corround.optimal import (
-    DegenerateSubset,
     OptimalSchemeSolution,
-    SolverFailure,
     build_lp,
     read_solution,
     sample_optimal,
@@ -515,7 +513,7 @@ def test_verify_catches_corruption():
     bad = OptimalSchemeSolution(
         alpha=sol.alpha, q=sol.q, z=sol.z * 0.5, cells=sol.cells, mass=sol.mass,
     )
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match="subset probabilities sum to 0.5, not 1"):
         bad.verify(validate([[0.3, 0.7]]))
 
 
@@ -562,7 +560,8 @@ def test_verify_accepts_halves():
     ("0 0 1 0.5\n1 0 2 0.5\n0 -1 1 0.0\n", "out of range"),  # negative item
     ("0 0 1 0.5\n1 0 2 0.5\n5 0 1 0.0\n", "out of range"),   # FC 5 of K = 2
     ("0 0 1 0.5\n1 0 2 0.5\n-1 0 1 0.0\n", "out of range"),  # negative FC
-    ("0 0 1 0.5\n1 0 2 0.5\n0 0 4 0.0\n", "out of range"),   # mask 4 of K = 2
+    # mask 4 sizes z for K = 3, which does not fit an instance with K = 2
+    ("0 0 1 0.5\n1 0 2 0.5\n0 0 4 0.0\n", "does not fit q = 1, K = 2"),
 ])
 def test_verify_rejects_bad_cells(cells, match):
     sol = read_solution(io.StringIO("1.0\n1 0.5\n2 0.5\n" + cells))
@@ -573,6 +572,16 @@ def test_verify_rejects_bad_cells(cells, match):
 def test_verify_rejects_an_item_beyond_q():
     sol = read_solution(io.StringIO(HALVES_TEXT))
     bad = OptimalSchemeSolution(alpha=1.0, q=1, z=sol.z, cells=sol.cells + [0, 1, 0],
+                                mass=sol.mass)
+    with pytest.raises(SolverFailure, match="out of range"):
+        bad.verify(validate([[0.5, 0.5]]))
+
+
+def test_verify_rejects_a_mask_beyond_z():
+    # read_solution sizes z to hold every mask it reads, so only a solution
+    # built by hand can carry a cell whose subset z has no entry for
+    sol = read_solution(io.StringIO(HALVES_TEXT))
+    bad = OptimalSchemeSolution(alpha=1.0, q=1, z=sol.z, cells=sol.cells + [4, 0, 0],
                                 mass=sol.mass)
     with pytest.raises(SolverFailure, match="out of range"):
         bad.verify(validate([[0.5, 0.5]]))
@@ -646,7 +655,7 @@ def test_sampling_matches_loop_reference():
 def test_sampling_degenerate_subset():
     sol = OptimalSchemeSolution(alpha=1.0, q=1, z=np.array([0.0, 1.0]),
                                 cells=np.zeros((0, 3), dtype=np.int64), mass=np.zeros(0))
-    with pytest.raises(DegenerateSubset):
+    with pytest.raises(SolverFailure, match="subset 1 has z = 1.0 but no mass for item 0"):
         sample_optimal(sol, RandomStream(0))
 
 
@@ -684,6 +693,8 @@ def test_solution_text_is_byte_stable():
     ("1.0\n0 1.0\n", 2),                 # the empty subset has no z
     ("1.0\n1 0.5\n1 0.5\n", 3),
     ("1.0\n1 1.0\n0 0 1 0.5\n0 0 1 0.5\n", 4),
+    ("1.0\n1 1.0\n0 0 0 1.0\n", 3),       # a cell of the empty subset
+    ("1.0\n1 1.0\n0 0 1 1.0\n0 0 -1 0.5\n", 4),
 ])
 def test_read_solution_reports_the_line(text, line):
     with pytest.raises(ParseError) as info:
@@ -700,3 +711,10 @@ def test_read_solution_sorts_cells_and_fills_masks():
     assert sol.cells.tolist() == [[3, 0, 0], [3, 0, 1], [3, 1, 0], [3, 1, 1]]
     assert sol.mass.tolist() == [0.5, 0.5, 0.2, 0.8]
     sol.verify(validate([[0.5, 0.5], [0.2, 0.8]]))
+    # z spans the masks of the cell lines too: mask 3 has no z line, so z = 0
+    sol = read_solution(io.StringIO("1.0\n1 1.0\n0 0 3 1.0\n"))
+    assert sol.z.tolist() == [0.0, 1.0, 0.0, 0.0] and sol.K == 2
+    with pytest.raises(SolverFailure, match="subset 1 has z = 1.0 but no mass for item 0"):
+        sample_optimal(sol, RandomStream(0))
+    with pytest.raises(SolverFailure, match="item 0 mass 0.0 != z = 1.0 on subset 1$"):
+        sol.verify(validate([[1.0, 0.0]]))

@@ -36,6 +36,7 @@ from conftest import (
     SmallestUniforms,
     TinyUniforms,
     UnitUniforms,
+    dilate_usage,
     independent_usage,
     instance_battery,
     legacy_kernel,
@@ -850,6 +851,21 @@ def test_independent_usage_matches_the_exact_oracle():
         p = independent_usage(m)
         assert np.all(p <= rounding.scheme_guarantee("independent", m) * m.y + 1e-12)
         rep = mc_estimate(m, "independent", N_MC, RandomStream(3000 + t))
+        tol = 5.0 * np.sqrt(p * (1.0 - p) / N_MC)
+        assert np.all(np.abs(rep.usage - p) <= tol + 1e-12), t
+
+
+def test_dilate_usage_matches_the_exact_oracle():
+    # the exact dilate usage (conftest.dilate_usage) is within the scheme's
+    # guarantee (1 + ln q) * y, and the Monte Carlo usage lies within 5
+    # binomial sigmas of it, on the oracle battery (its plan rows included),
+    # a mixed battery up to q = 10 and every row of a solved plan
+    battery = [validate(rows) for rows in ORACLE_INSTANCES] + instance_battery(seed=80, count=8)
+    battery += _dispatch_rows()
+    for t, m in enumerate(battery):
+        p = dilate_usage(m)
+        assert np.all(p <= rounding.guarantee_dilate(m.q) * m.y + 1e-12), t
+        rep = mc_estimate(m, "dilate", N_MC, RandomStream(4000 + t))
         tol = 5.0 * np.sqrt(p * (1.0 - p) / N_MC)
         assert np.all(np.abs(rep.usage - p) <= tol + 1e-12), t
 

@@ -154,6 +154,10 @@ def test_hard_instance_shapes():
     sc, fc = hard_instance(2, 4)
     assert sc.q == 6
     assert fc.is_feasible(sc)
+    # one weight per set, as marginals_from_fractional_cover asks
+    for y in (fc.y[:-1], np.append(fc.y, 1.0)):
+        with pytest.raises(SetCoverError, match="fractional weights length != set count"):
+            FractionalCover(y=y).is_feasible(sc)
     # feasibility holds with equality: each element covered by exactly d sets
     mass = np.zeros(sc.q)
     for k, elems in enumerate(sc.members):

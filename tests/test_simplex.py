@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from corround import simplex
+from corround.errors import SolverFailure
 from corround.fulfillment import build_dlp, solve_dlp
 from corround.instances import GeneratorConfig, build_instance
 from corround.optimal import build_lp
@@ -23,7 +24,6 @@ from corround.simplex import (
     UNBOUNDED,
     DimensionMismatch,
     LPProblem,
-    SolverNumericalError,
     solve,
 )
 
@@ -452,19 +452,47 @@ def corrupted_run(field):
 @pytest.mark.parametrize("field", ["x", "marginals"])
 def test_failed_certificate_raises(monkeypatch, field):
     monkeypatch.setattr(simplex, "_run_highs", corrupted_run(field))
-    with pytest.raises(SolverNumericalError):
+    match = {"x": "residual check failed", "marginals": "dual certificate failed"}[field]
+    with pytest.raises(SolverFailure, match=match):
         solve(beale_lp())
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 def test_missing_bindings_name_the_scipy_floor():
     # a scipy without scipy.optimize._highspy._core, as before 1.15
-    code = "import sys; sys.modules['scipy.optimize._highspy._core'] = None; import corround.simplex"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = run_python("import sys; sys.modules['scipy.optimize._highspy._core'] = None; import corround.simplex")
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError:") and "scipy >= 1.15" in last
+
+
+SMALL_DLP = GeneratorConfig(n=5, n_max=2, n_per=2, J=2, K=2, T=100, seed=1)
+
+
+def test_only_a_solve_loads_scipy():
+    # the package's modules import without scipy; the first DLP solve
+    # loads it and returns a checked plan, the same as in this process
+    proc = run_python(f"""
+import sys
+import corround.cli, corround.fulfillment, corround.instances, corround.optimal, corround.setcover
+from corround.fulfillment import solve_dlp
+from corround.instances import GeneratorConfig, build_instance
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded[:3]
+inst = build_instance({SMALL_DLP!r})
+plan = solve_dlp(inst)
+plan.check(inst)
+assert "scipy" in sys.modules
+print(repr(plan.objective))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == solve_dlp(build_instance(SMALL_DLP)).objective
 
 
 # Optima recorded from the two-phase revised simplex (Devex pricing, Bland
@@ -659,7 +687,7 @@ def test_reused_solver_matches_a_fresh_one(fresh_solves, monkeypatch):
     for (p, cap), want in zip(REUSE, fresh_solves):
         with monkeypatch.context() as mp:
             mp.setattr(simplex, "_run_highs", corrupted_run("marginals"))
-            with pytest.raises(SolverNumericalError):
+            with pytest.raises(SolverFailure, match="dual certificate failed"):
                 solve(beale_lp())
         assert bits(solve(p, cap)) == want
 
